@@ -389,7 +389,8 @@ def _fit_table(fit) -> str:
         )
     if fit.sigma_u is not None:
         lines.append(f"random intercept SD: {fit.sigma_u:.4f} "
-                     f"({fit.n_quad} quadrature nodes)")
+                     f"({fit.n_quad} quadrature nodes, boundary: "
+                     f"{'yes' if fit.boundary else 'no'})")
     lines.append(f"log-likelihood: {fit.log_likelihood:.4f}  n={fit.n_obs}")
     return "\n".join(lines)
 

@@ -160,13 +160,15 @@ class Unit:
 class Corpus:
     units: tuple[Unit, ...]
     provenance: dict = field(default_factory=dict)
+    _index: dict = field(init=False, repr=False, compare=False)  # id -> unit
 
     def __post_init__(self):
-        seen = set()
+        index = {}
         for u in self.units:
-            if u.id in seen:
+            if u.id in index:
                 raise DataError(f"duplicate unit id {u.id!r}")
-            seen.add(u.id)
+            index[u.id] = u
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.units)
@@ -175,10 +177,10 @@ class Corpus:
         return iter(self.units)
 
     def unit(self, uid: str) -> Unit:
-        for u in self.units:
-            if u.id == uid:
-                return u
-        raise DataError(f"no unit with id {uid!r}")
+        try:
+            return self._index[uid]
+        except KeyError:
+            raise DataError(f"no unit with id {uid!r}") from None
 
 
 def _validate_gold(unit: Unit, scheme: CodingScheme) -> None:

@@ -2,9 +2,15 @@
 
 Fixed-effects binary logistic regression fit by iteratively reweighted
 least squares, and a random-intercept extension whose marginal likelihood
-is integrated per group with adaptive Gauss-Hermite quadrature. Inference
-is Wald: standard errors from the inverse observed information, two-sided
-normal p-values.
+is integrated per group with adaptive Gauss-Hermite quadrature. The mixed
+objective handles every group in one vectorised pass over rows sorted by
+group: a step-halving Newton search finds all group modes at once, and the
+negative log-likelihood comes with its exact gradient in (beta, log sigma),
+including how the modes and quadrature scales move. The fit is accepted
+only when the predicted decrease at its final point is negligible, and it
+reports whether the intercept SD ended on its bound. Inference is Wald:
+standard errors from the inverse observed information (for mixed fits,
+central differences of the exact gradient), two-sided normal p-values.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 from scipy.stats import norm
 
 from .errors import DataError
@@ -59,6 +65,7 @@ class FitResult:
     n_obs: int
     sigma_u: Optional[float] = None  # random-intercept SD, mixed fits only
     n_quad: Optional[int] = None
+    boundary: Optional[bool] = None  # mixed fits: log sigma_u on a bound
 
     def coef(self, name: str) -> Coefficient:
         return self.coefficients[name]
@@ -82,6 +89,7 @@ class FitResult:
         if self.sigma_u is not None:
             d["sigma_u"] = self.sigma_u
             d["n_quad"] = self.n_quad
+            d["boundary"] = self.boundary
         return d
 
     def to_json(self, path: Union[str, Path]) -> None:
@@ -219,41 +227,138 @@ def logistic_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
 # --- random-intercept model ------------------------------------------------
 
 
-def _group_mode(eta_fixed, y, sigma2, n_newton=30):
-    """Posterior mode and curvature of the random intercept for one group."""
-    u = 0.0
-    for _ in range(n_newton):
-        mu = expit(eta_fixed + u)
-        g = float(np.sum(y - mu)) - u / sigma2
-        h = -float(np.sum(mu * (1 - mu))) - 1.0 / sigma2
-        step = g / h
-        u -= step
-        if abs(step) < 1e-10:
-            break
-    mu = expit(eta_fixed + u)
-    curv = float(np.sum(mu * (1 - mu))) + 1.0 / sigma2
-    return u, curv
+LOG_SIGMA_BOUNDS = (-6.0, 4.0)  # box for log of the random-intercept SD
+MODE_TOL = 1e-10  # Newton step size at which every group's mode is final
+MODE_MAX_STEPS = 100
+MODE_MAX_HALVINGS = 60
+CONVERGENCE_TOL = 1e-8  # largest accepted predicted decrease 1/2 g'H^-1 g
 
 
-def _marginal_nll(theta, group_X, group_y, nodes, weights):
-    p = group_X[0].shape[1]
-    beta = theta[:p]
-    sigma = math.exp(theta[p])
-    sigma2 = sigma * sigma
-    total = 0.0
-    log_w = np.log(weights)
-    for X, y in zip(group_X, group_y):
+class _MarginalLikelihood:
+    """Adaptive Gauss-Hermite marginal likelihood of a random-intercept
+    logistic model, over rows sorted by group once.
+
+    Every per-group quantity is a ``np.add.reduceat`` over the sorted rows,
+    so one call handles all groups at once. :meth:`nll_grad` returns the
+    negative log-likelihood and its exact gradient in (beta, log sigma),
+    including how each group's mode and quadrature scale move with them.
+    """
+
+    def __init__(self, X, y, groups, n_quad):
+        _, group_index = np.unique(np.asarray(groups), return_inverse=True)
+        order = np.argsort(group_index, kind="stable")
+        self.X = X[order]
+        self.y = y[order]
+        self.group = group_index[order]
+        self.starts = np.flatnonzero(np.r_[True, np.diff(self.group) != 0])
+        self.nodes, weights = np.polynomial.hermite.hermgauss(n_quad)
+        self.log_w = np.log(weights) + self.nodes**2 + 0.5 * math.log(2.0)
+
+    def _sum(self, a):
+        """Per-group sums over the leading (row) axis."""
+        return np.add.reduceat(a, self.starts, axis=0)
+
+    def _log_posterior(self, eta, u, sigma2):
+        t = eta + u[self.group]
+        return self._sum(self.y * t - np.logaddexp(0.0, t)) - 0.5 * u * u / sigma2
+
+    def modes(self, eta, sigma2):
+        """Posterior mode of every group's intercept by Newton's method. A
+        group whose step lowers its log posterior halves that step, so the
+        search cannot run away where the linear predictor is large."""
+        u = np.zeros(len(self.starts))
+        h = self._log_posterior(eta, u, sigma2)
+        for _ in range(MODE_MAX_STEPS):
+            mu = expit(eta + u[self.group])
+            step = (self._sum(self.y - mu) - u / sigma2) / (
+                self._sum(mu * (1 - mu)) + 1.0 / sigma2)
+            for _ in range(MODE_MAX_HALVINGS):
+                h_new = self._log_posterior(eta, u + step, sigma2)
+                worse = h_new < h - 1e-12 * (1.0 + np.abs(h))
+                if not worse.any():
+                    break
+                step = np.where(worse, 0.5 * step, step)
+            u = u + step
+            h = h_new
+            if np.max(np.abs(step)) < MODE_TOL:
+                break
+        return u
+
+    def nll_grad(self, theta):
+        X, y, group = self.X, self.y, self.group
+        p = X.shape[1]
+        beta, log_sigma = theta[:p], theta[p]
+        sigma2 = math.exp(2.0 * log_sigma)
         eta = X @ beta
-        u_hat, curv = _group_mode(eta, y, sigma2)
-        tau = 1.0 / math.sqrt(curv)
-        u = u_hat + math.sqrt(2.0) * tau * nodes
-        # conditional log-likelihood at each node, all observations of group
-        eta_u = eta[:, None] + u[None, :]
-        cond = np.sum(y[:, None] * eta_u - np.logaddexp(0.0, eta_u), axis=0)
-        prior = -0.5 * (u * u) / sigma2 - 0.5 * math.log(2 * math.pi * sigma2)
-        terms = log_w + nodes * nodes + 0.5 * math.log(2.0) + math.log(tau) + prior + cond
-        total += float(logsumexp(terms))
-    return -total
+
+        # mode, curvature and quadrature scale of each group
+        u_hat = self.modes(eta, sigma2)
+        mu = expit(eta + u_hat[group])
+        w = mu * (1 - mu)
+        v = w * (1 - 2 * mu)
+        curv = self._sum(w) + 1.0 / sigma2
+        tau = 1.0 / np.sqrt(curv)
+
+        # log integrand at the adaptive nodes, one row per group
+        u = u_hat[:, None] + math.sqrt(2.0) * tau[:, None] * self.nodes
+        t = eta[:, None] + u[group]
+        cond = self._sum(y[:, None] * t - np.logaddexp(0.0, t))
+        prior = -0.5 * u * u / sigma2 - 0.5 * math.log(2 * math.pi) - log_sigma
+        terms = self.log_w + np.log(tau)[:, None] + prior + cond
+        peak = terms.max(axis=1, keepdims=True)
+        pi = np.exp(terms - peak)
+        mass = pi.sum(axis=1, keepdims=True)
+        group_ll = peak[:, 0] + np.log(mass[:, 0])
+        pi /= mass  # posterior weight of each node
+
+        # derivatives at fixed nodes u
+        resid = y[:, None] - expit(t)
+        d_u = self._sum(resid) - u / sigma2
+        grad_beta = X.T @ np.sum(pi[group] * resid, axis=1)
+        grad_log_sigma = float(np.sum(pi * (u * u / sigma2 - 1.0)))
+
+        # the nodes move with the mode and the scale: implicit derivatives of
+        # the mode equation, then of log tau = -log(curv) / 2
+        du_beta = -self._sum(w[:, None] * X) / curv[:, None]
+        du_log_sigma = 2.0 * u_hat / (sigma2 * curv)
+        sum_v = self._sum(v)
+        dlogtau_beta = -0.5 * (self._sum(v[:, None] * X)
+                               + sum_v[:, None] * du_beta) / curv[:, None]
+        dlogtau_log_sigma = -0.5 * (sum_v * du_log_sigma - 2.0 / sigma2) / curv
+        a = np.sum(pi * d_u, axis=1)
+        c = 1.0 + math.sqrt(2.0) * tau * np.sum(pi * d_u * self.nodes, axis=1)
+        grad_beta = grad_beta + (c[:, None] * dlogtau_beta
+                                 + a[:, None] * du_beta).sum(axis=0)
+        grad_log_sigma += float(np.sum(c * dlogtau_log_sigma + a * du_log_sigma))
+        return -float(group_ll.sum()), -np.append(grad_beta, grad_log_sigma)
+
+    def hessian(self, theta):
+        """Central differences of the exact gradient, symmetrised."""
+        n = len(theta)
+        hess = np.empty((n, n))
+        for j in range(n):
+            step = np.zeros(n)
+            step[j] = 1e-5 * max(1.0, abs(theta[j]))
+            hess[:, j] = (self.nll_grad(theta + step)[1]
+                          - self.nll_grad(theta - step)[1]) / (2 * step[j])
+        return 0.5 * (hess + hess.T)
+
+
+def _newton_decrement(grad, hess, log_sigma):
+    """Predicted decrease 1/2 g'H^-1 g over the free coordinates: log sigma
+    is held when it sits on a bound with the gradient pointing outward.
+    Infinite when the free Hessian is not positive definite."""
+    free = np.ones(len(grad), dtype=bool)
+    low, high = LOG_SIGMA_BOUNDS
+    if (log_sigma <= low and grad[-1] > 0) or (log_sigma >= high and grad[-1] < 0):
+        free[-1] = False
+    g = grad[free]
+    try:
+        chol = np.linalg.cholesky(hess[np.ix_(free, free)])
+    except np.linalg.LinAlgError:
+        return math.inf
+    z = np.linalg.solve(chol, g)
+    return 0.5 * float(z @ z)
 
 
 def fit_logistic_random_intercept(
@@ -266,7 +371,10 @@ def fit_logistic_random_intercept(
     The marginal likelihood integrates the intercept out with adaptive
     Gauss-Hermite quadrature (nodes recentred at each group's posterior
     mode); the outer optimization is quasi-Newton over the fixed effects
-    and the log of the intercept SD.
+    and the log of the intercept SD, on the exact gradient. The fit is
+    accepted only when the predicted decrease at the returned point is
+    below ``CONVERGENCE_TOL``; otherwise it raises :class:`DataError`.
+    ``boundary`` on the result says whether log sigma ended on a bound.
     """
     groups = [o.group for o in observations]
     if any(g is None for g in groups):
@@ -275,16 +383,7 @@ def fit_logistic_random_intercept(
         raise DataError("random-intercept variance needs at least 2 groups")
     X, y, names = _design(observations)
     _check_rank(X, names)
-
-    group_ids = sorted(set(groups))
-    gindex = {g: i for i, g in enumerate(group_ids)}
-    group_rows = [[] for _ in group_ids]
-    for i, g in enumerate(groups):
-        group_rows[gindex[g]].append(i)
-    group_X = [X[rows] for rows in group_rows]
-    group_y = [y[rows] for rows in group_rows]
-
-    nodes, weights = np.polynomial.hermite.hermgauss(n_quad)
+    model = _MarginalLikelihood(X, y, groups, n_quad)
 
     # warm start from the fixed-effects fit; fall back to zeros on separation
     try:
@@ -294,54 +393,34 @@ def fit_logistic_random_intercept(
         beta0 = np.zeros(X.shape[1])
     theta0 = np.append(beta0, math.log(0.5))
 
-    bounds = [(None, None)] * X.shape[1] + [(-6.0, 4.0)]
-    res = minimize(
-        _marginal_nll,
-        theta0,
-        args=(group_X, group_y, nodes, weights),
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-8},
-    )
-    if not res.success and "ABNORMAL" in str(res.message).upper():
-        raise DataError(f"mixed fit did not converge: {res.message}")
-    theta = res.x
     p = X.shape[1]
-    sigma_u = math.exp(theta[p])
-
-    hess = _numeric_hessian(
-        lambda t: _marginal_nll(t, group_X, group_y, nodes, weights), theta
+    res = minimize(
+        model.nll_grad,
+        theta0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(None, None)] * p + [LOG_SIGMA_BOUNDS],
+        options={"maxiter": max_iter, "ftol": 1e-13, "gtol": 1e-8},
     )
+    theta = res.x
+    log_sigma = theta[p]
+    hess = model.hessian(theta)
+    decrement = _newton_decrement(res.jac, hess, log_sigma)
+    if not decrement <= CONVERGENCE_TOL:
+        raise DataError(
+            f"mixed fit did not converge: predicted decrease {decrement:.3g} "
+            f"at the returned point ({res.message})")
     cov = _safe_inverse(hess)
-    coefficients = _wald(names, theta[:p], cov[:p, :p])
     return FitResult(
-        coefficients=coefficients,
+        coefficients=_wald(names, theta[:p], cov[:p, :p]),
         log_likelihood=-float(res.fun),
         converged=True,
         n_iter=int(res.nit),
         n_obs=len(y),
-        sigma_u=float(sigma_u),
+        sigma_u=math.exp(log_sigma),
         n_quad=n_quad,
+        boundary=bool(not LOG_SIGMA_BOUNDS[0] < log_sigma < LOG_SIGMA_BOUNDS[1]),
     )
-
-
-def _numeric_hessian(f, x, h=1e-4):
-    n = len(x)
-    hess = np.zeros((n, n))
-    f0 = f(x)
-    steps = h * np.maximum(1.0, np.abs(x))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = steps[i]
-            ej[j] = steps[j]
-            fpp = f(x + ei + ej)
-            fpm = f(x + ei - ej)
-            fmp = f(x - ei + ej)
-            fmm = f(x - ei - ej)
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4 * steps[i] * steps[j])
-    return hess
 
 
 def _safe_inverse(mat):

@@ -9,6 +9,8 @@ from quantitize import (
     Level,
     Unit,
     Variable,
+    gen_interview_margins,
+    gen_simpson,
     save_corpus,
     save_scheme,
 )
@@ -220,6 +222,22 @@ class TestFitAndDemo:
         assert doc["coefficients"]["campus"]["estimate"] == \
             pytest.approx(-1.9214, abs=1e-3)
 
+    def test_fit_reports_variance_boundary(self, tmp_path, capsys):
+        rows = ["id,campus,age,online"]
+        rows += [f"{o.group},{o.covariates['campus']!r},{o.covariates['age']!r},"
+                 f"{o.response}" for o in gen_interview_margins(0)]
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n",
+                                           encoding="utf-8")
+        assert run([
+            "fit", "--data", tmp_path / "data.csv",
+            "--formula", "online ~ campus + age + (1|id)",
+            "--out", tmp_path / "fit.json",
+        ]) == 0
+        doc = json.loads((tmp_path / "fit.json").read_text())
+        assert doc["boundary"] is True
+        assert doc["converged"] is True
+        assert "boundary: yes" in capsys.readouterr().out
+
     def test_demo_simpson_verdict(self, capsys):
         assert run(["demo", "simpson", "--seed", 1]) == 0
         out = capsys.readouterr().out
@@ -229,3 +247,48 @@ class TestFitAndDemo:
         assert run(["demo", "interview", "--seed", 1]) == 0
         out = capsys.readouterr().out
         assert "0.1464" in out
+
+
+class TestMixedBootstrap:
+    def test_replicates_far_from_the_fit_do_not_abort(self, tmp_path):
+        # Simpson corpus (3 schools x 40 pupils) through a 90%-accurate mock.
+        # On this seed some replicate draws send the optimizer to points
+        # where |X beta| is large; the mixed fit must still converge there.
+        scheme = CodingScheme((
+            Variable("answer", "categorical", (Level("no"), Level("yes"))),
+        ))
+        units = tuple(
+            Unit(id=f"s{i:04d}", text=f"Pupil {i}: plans to continue.",
+                 meta={"age": o.covariates["age"]}, groups={"school": o.group},
+                 gold={"answer": ("no", "yes")[o.response]})
+            for i, o in enumerate(gen_simpson(23))
+        )
+        save_corpus(Corpus(units), tmp_path / "corpus.jsonl")
+        save_scheme(scheme, tmp_path / "scheme.yaml")
+        (tmp_path / "prompt.txt").write_text(
+            "Label the answer of this text: no, yes.\n\n{text}\n", encoding="utf-8")
+        (tmp_path / "run.yaml").write_text(yaml.safe_dump({
+            "corpus": "corpus.jsonl", "scheme": "scheme.yaml",
+            "template": "prompt.txt", "variable": "answer", "output_dir": "ann",
+            "seed": 23,
+            "client": {"kind": "mock", "mode": "gold_corruption",
+                       "matrix": [[0.9, 0.1], [0.1, 0.9]]},
+        }), encoding="utf-8")
+        assert run(["annotate", "--config", tmp_path / "run.yaml"]) == 0
+        assert run([
+            "evaluate", "--corpus", tmp_path / "corpus.jsonl",
+            "--annotations", tmp_path / "ann" / "annotations.jsonl",
+            "--scheme", tmp_path / "scheme.yaml", "--variable", "answer",
+            "--out-dir", tmp_path / "eval",
+        ]) == 0
+        assert run([
+            "bootstrap", "--annotations", tmp_path / "ann" / "annotations.jsonl",
+            "--confusion", tmp_path / "eval" / "confusion.csv",
+            "--corpus", tmp_path / "corpus.jsonl",
+            "--statistic", "mixed:yes ~ age + (1|school)",
+            "--replicates", 16, "--seed", 23,
+            "--out", tmp_path / "boot" / "boot.json",
+        ]) == 0
+        boot = json.loads((tmp_path / "boot" / "boot.json").read_text())
+        stat = boot["statistics"]["beta_age"]
+        assert stat["ci_low"] <= stat["point"] <= stat["ci_high"]

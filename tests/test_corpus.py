@@ -119,6 +119,13 @@ class TestUnit:
         with pytest.raises(DataError):
             Corpus((u, Unit(id="a", text="y")))
 
+    def test_corpus_unit_lookup(self):
+        units = tuple(Unit(id=f"u{i}", text=f"t{i}") for i in range(5))
+        corpus = Corpus(units)
+        assert corpus.unit("u3") is units[3]
+        with pytest.raises(DataError, match="no unit"):
+            corpus.unit("u9")
+
 
 class TestUnitize:
     def test_two_paragraphs(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from quantitize import (
     DataError,
@@ -14,7 +15,12 @@ from quantitize import (
     parse_formula,
     yearly_proportions,
 )
-from quantitize.stats import logistic_loglik, logistic_score
+from quantitize.stats import (
+    _design,
+    _MarginalLikelihood,
+    logistic_loglik,
+    logistic_score,
+)
 
 
 def two_by_two(n00, n01, n10, n11):
@@ -180,6 +186,97 @@ class TestMixedModel:
         mixed = fit_logistic_random_intercept(obs)
         assert mixed.coef("campus").estimate < -1.0
         assert mixed.coef("campus").p_value < 0.001
+        # the variance MLE of this set sits on the lower bound of log sigma
+        assert mixed.boundary is True
+        assert mixed.sigma_u == pytest.approx(math.exp(-6.0))
+
+    def test_fixed_fit_has_no_boundary_flag(self):
+        fit = fit_logistic(two_by_two(36, 73, 64, 19))
+        assert fit.boundary is None
+        assert "boundary" not in fit.to_dict()
+
+    def test_unconverged_fit_raises(self):
+        # two quasi-Newton steps end far from the optimum; the fit must not
+        # come back labelled converged
+        with pytest.raises(DataError, match="did not converge"):
+            fit_logistic_random_intercept(gen_simpson(0), max_iter=2)
+
+    def test_simpson_fit_regression_guard(self):
+        fit = fit_logistic_random_intercept(gen_simpson(0))
+        assert fit.log_likelihood == pytest.approx(-62.13186060, abs=1e-7)
+        assert fit.coef("(Intercept)").estimate == pytest.approx(-2.964078, abs=1e-5)
+        assert fit.coef("age").estimate == pytest.approx(0.1444552, abs=1e-5)
+        assert fit.sigma_u == pytest.approx(1.094678, abs=1e-5)
+        assert fit.boundary is False
+        assert fit.to_dict()["boundary"] is False
+
+    def test_row_and_id_order_do_not_move_the_fit(self):
+        rows = gen_interview_margins(0)
+        ids = sorted({o.group for o in rows})
+        rng = np.random.default_rng(5)
+        betas = []
+        for _ in range(3):
+            relabel = dict(zip(ids, (f"r{i:02d}" for i in rng.permutation(len(ids)))))
+            shuffled = [Observation(rows[i].response, rows[i].covariates,
+                                    relabel[rows[i].group])
+                        for i in rng.permutation(len(rows))]
+            fit = fit_logistic_random_intercept(shuffled)
+            betas.append([c.estimate for c in fit.coefficients.values()])
+        assert np.max(np.abs(np.array(betas) - betas[0])) <= 1e-8
+
+
+def _likelihood(obs):
+    X, y, _ = _design(obs)
+    groups = [o.group for o in obs]
+    return _MarginalLikelihood(X, y, groups, 15), X, y, groups
+
+
+def _grid_loglik(X, y, groups, theta):
+    """Marginal log-likelihood by a Riemann sum over a fine grid of
+    z = u / sigma, independent of the quadrature and the mode search."""
+    p = X.shape[1]
+    sigma = math.exp(theta[p])
+    z = np.linspace(-30.0, 30.0, 30001)
+    total = 0.0
+    for g in sorted(set(groups)):
+        rows = np.array([h == g for h in groups])
+        t = (X[rows] @ theta[:p])[:, None] + sigma * z
+        cond = np.sum(y[rows][:, None] * t - np.logaddexp(0.0, t), axis=0)
+        total += (logsumexp(cond - 0.5 * z * z) + math.log(z[1] - z[0])
+                  - 0.5 * math.log(2 * math.pi))
+    return total
+
+
+class TestMarginalLikelihood:
+    @pytest.mark.parametrize("theta", [(7.8, -0.33, 0.65), (-9.0, 0.1, 1.2)])
+    def test_matches_grid_integral_far_from_optimum(self, theta):
+        # |X beta| is large here; an undamped mode search runs away and the
+        # objective was off by hundreds to thousands of log-units
+        model, X, y, groups = _likelihood(gen_simpson(1))
+        theta = np.array(theta)
+        nll, _ = model.nll_grad(theta)
+        assert -nll == pytest.approx(_grid_loglik(X, y, groups, theta), abs=1e-6)
+
+    @pytest.mark.parametrize("data", ["simpson", "interview"])
+    @pytest.mark.parametrize("log_sigma", [math.log(0.7), 1.5, -6.0])
+    def test_gradient_matches_central_differences(self, data, log_sigma):
+        obs = gen_simpson(1) if data == "simpson" else gen_interview_margins(0)
+        model, X, _, _ = _likelihood(obs)
+        rng = np.random.default_rng(2)
+        theta = np.append(rng.normal(scale=0.3, size=X.shape[1]), log_sigma)
+        _, grad = model.nll_grad(theta)
+
+        def nll(t):
+            return model.nll_grad(t)[0]
+
+        # five-point central differences; log sigma takes a wider step, since
+        # at the bound its derivative is ~1e-3 and rounding would swamp it
+        for j in range(len(theta)):
+            e = np.zeros(len(theta))
+            e[j] = 1e-2 if j == len(theta) - 1 else 1e-4
+            numeric = (-nll(theta + 2 * e) + 8 * nll(theta + e)
+                       - 8 * nll(theta - e) + nll(theta - 2 * e)) / (12 * e[j])
+            assert abs(grad[j] - numeric) <= 1e-6 * abs(numeric)
 
 
 class TestParseFormula:
