@@ -5,53 +5,13 @@
 2. Confounding: a campus effect that evaporates once age enters the model.
 3. The interview dataset: a real (synthetic) effect that survives, with the
    odds-ratio reading a practitioner would report.
+
+The analyses are those of ``quantitize demo``; this script runs all three.
 """
 
-from quantitize import (
-    Observation,
-    fit_logistic,
-    fit_logistic_random_intercept,
-    gen_confound,
-    gen_interview_margins,
-    gen_simpson,
-    odds_ratio,
-)
+from quantitize.cli import main
 
-
-def p(fit, term):
-    return fit.coef(term).p_value
-
-
-# --- Simpson's paradox -----------------------------------------------------
-
-obs = gen_simpson(0)
-pooled = fit_logistic([Observation(o.response, o.covariates) for o in obs])
-mixed = fit_logistic_random_intercept(obs)
-print("Simpson demo:")
-print(f"  pooled model:        age p = {p(pooled, 'age'):.2g}  (looks real)")
-print(f"  school intercepts:   age p = {p(mixed, 'age'):.2g}  (artifact gone)")
-print(f"  between-school SD:   {mixed.sigma_u:.3f}")
-
-# --- Confounding -----------------------------------------------------------
-
-obs = gen_confound(0)
-alone = fit_logistic(
-    [Observation(o.response, {"campus": o.covariates["campus"]}) for o in obs]
-)
-full = fit_logistic(obs)
-print("\nConfound demo:")
-print(f"  campus alone:        p = {p(alone, 'campus'):.2g}")
-print(f"  campus with age:     p = {p(full, 'campus'):.2g}  "
-      f"(age carried the effect; age beta = {full.coef('age').estimate:+.3f})")
-
-# --- A real effect ---------------------------------------------------------
-
-obs = gen_interview_margins(0)
-fit = fit_logistic(
-    [Observation(o.response, {"campus": o.covariates["campus"]}) for o in obs]
-)
-beta = fit.coef("campus").estimate
-print("\nInterview demo:")
-print(f"  campus beta = {beta:.4f}, p = {p(fit, 'campus'):.2g}")
-print(f"  living on campus multiplies the odds of a positive response "
-      f"by {odds_ratio(beta):.4f}")
+for kind in ("simpson", "confound", "interview"):
+    print(f"\n##### quantitize demo {kind} #####\n")
+    if main(["demo", kind]) != 0:
+        raise SystemExit(f"demo {kind} failed")

@@ -8,8 +8,7 @@ F1 with macro averaging, and Spearman's rho for ordinal outputs.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -17,6 +16,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import DataError
+from .jsonio import write_json
 
 ERROR_LABEL = "ERROR"
 
@@ -137,29 +137,8 @@ class AgreementReport:
     n: int
     excluded: dict[str, int] = field(default_factory=dict)  # e.g. refused counts
 
-    def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "n": self.n,
-            "accuracy": self.accuracy,
-            "kappa": self.kappa,
-            "macro_f1": self.macro_f1,
-            "per_class": {
-                l: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "degenerate": m.degenerate,
-                }
-                for l, m in self.per_class.items()
-            },
-            "excluded": dict(self.excluded),
-        }
-
     def to_json(self, path: Union[str, Path]) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
 
 def per_class_metrics(cm: ConfusionMatrix) -> tuple[dict[str, ClassMetrics], float]:

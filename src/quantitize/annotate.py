@@ -19,7 +19,7 @@ import re
 import string
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -29,6 +29,7 @@ import requests
 
 from .corpus import Corpus, CodingScheme, Unit, Variable, approx_tokens
 from .errors import ConfigError, DataError, TransportError
+from .jsonio import write_json, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -409,14 +410,7 @@ class AnnotationRecord:
     attempts: int
 
     def to_dict(self) -> dict:
-        return {
-            "unit_id": self.unit_id,
-            "variable": self.variable,
-            "raw": self.raw,
-            "label": self.label,
-            "status": self.status,
-            "attempts": self.attempts,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -447,13 +441,9 @@ class AnnotationSet:
         return out
 
     def save(self, path: Union[str, Path], manifest_path: Optional[Union[str, Path]] = None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in self.records:
-                fh.write(json.dumps(r.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+        write_jsonl(path, (vars(r) for r in self.records))
         if manifest_path is not None:
-            with open(manifest_path, "w", encoding="utf-8") as fh:
-                json.dump(self.manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(manifest_path, self.manifest)
 
     @classmethod
     def load(cls, path: Union[str, Path], manifest_path: Optional[Union[str, Path]] = None) -> "AnnotationSet":
@@ -587,12 +577,7 @@ def annotate(
         "variable": template.variable,
         "model": getattr(client, "identifier", type(client).__name__),
         "decoding": controls.to_dict(),
-        "policy": {
-            "max_retries": policy.max_retries,
-            "backoff": policy.backoff,
-            "batch_size": policy.batch_size,
-            "max_in_flight": policy.max_in_flight,
-        },
+        "policy": asdict(policy),
         "seed": seed,
         "scheme_version": scheme.version,
         "n_units": len(units),

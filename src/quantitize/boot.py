@@ -9,10 +9,9 @@ interest, and the spread of replicate values yields the confidence interval.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -21,6 +20,7 @@ from scipy.stats import norm
 
 from .agreement import ConfusionMatrix
 from .errors import ConfigError, DataError
+from .jsonio import write_json
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +122,7 @@ class BootstrapConfig:
 @dataclass(frozen=True)
 class StatisticSummary:
     point: float  # statistic on the observed labels
-    mean: float  # mean over replicates
+    replicate_mean: float
     sigma: float
     ci_low: float
     ci_high: float
@@ -137,28 +137,12 @@ class BootstrapResult:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "n_replicates": self.config.n_replicates,
-                "seed": self.config.seed,
-                "ci_method": self.config.ci_method,
-                "level": self.config.level,
-            },
-            "statistics": {
-                name: {
-                    "point": s.point,
-                    "replicate_mean": s.mean,
-                    "sigma": s.sigma,
-                    "ci_low": s.ci_low,
-                    "ci_high": s.ci_high,
-                }
-                for name, s in self.statistics.items()
-            },
+            "config": asdict(self.config),
+            "statistics": {n: asdict(s) for n, s in self.statistics.items()},
         }
 
     def to_json(self, path: Union[str, Path]) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def replicates_to_csv(self, path: Union[str, Path]) -> None:
         if self.replicates is None:
@@ -226,7 +210,7 @@ def bootstrap_ci(
             hi = float(np.quantile(values[:, j], 1 - alpha))
         summaries[name] = StatisticSummary(
             point=float(point[name]),
-            mean=float(mean[j]),
+            replicate_mean=float(mean[j]),
             sigma=float(sigma[j]),
             ci_low=float(lo),
             ci_high=float(hi),

@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .agreement import ConfusionMatrix, agreement_report, build_confusion
+from .agreement import ERROR_LABEL, ConfusionMatrix, agreement_report, build_confusion
 from .annotate import (
     AnnotatePolicy,
     AnnotationSet,
@@ -52,6 +52,7 @@ from .corpus import (
     save_corpus,
 )
 from .errors import ConfigError, DataError, TransportError
+from .jsonio import format_json, write_json
 from .stats import (
     Observation,
     fit_logistic,
@@ -68,10 +69,8 @@ EXIT_TRANSPORT = 4
 
 
 def _write_manifest(out_dir: Path, command: str, payload: dict) -> None:
-    manifest = {"command": command, "version": __version__, **payload}
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json",
+               {"command": command, "version": __version__, **payload})
 
 
 def _parse_strategy(text: str):
@@ -195,14 +194,8 @@ def cmd_annotate(args) -> int:
     audit = AuditLog(out_dir / "audit.jsonl")
     client = _build_client(cfg.get("client", {}), corpus, scheme,
                            cfg["variable"], seed, audit)
-    try:
-        result = annotate(corpus, template, client, scheme, policy=policy,
-                          controls=controls, seed=seed)
-    except TransportError:
-        # keep whatever was written so far under a .partial suffix
-        partial = out_dir / "annotations.jsonl.partial"
-        partial.touch()
-        raise
+    result = annotate(corpus, template, client, scheme, policy=policy,
+                      controls=controls, seed=seed)
     result.save(out_dir / "annotations.jsonl", out_dir / "manifest.json")
     counts = result.counts_by_status()
     failures = counts.get("refused", 0) + counts.get("unparseable", 0)
@@ -237,8 +230,8 @@ def cmd_evaluate(args) -> int:
     gold, predicted = _gold_and_predicted(corpus, annset, args.variable)
     labels = list(var.labels)
     if any(v is None for v in predicted.values()):
-        labels = labels + ["ERROR"]
-        predicted = {k: (v if v is not None else "ERROR")
+        labels = labels + [ERROR_LABEL]
+        predicted = {k: (v if v is not None else ERROR_LABEL)
                      for k, v in predicted.items()}
     cm = build_confusion(gold, predicted, labels)
     report = agreement_report(cm)
@@ -301,11 +294,13 @@ def _parse_statistic(spec: str, covariate_names: set):
 
 def cmd_bootstrap(args) -> int:
     annset = AnnotationSet.load(args.annotations)
-    cm = ConfusionMatrix.from_csv(args.confusion)
+    # refused units are left out of the bootstrapped labels, so their share
+    # in the ERROR column must not become a redraw probability
+    cm = ConfusionMatrix.from_csv(args.confusion).without_label(ERROR_LABEL)
     em = error_model_from_confusion(cm, mode=args.error_mode)
     corpus = ingest(args.corpus, "jsonl") if args.corpus else None
 
-    ids, labels, covariates = [], [], []
+    labels, covariates = [], []
     for r in annset.records:
         if r.status != "ok":
             continue
@@ -313,7 +308,6 @@ def cmd_bootstrap(args) -> int:
         meta = dict(unit.meta) if unit else {}
         if unit and unit.groups:
             meta.update(unit.groups)
-        ids.append(r.unit_id)
         labels.append(r.label)
         covariates.append(meta)
     if not labels:
@@ -449,7 +443,7 @@ def cmd_report(args) -> int:
             doc = json.load(fh)
         sections.append(f"## {Path(path).name}\n")
         sections.append("```json")
-        sections.append(json.dumps(doc, indent=2, sort_keys=True))
+        sections.append(format_json(doc))
         sections.append("```\n")
     text = "\n".join(sections)
     if args.out:

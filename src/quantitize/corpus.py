@@ -21,6 +21,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, DataError
+from .jsonio import write_jsonl
 
 Scalar = Union[str, int, float, bool]
 
@@ -316,9 +317,7 @@ def ingest(
 
 def save_corpus(corpus: Corpus, path: Union[str, Path]) -> None:
     """Write a corpus as JSONL, one unit object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u in corpus.units:
-            fh.write(json.dumps(u.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(path, (u.to_dict() for u in corpus.units))
 
 
 # --- unitizing -------------------------------------------------------------

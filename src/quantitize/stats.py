@@ -15,10 +15,9 @@ central differences of the exact gradient), two-sided normal p-values.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -28,6 +27,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from .errors import DataError
+from .jsonio import write_json
 
 MAX_ABS_BETA = 15.0  # separation guard on the logit scale
 IRLS_TOL = 1e-8
@@ -71,31 +71,11 @@ class FitResult:
         return self.coefficients[name]
 
     def to_dict(self) -> dict:
-        d = {
-            "coefficients": {
-                k: {
-                    "estimate": c.estimate,
-                    "std_error": c.std_error,
-                    "z": c.z,
-                    "p_value": c.p_value,
-                }
-                for k, c in self.coefficients.items()
-            },
-            "log_likelihood": self.log_likelihood,
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-            "n_obs": self.n_obs,
-        }
-        if self.sigma_u is not None:
-            d["sigma_u"] = self.sigma_u
-            d["n_quad"] = self.n_quad
-            d["boundary"] = self.boundary
-        return d
+        """Fixed fits leave out the mixed-only fields."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     def to_json(self, path: Union[str, Path]) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def odds_ratio(beta: float) -> float:

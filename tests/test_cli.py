@@ -292,3 +292,124 @@ class TestMixedBootstrap:
         boot = json.loads((tmp_path / "boot" / "boot.json").read_text())
         stat = boot["statistics"]["beta_age"]
         assert stat["ci_low"] <= stat["point"] <= stat["ci_high"]
+
+
+def _refusing_workspace(tmp_path, n, refuse_every, matrix, text="passage {i}"):
+    """A Positive/Negative corpus annotated by a mock that refuses every
+    ``refuse_every``-th unit, then evaluated; returns the annotation path."""
+    scheme = CodingScheme((
+        Variable("sentiment", "categorical",
+                 (Level("Positive"), Level("Negative"))),
+    ))
+    units = tuple(
+        Unit(id=f"u{i:04d}", text=text.format(i=i),
+             meta={"year": 1990 + i % 3},
+             groups={"school": f"sch{i % 4}"},
+             gold={"sentiment": ("Positive", "Negative")[i % 2]})
+        for i in range(n)
+    )
+    save_corpus(Corpus(units), tmp_path / "corpus.jsonl")
+    save_scheme(scheme, tmp_path / "scheme.yaml")
+    (tmp_path / "prompt.txt").write_text("Label it.\n\n{text}\n", encoding="utf-8")
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump({
+        "corpus": "corpus.jsonl", "scheme": "scheme.yaml",
+        "template": "prompt.txt", "variable": "sentiment", "output_dir": "ann",
+        "seed": 3,
+        "client": {"kind": "mock", "mode": "gold_corruption", "matrix": matrix,
+                   "refuse_units": [u.id for u in units[::refuse_every]]},
+    }), encoding="utf-8")
+    assert run(["annotate", "--config", tmp_path / "run.yaml"]) == 0
+    annotations = tmp_path / "ann" / "annotations.jsonl"
+    assert run([
+        "evaluate", "--corpus", tmp_path / "corpus.jsonl",
+        "--annotations", annotations, "--scheme", tmp_path / "scheme.yaml",
+        "--variable", "sentiment", "--out-dir", tmp_path / "eval",
+    ]) == 0
+    return annotations
+
+
+class TestBootstrapRefusals:
+    def test_refused_units_are_not_redrawn_as_error(self, tmp_path):
+        # an exact mock that refuses every 5th unit: the refusals leave an
+        # ERROR column in confusion.csv, but the bootstrapped labels exclude
+        # refused units, so no replicate may relabel a unit as ERROR
+        annotations = _refusing_workspace(tmp_path, 200, 5, [[1, 0], [0, 1]])
+        assert "ERROR" in (tmp_path / "eval" / "confusion.csv").read_text()
+        assert run([
+            "bootstrap", "--annotations", annotations,
+            "--confusion", tmp_path / "eval" / "confusion.csv",
+            "--statistic", "proportion:Positive",
+            "--replicates", 300, "--seed", 1,
+            "--out", tmp_path / "boot" / "boot.json",
+        ]) == 0
+        boot = json.loads((tmp_path / "boot" / "boot.json").read_text())
+        stat = boot["statistics"]["prop_Positive"]
+        assert stat["sigma"] == 0.0
+        assert stat["replicate_mean"] == stat["point"]
+        assert stat["ci_low"] == stat["ci_high"] == stat["point"]
+
+
+class TestOutputLayout:
+    def test_every_written_file_has_the_canonical_layout(self, tmp_path):
+        # one run over every file-writing command, with a refused unit and
+        # non-ASCII text: each JSON document is indent-2, sorted, newline
+        # terminated; each JSONL line is one sorted object, non-ASCII kept
+        annotations = _refusing_workspace(
+            tmp_path, 60, 7, [[0.8, 0.2], [0.1, 0.9]],
+            text="Schüler {i} — « naïve » ✓")
+        assert run([
+            "ingest", "--input", tmp_path / "corpus.jsonl", "--format", "jsonl",
+            "--out", tmp_path / "ing" / "corpus.jsonl",
+        ]) == 0
+        assert run([
+            "bootstrap", "--annotations", annotations,
+            "--confusion", tmp_path / "eval" / "confusion.csv",
+            "--corpus", tmp_path / "corpus.jsonl",
+            "--statistic", "yearly_proportions:Positive",
+            "--replicates", 50, "--seed", 2,
+            "--out", tmp_path / "boot" / "boot.json",
+        ]) == 0
+        rows = ["school,age,yes"] + [
+            f"{o.group},{o.covariates['age']!r},{o.response}"
+            for o in gen_simpson(1)]
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n",
+                                           encoding="utf-8")
+        for name, formula in (("fixed", "yes ~ age"),
+                              ("mixed", "yes ~ age + (1|school)")):
+            assert run([
+                "fit", "--data", tmp_path / "data.csv", "--formula", formula,
+                "--out", tmp_path / name / "fit.json",
+            ]) == 0
+        assert run([
+            "report", tmp_path / "eval" / "report.json",
+            tmp_path / "boot" / "boot.json", tmp_path / "mixed" / "fit.json",
+            "--out", tmp_path / "summary.md",
+        ]) == 0
+
+        documents = sorted(tmp_path.rglob("*.json"))
+        assert len(documents) == 10  # 6 manifests, report, boot, 2 fits
+        for path in documents:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2,
+                                      sort_keys=True) + "\n", path
+        lines = [line for path in sorted(tmp_path.rglob("*.jsonl"))
+                 for line in path.read_text(encoding="utf-8").splitlines()]
+        assert any("Schüler" in line for line in lines)
+        assert any('"status": "refused"' in line for line in lines)
+        for line in lines:
+            assert line == json.dumps(json.loads(line), ensure_ascii=False,
+                                      sort_keys=True)
+
+        fixed = json.loads((tmp_path / "fixed" / "fit.json").read_text())
+        mixed = json.loads((tmp_path / "mixed" / "fit.json").read_text())
+        assert not {"sigma_u", "n_quad", "boundary"} & set(fixed)
+        assert {"sigma_u", "n_quad", "boundary"} <= set(mixed)
+        boot = json.loads((tmp_path / "boot" / "boot.json").read_text())
+        assert len(boot["statistics"]) == 3
+        for stat in boot["statistics"].values():
+            assert set(stat) == {"point", "replicate_mean", "sigma",
+                                 "ci_low", "ci_high"}
+        assert boot["config"] == {"n_replicates": 50, "seed": 2,
+                                  "ci_method": "normal_1p96sigma", "level": 0.95}
+        summary = (tmp_path / "summary.md").read_text(encoding="utf-8")
+        assert json.dumps(mixed, indent=2, sort_keys=True) in summary
