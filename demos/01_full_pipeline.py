@@ -69,7 +69,7 @@ print(f"accuracy={report.accuracy:.3f} kappa={report.kappa:.3f} "
 em = error_model_from_confusion(cm)
 labels = [predicted[u.id] for u in corpus]
 result = bootstrap_ci(
-    labels, [{}] * len(labels), em, proportion_of("Positive"),
+    labels, {}, em, proportion_of("Positive"),
     BootstrapConfig(n_replicates=2000, seed=0),
 )
 s = result.statistics["prop_Positive"]

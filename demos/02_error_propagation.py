@@ -20,7 +20,7 @@ config = BootstrapConfig(n_replicates=5000, seed=0)
 print(f"{'error rate':>10} {'sigma':>8} {'CI width':>9}")
 for eps in (0.0, 0.05, 0.1, 0.25, 0.5):
     em = ErrorModel(("A", "B"), np.array([[1 - eps, eps], [eps, 1 - eps]]))
-    result = bootstrap_ci(labels, [{}] * 100, em, proportion_of("A"), config)
+    result = bootstrap_ci(labels, {}, em, proportion_of("A"), config)
     s = result.statistics["prop_A"]
     print(f"{eps:>10.2f} {s.sigma:>8.4f} {s.ci_high - s.ci_low:>9.4f}")
 

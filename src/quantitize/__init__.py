@@ -63,7 +63,6 @@ from .stats import (
     fit_logistic_random_intercept,
     odds_ratio,
     parse_formula,
-    yearly_proportions,
 )
 from .synth import gen_confound, gen_interview_margins, gen_simpson
 from .tasks import (

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -24,8 +23,10 @@ from .jsonio import write_json
 
 log = logging.getLogger(__name__)
 
-# statistic plugin: (labels per unit, covariates per unit) -> named reals
-StatisticPlugin = Callable[[Sequence[str], Sequence[Mapping]], dict[str, float]]
+# statistic plugin: (labels, covariates) -> named reals. ``labels`` is a 1-D
+# array of label strings, one per unit; ``covariates`` maps each covariate
+# name to a column aligned with the labels.
+StatisticPlugin = Callable[[np.ndarray, Mapping[str, np.ndarray]], dict[str, float]]
 
 
 @dataclass(frozen=True)
@@ -82,19 +83,14 @@ def error_model_from_confusion(
 
 
 def simulate_replicate(
-    labels: Sequence[str], em: ErrorModel, rng: np.random.Generator
-) -> list[str]:
-    """Redraw each unit's label from its observed label's distribution."""
-    index = {l: i for i, l in enumerate(em.labels)}
-    try:
-        idx = np.array([index[l] for l in labels], dtype=np.intp)
-    except KeyError as exc:
-        raise DataError(f"label {exc.args[0]!r} not covered by the error model")
+    codes: np.ndarray, em: ErrorModel, rng: np.random.Generator
+) -> np.ndarray:
+    """Redraw each unit's label code (an index into ``em.labels``) from the
+    distribution of its observed label."""
     cum = np.cumsum(em.dists, axis=1)
-    u = rng.random(len(idx))
-    drawn = (u[:, None] > cum[idx]).sum(axis=1)
-    drawn = np.minimum(drawn, len(em.labels) - 1)
-    return [em.labels[j] for j in drawn]
+    u = rng.random(len(codes))
+    drawn = (u[:, None] > cum[codes]).sum(axis=1)
+    return np.minimum(drawn, len(em.labels) - 1)
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,7 @@ class BootstrapResult:
 
 def bootstrap_ci(
     labels: Sequence[str],
-    covariates: Sequence[Mapping],
+    covariates: Mapping[str, Sequence],
     em: ErrorModel,
     statistic: StatisticPlugin,
     config: BootstrapConfig = BootstrapConfig(),
@@ -164,25 +160,36 @@ def bootstrap_ci(
 ) -> BootstrapResult:
     """Run the simulate-and-recompute loop and summarize the spread.
 
-    Each replicate draws from an RNG seeded by (seed, replicate index), so
-    the result does not depend on execution order. The normal CI is centered
+    Every column in ``covariates`` must have one value per label. Each
+    replicate draws from an RNG seeded by (seed, replicate index), so the
+    result does not depend on execution order. The normal CI is centered
     on the observed-label point estimate with half-width z * sigma; the
     percentile CI uses empirical replicate quantiles.
     """
-    labels = list(labels)
-    point = statistic(labels, covariates)
+    index = {l: i for i, l in enumerate(em.labels)}
+    try:
+        codes = np.array([index[l] for l in labels], dtype=np.intp)
+    except KeyError as exc:
+        raise DataError(f"label {exc.args[0]!r} not covered by the error model")
+    for name, column in covariates.items():
+        if len(column) != len(codes):
+            raise DataError(f"covariate {name!r} has {len(column)} values "
+                            f"for {len(codes)} labels")
+    label_names = np.array(em.labels)
+    point = statistic(label_names[codes], covariates)
     names = list(point)
+    point_row = np.array([point[n] for n in names])
     values = np.empty((config.n_replicates, len(names)))
     if em.is_identity:
         # every replicate redraws the observed labels verbatim, so the
         # statistic is constant across replicates by construction
-        values[:] = [point[n] for n in names]
+        values[:] = point_row
     else:
         for r in range(config.n_replicates):
             rng = np.random.default_rng([config.seed, r])
-            sim = simulate_replicate(labels, em, rng)
+            sim = simulate_replicate(codes, em, rng)
             try:
-                stat = statistic(sim, covariates)
+                stat = statistic(label_names[sim], covariates)
             except Exception as exc:
                 raise DataError(
                     f"statistic failed on replicate {r}: {exc}"
@@ -192,7 +199,6 @@ def bootstrap_ci(
     # Guard against float rounding in the degenerate case: when every
     # replicate reproduces the point value exactly, the spread is zero by
     # definition and the CI must collapse to the point.
-    point_row = np.array([point[n] for n in names])
     if (values == point_row).all():
         sigma = np.zeros(len(names))
         mean = point_row.copy()
@@ -230,22 +236,19 @@ def proportion_of(label: str) -> StatisticPlugin:
     """Fraction of units carrying the given label."""
 
     def plugin(labels, covariates):
-        labels = list(labels)
-        return {f"prop_{label}": sum(l == label for l in labels) / len(labels)}
+        return {f"prop_{label}": np.count_nonzero(labels == label) / len(labels)}
 
     return plugin
 
 
-def yearly_proportion_of(label: str, year_key: str = "year") -> StatisticPlugin:
-    """Per-year fraction of the given label, one named output per year."""
+def yearly_proportion_of(label: str) -> StatisticPlugin:
+    """Per-year fraction of the given label, one output per ``year`` value."""
 
     def plugin(labels, covariates):
-        from .stats import yearly_proportions
-
-        years = [int(c[year_key]) for c in covariates]
-        table = yearly_proportions(list(labels), years)
-        return {
-            f"prop_{label}_{year}": table[year].get(label, 0.0) for year in table
-        }
+        years, year_codes = np.unique(covariates["year"], return_inverse=True)
+        totals = np.bincount(year_codes, minlength=len(years))
+        hits = np.bincount(year_codes[labels == label], minlength=len(years))
+        return {f"prop_{label}_{year}": hits[i] / totals[i]
+                for i, year in enumerate(years)}
 
     return plugin

@@ -55,8 +55,11 @@ from .errors import ConfigError, DataError, TransportError
 from .jsonio import format_json, write_json
 from .stats import (
     Observation,
+    design_matrix,
     fit_logistic,
+    fit_logistic_arrays,
     fit_logistic_random_intercept,
+    fit_random_intercept_arrays,
     odds_ratio,
     parse_formula,
 )
@@ -199,9 +202,11 @@ def cmd_annotate(args) -> int:
     result.save(out_dir / "annotations.jsonl", out_dir / "manifest.json")
     counts = result.counts_by_status()
     failures = counts.get("refused", 0) + counts.get("unparseable", 0)
-    # transport-fatal: nothing at all succeeded against an endpoint
+    # transport-fatal: nothing succeeded against an endpoint; no file may
+    # look like the result of a finished run
     if counts.get("ok", 0) == 0 and cfg.get("client", {}).get("kind") == "endpoint":
-        (out_dir / "annotations.jsonl").rename(out_dir / "annotations.jsonl.partial")
+        for name in ("annotations.jsonl", "manifest.json"):
+            (out_dir / name).rename(out_dir / f"{name}.partial")
         raise TransportError("no unit could be annotated; endpoint unusable")
     print(f"annotated {len(result.records)} units -> {out_dir/'annotations.jsonl'}")
     if failures:
@@ -248,47 +253,60 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _logistic_stat(formula_text: str, mixed: bool):
-    formula = parse_formula(formula_text)
-
-    def plugin(labels, covariates):
-        obs = []
-        for label, cov in zip(labels, covariates):
-            obs.append(Observation(
-                response=1 if label == formula.response else 0,
-                covariates={n: float(cov[n]) for n in formula.covariates},
-                group=str(cov[formula.group]) if formula.group else None,
-            ))
-        fit = (fit_logistic_random_intercept(obs) if mixed else fit_logistic(obs))
-        out = {}
-        for name, coef in fit.coefficients.items():
-            if name == "(Intercept)":
-                continue
-            out[f"beta_{name}"] = coef.estimate
-            out[f"p_{name}"] = coef.p_value
-        return out
-
-    return plugin, formula
+def _covariate_columns(units, needed: dict) -> dict:
+    """One array per covariate in ``needed`` (name -> converter), aligned
+    with ``units``; a unit's groups take precedence over its metadata."""
+    columns = {}
+    for name, convert in needed.items():
+        if not any(name in u.groups or name in u.meta for u in units):
+            raise ConfigError(f"statistic needs a covariate no unit has: {name!r}")
+        column = []
+        for u in units:
+            try:
+                column.append(convert(u.groups[name] if name in u.groups
+                                      else u.meta[name]))
+            except (KeyError, TypeError, ValueError):
+                raise DataError(f"unit {u.id!r} has no usable value for "
+                                f"covariate {name!r}") from None
+        columns[name] = np.array(column)
+    return columns
 
 
-def _parse_statistic(spec: str, covariate_names: set):
+def _parse_statistic(spec: str, units):
+    """The plugin for a statistic spec and the covariate columns it reads,
+    built from ``units`` (one per label; empty without a corpus)."""
     if ":" not in spec:
         raise ConfigError(f"statistic spec {spec!r} needs the form kind:arg")
     kind, arg = spec.split(":", 1)
     if kind == "proportion":
-        return proportion_of(arg)
+        return proportion_of(arg), {}
     if kind == "yearly_proportions":
-        if "year" not in covariate_names:
-            raise ConfigError("yearly_proportions needs a 'year' covariate")
-        return yearly_proportion_of(arg)
+        return yearly_proportion_of(arg), _covariate_columns(units, {"year": int})
     if kind in ("logistic", "mixed"):
-        plugin, formula = _logistic_stat(arg, mixed=(kind == "mixed"))
-        missing = set(formula.covariates) - covariate_names
+        mixed = kind == "mixed"
+        formula = parse_formula(arg)
+        needed = dict.fromkeys(formula.covariates, float)
         if formula.group:
-            missing |= {formula.group} - covariate_names
-        if missing:
-            raise ConfigError(f"formula names unknown covariates: {sorted(missing)}")
-        return plugin
+            needed[formula.group] = str
+        elif mixed:
+            raise DataError("a mixed statistic needs a (1|group) term")
+        columns = _covariate_columns(units, needed)
+        # the design is built once; each replicate only recodes the response
+        X, names = design_matrix(
+            {c: columns[c] for c in formula.covariates}, len(units))
+        groups = columns[formula.group] if mixed else None
+
+        def plugin(labels, covariates):  # covariates: the columns above
+            y = (labels == formula.response).astype(float)
+            fit = (fit_random_intercept_arrays(X, y, names, groups) if mixed
+                   else fit_logistic_arrays(X, y, names))
+            out = {}
+            for name in names[1:]:  # the slopes, not the intercept
+                coef = fit.coefficients[name]
+                out[f"beta_{name}"], out[f"p_{name}"] = coef.estimate, coef.p_value
+            return out
+
+        return plugin, columns
     raise ConfigError(f"unknown statistic kind {kind!r}")
 
 
@@ -299,30 +317,19 @@ def cmd_bootstrap(args) -> int:
     cm = ConfusionMatrix.from_csv(args.confusion).without_label(ERROR_LABEL)
     em = error_model_from_confusion(cm, mode=args.error_mode)
     corpus = ingest(args.corpus, "jsonl") if args.corpus else None
-
-    labels, covariates = [], []
-    for r in annset.records:
-        if r.status != "ok":
-            continue
-        unit = corpus.unit(r.unit_id) if corpus else None
-        meta = dict(unit.meta) if unit else {}
-        if unit and unit.groups:
-            meta.update(unit.groups)
-        labels.append(r.label)
-        covariates.append(meta)
-    if not labels:
+    records = [r for r in annset.records if r.status == "ok"]
+    if not records:
         raise DataError("no scoreable annotations to bootstrap")
-
-    cov_names = set().union(*[set(c) for c in covariates]) if covariates else set()
-    statistic = _parse_statistic(args.statistic, cov_names)
+    units = [corpus.unit(r.unit_id) for r in records] if corpus else []
+    statistic, columns = _parse_statistic(args.statistic, units)
     config = BootstrapConfig(
         n_replicates=args.replicates,
         seed=args.seed,
         ci_method=args.ci_method,
         level=args.level,
     )
-    result = bootstrap_ci(labels, covariates, em, statistic, config,
-                          keep_replicates=args.replicates_csv is not None)
+    result = bootstrap_ci([r.label for r in records], columns, em, statistic,
+                          config, keep_replicates=args.replicates_csv is not None)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     result.to_json(out)

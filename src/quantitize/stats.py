@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
@@ -85,54 +85,32 @@ def odds_ratio(beta: float) -> float:
     return math.exp(beta)
 
 
-def yearly_proportions(
-    labels: Sequence[str], years: Sequence[int]
-) -> dict[int, dict[str, float]]:
-    """Per-year label fractions; each year's fractions sum to 1."""
-    if len(labels) != len(years):
-        raise DataError("labels and years must align")
-    by_year: dict[int, dict[str, int]] = {}
-    for label, year in zip(labels, years):
-        year = int(year)
-        by_year.setdefault(year, {})
-        by_year[year][label] = by_year[year].get(label, 0) + 1
-    out: dict[int, dict[str, float]] = {}
-    for year in sorted(by_year):
-        total = sum(by_year[year].values())
-        out[year] = {l: c / total for l, c in sorted(by_year[year].items())}
-    return out
-
-
 # --- design matrix ---------------------------------------------------------
 
 
 def _design(observations: Sequence[Observation]):
-    if len(observations) < 2:
+    keys = {k for o in observations for k in o.covariates}
+    if any(set(o.covariates) != keys for o in observations):
+        raise DataError("covariate names are inconsistent across observations")
+    X, names = design_matrix({k: [o.covariates[k] for o in observations]
+                              for k in keys}, len(observations))
+    return X, np.array([o.response for o in observations], dtype=float), names
+
+
+def design_matrix(columns: Mapping[str, Sequence[float]], n: int):
+    """Intercept plus one column per covariate in sorted name order, checked
+    for full rank; returns the matrix and its column names."""
+    if n < 2:
         raise DataError("need at least 2 observations")
-    names = sorted({k for o in observations for k in o.covariates})
-    for o in observations:
-        if set(o.covariates) != set(names):
-            raise DataError("covariate names are inconsistent across observations")
-    y = np.array([o.response for o in observations], dtype=float)
+    names = ["(Intercept)"] + sorted(columns)
     X = np.column_stack(
-        [np.ones(len(observations))]
-        + [np.array([o.covariates[n] for o in observations], dtype=float) for n in names]
-    )
-    return X, y, ["(Intercept)"] + names
-
-
-def _check_rank(X: np.ndarray, names: list[str]) -> None:
+        [np.ones(n)] + [np.asarray(columns[c], dtype=float) for c in names[1:]])
     _, r = np.linalg.qr(X)
     small = np.abs(np.diag(r)) < 1e-10 * max(1.0, np.abs(np.diag(r)).max())
     if small.any():
         bad = [names[i] for i in np.where(small)[0]]
         raise DataError(f"design matrix is rank deficient; collinear columns: {bad}")
-
-
-def _loglik(X, y, beta):
-    eta = X @ beta
-    # log(1 + e^eta) computed stably
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+    return X, names
 
 
 def _wald(names, beta, cov):
@@ -147,10 +125,13 @@ def _wald(names, beta, cov):
 
 def fit_logistic(observations: Sequence[Observation]) -> FitResult:
     """Binary logistic regression via IRLS; intercept always included."""
-    X, y, names = _design(observations)
-    _check_rank(X, names)
+    return fit_logistic_arrays(*_design(observations))
+
+
+def fit_logistic_arrays(X: np.ndarray, y: np.ndarray, names: list[str]) -> FitResult:
+    """:func:`fit_logistic` on a :func:`design_matrix` and a 0/1 response."""
     beta = np.zeros(X.shape[1])
-    ll = _loglik(X, y, beta)
+    ll = logistic_loglik(X, y, beta)
     converged = False
     for it in range(1, IRLS_MAX_ITER + 1):
         mu = expit(X @ beta)
@@ -165,7 +146,7 @@ def fit_logistic(observations: Sequence[Observation]) -> FitResult:
         factor = 1.0
         for _ in range(20):
             candidate = beta + factor * step
-            if _loglik(X, y, candidate) >= ll - 1e-12:
+            if logistic_loglik(X, y, candidate) >= ll - 1e-12:
                 break
             factor /= 2
         beta = candidate
@@ -175,7 +156,7 @@ def fit_logistic(observations: Sequence[Observation]) -> FitResult:
             raise DataError(
                 f"logistic fit did not converge (quasi-separation): {bad}"
             )
-        ll_new = _loglik(X, y, beta)
+        ll_new = logistic_loglik(X, y, beta)
         if abs(ll_new - ll) < IRLS_TOL * (abs(ll) + IRLS_TOL):
             ll = ll_new
             converged = True
@@ -201,7 +182,9 @@ def logistic_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray
 
 
 def logistic_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    return _loglik(X, y, beta)
+    eta = X @ beta
+    # log(1 + e^eta) computed stably
+    return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
 # --- random-intercept model ------------------------------------------------
@@ -359,15 +342,20 @@ def fit_logistic_random_intercept(
     groups = [o.group for o in observations]
     if any(g is None for g in groups):
         raise DataError("every observation needs a group id for a mixed fit")
-    if len(set(groups)) < 2:
-        raise DataError("random-intercept variance needs at least 2 groups")
-    X, y, names = _design(observations)
-    _check_rank(X, names)
+    return fit_random_intercept_arrays(*_design(observations), groups,
+                                       n_quad=n_quad, max_iter=max_iter)
+
+
+def fit_random_intercept_arrays(X, y, names, groups, n_quad=15, max_iter=200):
+    """:func:`fit_logistic_random_intercept` on a :func:`design_matrix`, a
+    0/1 response and one group id per row."""
     model = _MarginalLikelihood(X, y, groups, n_quad)
+    if len(model.starts) < 2:
+        raise DataError("random-intercept variance needs at least 2 groups")
 
     # warm start from the fixed-effects fit; fall back to zeros on separation
     try:
-        fixed = fit_logistic(observations)
+        fixed = fit_logistic_arrays(X, y, names)
         beta0 = np.array([fixed.coefficients[n].estimate for n in names])
     except DataError:
         beta0 = np.zeros(X.shape[1])

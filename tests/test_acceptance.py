@@ -103,7 +103,7 @@ def test_03_bootstrap_degenerate():
     labels = (["A"] * 300 + ["B"] * 700)
     em = ErrorModel(("A", "B"), np.eye(2))
     result = bootstrap_ci(
-        labels, [{}] * 1000, em, proportion_of("A"),
+        labels, {}, em, proportion_of("A"),
         BootstrapConfig(n_replicates=10000, seed=0),
     )
     s = result.statistics["prop_A"]
@@ -123,7 +123,7 @@ def test_04_bootstrap_analytic():
     em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
     labels = ["A"] * 50 + ["B"] * 50
     result = bootstrap_ci(
-        labels, [{}] * 100, em, proportion_of("A"),
+        labels, {}, em, proportion_of("A"),
         BootstrapConfig(n_replicates=10000, seed=0),
     )
     sigma = result.statistics["prop_A"].sigma
@@ -160,7 +160,7 @@ def _calibration_trial(seed):
     em = error_model_from_confusion(cm)
     labels = [predicted[i] for i in analysis]
     result = bootstrap_ci(
-        labels, [{}] * len(labels), em, proportion_of("Positive"),
+        labels, {}, em, proportion_of("Positive"),
         BootstrapConfig(n_replicates=200, seed=seed),
     )
     s = result.statistics["prop_Positive"]

@@ -15,6 +15,7 @@ from quantitize import (
     proportion_of,
     simulate_replicate,
 )
+from quantitize.boot import yearly_proportion_of
 
 
 def identity_model(labels=("A", "B")):
@@ -52,28 +53,32 @@ class TestErrorModel:
 
 class TestSimulateReplicate:
     def test_identity_returns_input(self):
-        labels = ["A", "B", "A", "A", "B"]
-        out = simulate_replicate(labels, identity_model(),
+        codes = np.array([0, 1, 0, 0, 1])
+        out = simulate_replicate(codes, identity_model(),
                                  np.random.default_rng(0))
-        assert out == labels
+        assert out.tolist() == codes.tolist()
 
     def test_point_mass_maps_everything(self):
         em = ErrorModel(("A", "B"), np.array([[0.0, 1.0], [0.0, 1.0]]))
-        out = simulate_replicate(["A", "B", "A"], em, np.random.default_rng(0))
-        assert out == ["B", "B", "B"]
+        out = simulate_replicate(np.array([0, 1, 0]), em,
+                                 np.random.default_rng(0))
+        assert out.tolist() == [1, 1, 1]
 
     def test_flip_rate_within_three_sigma(self):
         # 10000 units with a 10% flip probability: binomial oracle
         em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
         n = 10000
-        out = simulate_replicate(["A"] * n, em, np.random.default_rng(42))
-        flips = sum(l == "B" for l in out)
+        out = simulate_replicate(np.zeros(n, dtype=np.intp), em,
+                                 np.random.default_rng(42))
+        flips = np.count_nonzero(out == 1)
         sd = math.sqrt(n * 0.9 * 0.1)
         assert abs(flips - n * 0.1) < 3 * sd
 
     def test_unknown_label_rejected(self):
+        # labels are encoded before any replicate is drawn
         with pytest.raises(DataError, match="C"):
-            simulate_replicate(["C"], identity_model(), np.random.default_rng(0))
+            bootstrap_ci(["A", "C"], {}, identity_model(), proportion_of("A"),
+                         BootstrapConfig(n_replicates=2))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -82,16 +87,42 @@ class TestSimulateReplicate:
                         np.array([[0.2, 0.3, 0.5],
                                   [1.0, 0.0, 0.0],
                                   [0.0, 0.5, 0.5]]))
-        out = simulate_replicate(["A", "B", "C"] * 7, em,
+        out = simulate_replicate(np.tile([0, 1, 2], 7), em,
                                  np.random.default_rng(seed))
-        assert set(out) <= {"A", "B", "C"}
+        assert set(out.tolist()) <= {0, 1, 2}
         assert len(out) == 21
+
+
+class TestYearlyProportionOf:
+    @staticmethod
+    def table(labels, years):
+        """Every label's per-year fraction, as {year: {label: fraction}}."""
+        labels, covariates = np.array(labels), {"year": np.array(years)}
+        out = {}
+        for label in sorted(set(labels.tolist())):
+            stats = yearly_proportion_of(label)(labels, covariates)
+            for year in sorted(set(years)):
+                out.setdefault(year, {})[label] = stats[f"prop_{label}_{year}"]
+        return out
+
+    def test_single_year_even_split(self):
+        table = self.table(["A", "A", "B", "B"], [1980] * 4)
+        assert table == {1980: {"A": 0.5, "B": 0.5}}
+
+    def test_rows_sum_to_one(self):
+        table = self.table(["A", "B", "C", "A"], [1980, 1980, 1981, 1981])
+        for year, row in table.items():
+            assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_hand_count(self):
+        table = self.table(["A", "A", "A", "B"], [1990] * 4)
+        assert table[1990] == {"A": 0.75, "B": 0.25}
 
 
 class TestBootstrapCi:
     def test_identity_model_gives_zero_width(self):
         labels = ["A"] * 30 + ["B"] * 70
-        result = bootstrap_ci(labels, [{}] * 100, identity_model(),
+        result = bootstrap_ci(labels, {}, identity_model(),
                               proportion_of("A"),
                               BootstrapConfig(n_replicates=200, seed=1))
         s = result.statistics["prop_A"]
@@ -107,7 +138,7 @@ class TestBootstrapCi:
         # var = (0.1*0.9 + 0.1*0.9) * 50 / 100^2 -> sigma = 0.03 exactly.
         em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
         labels = ["A"] * 50 + ["B"] * 50
-        result = bootstrap_ci(labels, [{}] * 100, em, proportion_of("A"),
+        result = bootstrap_ci(labels, {}, em, proportion_of("A"),
                               BootstrapConfig(n_replicates=10000, seed=0))
         assert result.statistics["prop_A"].sigma == pytest.approx(0.03, abs=0.003)
 
@@ -118,7 +149,7 @@ class TestBootstrapCi:
             em = ErrorModel(
                 ("A", "B"), np.array([[1 - eps, eps], [eps, 1 - eps]])
             )
-            result = bootstrap_ci(labels, [{}] * 100, em, proportion_of("A"),
+            result = bootstrap_ci(labels, {}, em, proportion_of("A"),
                                   BootstrapConfig(n_replicates=2000, seed=3))
             sigmas.append(result.statistics["prop_A"].sigma)
         assert sigmas == sorted(sigmas)
@@ -128,23 +159,23 @@ class TestBootstrapCi:
         em = ErrorModel(("A", "B"), np.array([[0.8, 0.2], [0.3, 0.7]]))
         labels = ["A", "B"] * 40
         cfg = BootstrapConfig(n_replicates=300, seed=9)
-        a = bootstrap_ci(labels, [{}] * 80, em, proportion_of("A"), cfg)
-        b = bootstrap_ci(labels, [{}] * 80, em, proportion_of("A"), cfg)
+        a = bootstrap_ci(labels, {}, em, proportion_of("A"), cfg)
+        b = bootstrap_ci(labels, {}, em, proportion_of("A"), cfg)
         assert a.to_dict() == b.to_dict()
 
     def test_different_seed_differs(self):
         em = ErrorModel(("A", "B"), np.array([[0.8, 0.2], [0.3, 0.7]]))
         labels = ["A", "B"] * 40
-        a = bootstrap_ci(labels, [{}] * 80, em, proportion_of("A"),
+        a = bootstrap_ci(labels, {}, em, proportion_of("A"),
                          BootstrapConfig(n_replicates=300, seed=9))
-        b = bootstrap_ci(labels, [{}] * 80, em, proportion_of("A"),
+        b = bootstrap_ci(labels, {}, em, proportion_of("A"),
                          BootstrapConfig(n_replicates=300, seed=10))
         assert a.statistics["prop_A"].sigma != b.statistics["prop_A"].sigma
 
     def test_normal_ci_centered_on_point(self):
         em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
         labels = ["A"] * 70 + ["B"] * 30
-        result = bootstrap_ci(labels, [{}] * 100, em, proportion_of("A"),
+        result = bootstrap_ci(labels, {}, em, proportion_of("A"),
                               BootstrapConfig(n_replicates=500, seed=2))
         s = result.statistics["prop_A"]
         assert s.ci_low == pytest.approx(s.point - 1.96 * s.sigma)
@@ -154,7 +185,7 @@ class TestBootstrapCi:
         em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
         labels = ["A"] * 70 + ["B"] * 30
         result = bootstrap_ci(
-            labels, [{}] * 100, em, proportion_of("A"),
+            labels, {}, em, proportion_of("A"),
             BootstrapConfig(n_replicates=2000, seed=2, ci_method="percentile"),
             keep_replicates=True,
         )
@@ -173,15 +204,21 @@ class TestBootstrapCi:
             return {"stat": 0.0}
 
         with pytest.raises(DataError, match="replicate 0"):
-            bootstrap_ci(["A", "B"], [{}] * 2, em, fragile,
+            bootstrap_ci(["A", "B"], {}, em, fragile,
                          BootstrapConfig(n_replicates=5, seed=0))
+
+    def test_covariate_length_must_match_labels(self):
+        with pytest.raises(DataError, match="'age' has 3 values for 4 labels"):
+            bootstrap_ci(["A", "B", "A", "B"], {"age": [30.0, 41.0, 25.0]},
+                         identity_model(), proportion_of("A"),
+                         BootstrapConfig(n_replicates=2))
 
     def test_too_few_replicates_rejected(self):
         with pytest.raises(ConfigError):
             BootstrapConfig(n_replicates=1)
 
     def test_json_round_trip(self, tmp_path):
-        result = bootstrap_ci(["A", "B"] * 10, [{}] * 20, identity_model(),
+        result = bootstrap_ci(["A", "B"] * 10, {}, identity_model(),
                               proportion_of("A"),
                               BootstrapConfig(n_replicates=10, seed=0))
         result.to_json(tmp_path / "boot.json")

@@ -60,6 +60,33 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def _annotate_and_evaluate(workspace):
+    assert run(["annotate", "--config", workspace / "run.yaml"]) == 0
+    assert run([
+        "evaluate", "--corpus", workspace / "corpus.jsonl",
+        "--annotations", workspace / "out" / "annotations.jsonl",
+        "--scheme", workspace / "scheme.yaml",
+        "--variable", "sentiment", "--out-dir", workspace / "eval",
+    ]) == 0
+
+
+def _bootstrap_with_meta(workspace, statistic, meta, replicates=10, out="boot"):
+    """Bootstrap the workspace's annotations against a copy of its corpus
+    whose unit ``i`` carries ``meta(i)``; returns the exit code. Results go
+    to ``out/boot.json`` and ``out/replicates.csv``."""
+    units = tuple(Unit(id=f"u{i:03d}", text=f"passage {i}", meta=meta(i))
+                  for i in range(40))
+    save_corpus(Corpus(units), workspace / "meta.jsonl")
+    return run([
+        "bootstrap", "--annotations", workspace / "out" / "annotations.jsonl",
+        "--confusion", workspace / "eval" / "confusion.csv",
+        "--statistic", statistic, "--corpus", workspace / "meta.jsonl",
+        "--replicates", replicates, "--seed", 5,
+        "--out", workspace / out / "boot.json",
+        "--replicates-csv", workspace / out / "replicates.csv",
+    ])
+
+
 class TestPipeline:
     def test_annotate_evaluate_bootstrap_report(self, workspace, capsys):
         assert run(["annotate", "--config", workspace / "run.yaml"]) == 0
@@ -186,8 +213,10 @@ class TestExitCodes:
         (workspace / "endpoint.yaml").write_text(yaml.safe_dump(cfg),
                                                  encoding="utf-8")
         assert run(["annotate", "--config", workspace / "endpoint.yaml"]) == 4
-        assert (workspace / "out_endpoint"
-                / "annotations.jsonl.partial").exists()
+        out = workspace / "out_endpoint"
+        assert (out / "annotations.jsonl.partial").exists()
+        assert not (out / "annotations.jsonl").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_missing_statistic_covariate_is_2(self, workspace):
         run(["annotate", "--config", workspace / "run.yaml"])
@@ -205,6 +234,47 @@ class TestExitCodes:
             "--replicates", 10, "--seed", 0,
             "--out", workspace / "boot.json",
         ]) == 2
+
+    def test_unit_without_statistic_covariate_is_3(self, workspace, capsys):
+        _annotate_and_evaluate(workspace)
+        code = _bootstrap_with_meta(
+            workspace, "yearly_proportions:Positive",
+            lambda i: {} if i == 7 else {"year": 1990 + i % 4})
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'u007'" in err and "'year'" in err
+
+    def test_non_numeric_statistic_covariate_is_3(self, workspace, capsys):
+        _annotate_and_evaluate(workspace)
+        code = _bootstrap_with_meta(
+            workspace, "logistic:Positive ~ age",
+            lambda i: {"age": "n/a" if i == 12 else 20.0 + i})
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'u012'" in err and "'age'" in err
+
+
+class TestGoldenStream:
+    def test_replicate_draws_are_pinned(self, workspace):
+        # pinned outputs of fixed-seed runs: a change to the replicate random
+        # stream or to the fit fails here instead of passing unnoticed
+        def meta(i):
+            return {"age": 20.0 + (7 * i) % 13}
+
+        _annotate_and_evaluate(workspace)
+        (workspace / "eval" / "confusion.csv").write_text(
+            "gold\\pred,Positive,Negative\nPositive,9,1\nNegative,2,8\n",
+            encoding="utf-8")
+        assert _bootstrap_with_meta(workspace, "proportion:Positive", meta,
+                                    replicates=200, out="prop") == 0
+        assert _bootstrap_with_meta(workspace, "logistic:Positive ~ age", meta,
+                                    replicates=20, out="logit") == 0
+        prop = json.loads((workspace / "prop" / "boot.json").read_text())
+        sigma = prop["statistics"]["prop_Positive"]["sigma"]
+        assert repr(sigma) == "0.05581204507093428"
+        rows = (workspace / "logit" / "replicates.csv").read_text().splitlines()
+        assert rows[0] == "replicate,beta_age,p_age"
+        assert rows[4] == "3,-0.054018342088555424,0.5382087756067243"
 
 
 class TestFitAndDemo:

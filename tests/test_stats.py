@@ -13,7 +13,6 @@ from quantitize import (
     gen_simpson,
     odds_ratio,
     parse_formula,
-    yearly_proportions,
 )
 from quantitize.stats import (
     _design,
@@ -29,21 +28,6 @@ def two_by_two(n00, n01, n10, n11):
     for x, y, n in [(0, 0, n00), (0, 1, n01), (1, 0, n10), (1, 1, n11)]:
         obs.extend(Observation(y, {"x": float(x)}) for _ in range(n))
     return obs
-
-
-class TestYearlyProportions:
-    def test_single_year_even_split(self):
-        table = yearly_proportions(["A", "A", "B", "B"], [1980] * 4)
-        assert table == {1980: {"A": 0.5, "B": 0.5}}
-
-    def test_rows_sum_to_one(self):
-        table = yearly_proportions(["A", "B", "C", "A"], [1980, 1980, 1981, 1981])
-        for year, row in table.items():
-            assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
-
-    def test_hand_count(self):
-        table = yearly_proportions(["A", "A", "A", "B"], [1990] * 4)
-        assert table[1990] == {"A": 0.75, "B": 0.25}
 
 
 class TestFitLogistic:
