@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 from scipy.stats import rankdata
@@ -167,21 +167,17 @@ def per_class_metrics(cm: ConfusionMatrix) -> tuple[dict[str, ClassMetrics], flo
     return out, float(np.mean(f1s))
 
 
-def agreement_report(
-    cm: ConfusionMatrix,
-    exclude_error_column: bool = True,
-    excluded_counts: Optional[dict[str, int]] = None,
-) -> AgreementReport:
+def agreement_report(cm: ConfusionMatrix) -> AgreementReport:
     """Full report from a confusion matrix.
 
-    A synthetic ERROR column (refused/unparseable predictions) is by default
-    excluded from the kappa/accuracy computation and reported separately.
+    A synthetic ERROR column (refused/unparseable predictions) is excluded
+    from the kappa/accuracy computation and its count reported separately.
     """
     scored = cm
-    excluded = dict(excluded_counts or {})
-    if exclude_error_column and ERROR_LABEL in cm.labels:
+    excluded = {}
+    if ERROR_LABEL in cm.labels:
         j = cm.labels.index(ERROR_LABEL)
-        excluded.setdefault("error_column", int(cm.counts[:, j].sum()))
+        excluded["error_column"] = int(cm.counts[:, j].sum())
         scored = cm.without_label(ERROR_LABEL)
     per_class, macro_f1 = per_class_metrics(scored)
     return AgreementReport(

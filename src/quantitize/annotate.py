@@ -1,6 +1,6 @@
 """Annotation of units through an instructable model or a deterministic mock.
 
-A prompt template is rendered per unit (or unit pair), sent to a model
+A prompt template is rendered per unit (or batch of units), sent to a model
 client, and the raw response is normalized against the coding scheme.
 Transport errors are retried with exponential backoff; refusals are
 recorded as such without retry. Every run carries a manifest (template,
@@ -52,30 +52,20 @@ def run_timestamp() -> str:
 class PromptTemplate:
     """Instruction text with placeholders resolved per unit.
 
-    Supported placeholders: {text}, {title} (from unit metadata), {target}
-    (from unit metadata), and for pair mode {a}/{b} (the two texts).
+    Supported placeholders: {text} and any key of the unit's metadata, such
+    as {title}. A batched prompt fills only {text}, with the numbered texts
+    of the batch.
     """
 
     instruction: str
     variable: str
-    pair_mode: bool = False
 
     def render(self, unit: Unit) -> str:
-        values = {"text": unit.text, **unit.meta}
-        return self._fill(values, unit.id)
-
-    def render_pair(self, a: Unit, b: Unit, target: Optional[str] = None) -> str:
-        values = {"a": a.text, "b": b.text, **a.meta}
-        if target is not None:
-            values["target"] = target
-        return self._fill(values, f"{a.id}+{b.id}")
-
-    def _fill(self, values: dict, uid: str) -> str:
         try:
-            return self.instruction.format(**values)
+            return self.instruction.format(**{"text": unit.text, **unit.meta})
         except KeyError as exc:
             raise DataError(
-                f"unit {uid!r}: placeholder {exc.args[0]!r} cannot be resolved"
+                f"unit {unit.id!r}: placeholder {exc.args[0]!r} cannot be resolved"
             )
 
 
@@ -525,6 +515,12 @@ def annotate(
     assembled in unit order, so output does not depend on completion order.
     """
     variable = scheme.variable(template.variable)
+    if policy.batch_size > 1:
+        other = {name for _, name, _, _ in string.Formatter().parse(
+            template.instruction) if name is not None} - {"text"}
+        if other:
+            raise ConfigError("a batched prompt fills only {text}; the "
+                              f"template also has {sorted(other)}")
     if controls is None:
         controls = DecodingControls.for_variable(variable)
 
@@ -547,11 +543,7 @@ def annotate(
         numbered = "\n\n".join(
             f"{i + 1}. {u.text}" for i, u in enumerate(batch)
         )
-        class _Blank(dict):
-            def __missing__(self, key):
-                return ""
-
-        prompt = template.instruction.format_map(_Blank(text=numbered))
+        prompt = template.instruction.format(text=numbered)
         ids = [u.id for u in batch]
         reply, attempts = _call_with_retry(client, prompt, controls, ids, policy,
                                            sleep=sleep)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -96,14 +98,21 @@ def _parse_strategy(text: str):
     raise ConfigError(f"unknown unitize strategy {kind!r}")
 
 
+def _from_section(cls, doc, section: str):
+    """``cls(**doc)`` for a config section, whose keys must be fields of
+    the dataclass ``cls``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section} must be a mapping")
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    return cls(**doc)
+
+
 def _load_mapping(path: Path) -> CsvMapping:
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh) or {}
-    known = {"id_column", "text_column", "group_columns", "meta_columns", "gold_columns"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown mapping keys: {sorted(unknown)}")
-    return CsvMapping(**doc)
+    return _from_section(CsvMapping, doc, "mapping")
 
 
 def cmd_ingest(args) -> int:
@@ -126,11 +135,11 @@ def cmd_ingest(args) -> int:
 
 _RUN_CONFIG_KEYS = {
     "corpus", "scheme", "template", "variable", "output_dir", "seed",
-    "client", "policy", "decoding", "bootstrap",
+    "client", "policy", "decoding",
 }
 _CLIENT_KEYS = {
-    "kind", "endpoint", "model", "auth_env", "max_in_flight",
-    "mode", "rules", "matrix", "refuse_units", "timeout",
+    "kind", "endpoint", "model", "auth_env", "timeout",
+    "mode", "rules", "matrix", "refuse_units",
 }
 
 
@@ -190,10 +199,9 @@ def cmd_annotate(args) -> int:
     instruction = Path(cfg["template"]).read_text(encoding="utf-8")
     template = PromptTemplate(instruction=instruction, variable=cfg["variable"])
     seed = int(cfg.get("seed", 0))
-    policy = AnnotatePolicy(**cfg.get("policy", {}))
-    controls = (
-        DecodingControls(**cfg["decoding"]) if "decoding" in cfg else None
-    )
+    policy = _from_section(AnnotatePolicy, cfg.get("policy", {}), "policy")
+    controls = (_from_section(DecodingControls, cfg["decoding"], "decoding")
+                if "decoding" in cfg else None)
     audit = AuditLog(out_dir / "audit.jsonl")
     client = _build_client(cfg.get("client", {}), corpus, scheme,
                            cfg["variable"], seed, audit)
@@ -221,7 +229,7 @@ def _gold_and_predicted(corpus: Corpus, annset: AnnotationSet, variable: str):
     predicted = {}
     for r in annset.records:
         if r.variable == variable and r.unit_id in gold:
-            predicted[r.unit_id] = r.label if r.status == "ok" else None
+            predicted[r.unit_id] = r.label if r.status == "ok" else ERROR_LABEL
     if not predicted:
         raise DataError("no overlap between gold units and annotations")
     return {k: gold[k] for k in predicted}, predicted
@@ -234,10 +242,8 @@ def cmd_evaluate(args) -> int:
     var = scheme.variable(args.variable)
     gold, predicted = _gold_and_predicted(corpus, annset, args.variable)
     labels = list(var.labels)
-    if any(v is None for v in predicted.values()):
-        labels = labels + [ERROR_LABEL]
-        predicted = {k: (v if v is not None else ERROR_LABEL)
-                     for k, v in predicted.items()}
+    if ERROR_LABEL in predicted.values():
+        labels.append(ERROR_LABEL)
     cm = build_confusion(gold, predicted, labels)
     report = agreement_report(cm)
     out_dir = Path(args.out_dir)
@@ -285,6 +291,9 @@ def _parse_statistic(spec: str, units):
     if kind in ("logistic", "mixed"):
         mixed = kind == "mixed"
         formula = parse_formula(arg)
+        if formula.group and not mixed:
+            raise ConfigError("a logistic statistic has no random intercept; "
+                              f"use mixed:{arg} to fit the (1|group) term")
         needed = dict.fromkeys(formula.covariates, float)
         if formula.group:
             needed[formula.group] = str
@@ -348,19 +357,40 @@ def cmd_bootstrap(args) -> int:
 
 
 def _read_observations_csv(path: Path, formula) -> list[Observation]:
+    """One observation per data row; a missing or non-numeric cell, or a
+    response other than 0 or 1, is a :class:`DataError` naming the line
+    and column."""
     obs = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            needed = {formula.response, *formula.covariates}
-            if formula.group:
-                needed.add(formula.group)
-            missing = needed - set(row)
-            if missing:
-                raise DataError(f"data file lacks columns {sorted(missing)}")
+        reader = csv.DictReader(fh)
+        needed = {formula.response, *formula.covariates}
+        if formula.group:
+            needed.add(formula.group)
+        missing = needed - set(reader.fieldnames or ())
+        if missing:
+            raise DataError(f"data file lacks columns {sorted(missing)}")
+
+        def cell(row, name, convert):
+            value = row[name]
+            try:
+                out = convert(value) if value and value.strip() else None
+            except ValueError:
+                out = None
+            if out is None or (convert is float and not math.isfinite(out)):
+                raise DataError(f"{path}, line {reader.line_num}: column "
+                                f"{name!r} has no usable value {value!r}")
+            return out
+
+        for row in reader:
+            response = cell(row, formula.response, float)
+            if response not in (0.0, 1.0):
+                raise DataError(f"{path}, line {reader.line_num}: column "
+                                f"{formula.response!r} must be 0 or 1, got "
+                                f"{row[formula.response]!r}")
             obs.append(Observation(
-                response=int(float(row[formula.response])),
-                covariates={n: float(row[n]) for n in formula.covariates},
-                group=row[formula.group] if formula.group else None,
+                response=int(response),
+                covariates={n: cell(row, n, float) for n in formula.covariates},
+                group=cell(row, formula.group, str) if formula.group else None,
             ))
     return obs
 

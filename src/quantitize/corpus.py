@@ -160,7 +160,6 @@ class Unit:
 @dataclass(frozen=True)
 class Corpus:
     units: tuple[Unit, ...]
-    provenance: dict = field(default_factory=dict)
     _index: dict = field(init=False, repr=False, compare=False)  # id -> unit
 
     def __post_init__(self):
@@ -261,7 +260,6 @@ def ingest(
                 if not line:
                     continue
                 units.append(_unit_from_obj(json.loads(line), len(units)))
-        provenance = {"source": str(path), "format": "jsonl"}
     elif format == "csv":
         if csv_mapping is None:
             raise ConfigError("csv ingestion requires a column mapping")
@@ -280,9 +278,6 @@ def ingest(
                     if col in mapped:
                         continue
                     meta[col] = m.coerce(col, val)
-                for col in m.meta_columns:
-                    if col in row and col not in mapped:
-                        meta[col] = m.coerce(col, row[col])
                 gold = {v: row[c] for v, c in m.gold_columns.items() if row.get(c)}
                 units.append(
                     Unit(
@@ -293,17 +288,10 @@ def ingest(
                         gold=gold or None,
                     )
                 )
-        provenance = {"source": str(path), "format": "csv"}
-    elif format in ("text", "plain-text"):
+    elif format == "text":
         if unitize_strategy is None:
-            raise ConfigError("plain-text ingestion requires a unitizing strategy")
-        text = path.read_text(encoding="utf-8")
-        units = unitize(text, unitize_strategy)
-        provenance = {
-            "source": str(path),
-            "format": "text",
-            "strategy": repr(unitize_strategy),
-        }
+            raise ConfigError("text ingestion requires a unitizing strategy")
+        units = unitize(path.read_text(encoding="utf-8"), unitize_strategy)
     else:
         raise ConfigError(f"unknown ingestion format {format!r}")
 
@@ -312,7 +300,7 @@ def ingest(
     if scheme is not None:
         for u in units:
             _validate_gold(u, scheme)
-    return Corpus(tuple(units), provenance=provenance)
+    return Corpus(tuple(units))
 
 
 def save_corpus(corpus: Corpus, path: Union[str, Path]) -> None:
@@ -390,15 +378,12 @@ def _window_chunks(text: str, max_chars: int) -> list[str]:
     for piece in pieces:
         if len(cur) + len(piece) <= max_chars or not cur.strip():
             cur += piece
-            while len(cur) > max_chars:
-                chunks.append(cur[:max_chars])
-                cur = cur[max_chars:]
         else:
             chunks.append(cur)
             cur = piece
-            while len(cur) > max_chars:
-                chunks.append(cur[:max_chars])
-                cur = cur[max_chars:]
+        while len(cur) > max_chars:
+            chunks.append(cur[:max_chars])
+            cur = cur[max_chars:]
     if cur:
         chunks.append(cur)
     return chunks

@@ -378,7 +378,11 @@ def fit_random_intercept_arrays(X, y, names, groups, n_quad=15, max_iter=200):
         raise DataError(
             f"mixed fit did not converge: predicted decrease {decrement:.3g} "
             f"at the returned point ({res.message})")
-    cov = _safe_inverse(hess)
+    try:
+        cov = np.linalg.inv(hess)
+    except np.linalg.LinAlgError:
+        raise DataError("mixed fit: the observed information is singular, so "
+                        "there are no Wald standard errors") from None
     return FitResult(
         coefficients=_wald(names, theta[:p], cov[:p, :p]),
         log_likelihood=-float(res.fun),
@@ -389,13 +393,6 @@ def fit_random_intercept_arrays(X, y, names, groups, n_quad=15, max_iter=200):
         n_quad=n_quad,
         boundary=bool(not LOG_SIGMA_BOUNDS[0] < log_sigma < LOG_SIGMA_BOUNDS[1]),
     )
-
-
-def _safe_inverse(mat):
-    try:
-        return np.linalg.inv(mat)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(mat)
 
 
 # --- formula parsing -------------------------------------------------------

@@ -42,6 +42,7 @@ SIMPSON_INTERCEPTS = (-2.0, 1.5, 1.0)
 SIMPSON_AGE_STEP = 5.0
 SIMPSON_AGE_SD = 1.5
 SIMPSON_BASE_AGE = 17.0
+SIMPSON_PER_SCHOOL = 40
 
 CONFOUND_AGE_SLOPE = 0.5
 CONFOUND_LINK = 1.0
@@ -74,13 +75,9 @@ def _systematic_draw(probabilities: np.ndarray, phase: float = 0.5) -> np.ndarra
     return out
 
 
-def gen_simpson(
-    seed: int,
-    n_schools: int = 3,
-    n_per_school: int = 40,
-    within_age_effect: float = 0.0,
-) -> list[Observation]:
-    """Grouped data where age only appears to matter.
+def gen_simpson(seed: int, within_age_effect: float = 0.0) -> list[Observation]:
+    """Grouped data where age only appears to matter: one school per entry
+    of ``SIMPSON_INTERCEPTS``, ``SIMPSON_PER_SCHOOL`` pupils each.
 
     Schools get widely spread response rates and widely spread age ranges,
     so pooled age correlates with the outcome; within a school the age
@@ -90,14 +87,11 @@ def gen_simpson(
     by systematic sampling, so every seed yields a permutation of the same
     rows.
     """
-    if n_schools < 2:
-        raise DataError("need at least 2 schools")
     rng = np.random.default_rng(seed)
     out = []
-    for s in range(n_schools):
-        b0 = SIMPSON_INTERCEPTS[s % len(SIMPSON_INTERCEPTS)]
+    for s, b0 in enumerate(SIMPSON_INTERCEPTS):
         mean_age = SIMPSON_BASE_AGE + SIMPSON_AGE_STEP * s
-        quantiles = (np.arange(n_per_school) + 0.5) / n_per_school
+        quantiles = (np.arange(SIMPSON_PER_SCHOOL) + 0.5) / SIMPSON_PER_SCHOOL
         ages = norm.ppf(quantiles) * SIMPSON_AGE_SD + mean_age
         p = expit(b0 + within_age_effect * (ages - mean_age))
         responses = _systematic_draw(p)
@@ -210,4 +204,4 @@ def observations_to_corpus(
                 gold={variable: label},
             )
         )
-    return Corpus(tuple(units), provenance={"source": "synthetic"})
+    return Corpus(tuple(units))

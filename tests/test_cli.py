@@ -7,6 +7,7 @@ from quantitize import (
     CodingScheme,
     Corpus,
     Level,
+    MockModel,
     Unit,
     Variable,
     gen_interview_margins,
@@ -178,19 +179,48 @@ class TestIngest:
 
 class TestExitCodes:
     def test_unknown_config_key_is_2(self, workspace, capsys):
+        # a key the run would ignore is rejected, at the top level and in
+        # the sections that build a dataclass
+        for section, key in ((None, "bogus_key"), (None, "bootstrap"),
+                             ("policy", "batchsize"), ("decoding", "temprature")):
+            cfg = yaml.safe_load((workspace / "run.yaml").read_text())
+            (cfg.setdefault(section, {}) if section else cfg)[key] = 2
+            (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg),
+                                                encoding="utf-8")
+            assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2, key
+            assert key in capsys.readouterr().err
         cfg = yaml.safe_load((workspace / "run.yaml").read_text())
-        cfg["bogus_key"] = 1
-        (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg),
-                                            encoding="utf-8")
+        cfg["policy"] = 3
+        (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
         assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2
-        assert "bogus_key" in capsys.readouterr().err
+        assert "policy must be a mapping" in capsys.readouterr().err
 
-    def test_unknown_client_key_is_2(self, workspace):
+    def test_unknown_client_key_is_2(self, workspace, capsys):
+        # concurrency is policy.max_in_flight; the client section has none
+        for key in ("api_key", "max_in_flight"):
+            cfg = yaml.safe_load((workspace / "run.yaml").read_text())
+            cfg["client"][key] = 4
+            (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg),
+                                                encoding="utf-8")
+            assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2, key
+            assert key in capsys.readouterr().err
+
+    def test_batched_template_with_other_placeholder_is_2(self, workspace,
+                                                          monkeypatch, capsys):
+        # a batched prompt fills only {text}; any other placeholder is a
+        # configuration error before a single request goes out
+        def send(*args, **kwargs):
+            raise AssertionError("no request may be sent")
+
+        monkeypatch.setattr(MockModel, "send", send)
+        (workspace / "titled.txt").write_text(
+            "Label {title}: Positive or Negative.\n\n{text}\n", encoding="utf-8")
         cfg = yaml.safe_load((workspace / "run.yaml").read_text())
-        cfg["client"]["api_key"] = "secret"
-        (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg),
-                                            encoding="utf-8")
+        cfg["template"] = "titled.txt"
+        cfg["policy"] = {"batch_size": 2}
+        (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
         assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2
+        assert "'title'" in capsys.readouterr().err
 
     def test_bad_data_is_3(self, workspace, tmp_path):
         (tmp_path / "dupes.jsonl").write_text(
@@ -253,6 +283,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'u012'" in err and "'age'" in err
 
+    def test_logistic_statistic_with_random_term_is_2(self, workspace, capsys):
+        # a logistic fit has no random intercept; the term must not be dropped
+        _annotate_and_evaluate(workspace)
+        code = _bootstrap_with_meta(
+            workspace, "logistic:Positive ~ age + (1|school)",
+            lambda i: {"age": 20.0 + i, "school": f"s{i % 3}"})
+        assert code == 2
+        assert "mixed:" in capsys.readouterr().err
+
 
 class TestGoldenStream:
     def test_replicate_draws_are_pinned(self, workspace):
@@ -307,6 +346,36 @@ class TestFitAndDemo:
         assert doc["boundary"] is True
         assert doc["converged"] is True
         assert "boundary: yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("row, column", [
+        ("1,abc,3.0", "campus"),   # non-numeric covariate
+        ("1,,3.0", "campus"),      # empty cell
+        ("1,0", "age"),            # short row
+        ("0.7,1,3.0", "online"),   # response other than 0 or 1
+        ("2,1,3.0", "online"),
+    ])
+    def test_fit_rejects_bad_cell_with_row_and_column(self, tmp_path, capsys,
+                                                      row, column):
+        rows = ["online,campus,age", "0,0,1.0", row, "1,1,2.0", "0,1,4.0"]
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n",
+                                           encoding="utf-8")
+        assert run([
+            "fit", "--data", tmp_path / "data.csv",
+            "--formula", "online ~ campus + age", "--out", tmp_path / "fit.json",
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "line 3" in err and repr(column) in err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_fit_names_missing_columns(self, tmp_path, capsys):
+        # the header alone decides: no data row needs to be read
+        (tmp_path / "data.csv").write_text("online,campus\n", encoding="utf-8")
+        assert run([
+            "fit", "--data", tmp_path / "data.csv",
+            "--formula", "online ~ campus + age + (1|id)",
+            "--out", tmp_path / "fit.json",
+        ]) == 3
+        assert "['age', 'id']" in capsys.readouterr().err
 
     def test_demo_simpson_verdict(self, capsys):
         assert run(["demo", "simpson", "--seed", 1]) == 0

@@ -185,6 +185,20 @@ class TestMixedModel:
         with pytest.raises(DataError, match="did not converge"):
             fit_logistic_random_intercept(gen_simpson(0), max_iter=2)
 
+    def test_singular_wald_hessian_raises(self, monkeypatch):
+        # sigma sits on its bound here, so the convergence test holds log
+        # sigma fixed and passes; the Wald covariance needs the full inverse
+        hessian = _MarginalLikelihood.hessian
+
+        def singular(self, theta):
+            hess = hessian(self, theta)
+            hess[-1, :] = hess[:, -1] = 0.0
+            return hess
+
+        monkeypatch.setattr(_MarginalLikelihood, "hessian", singular)
+        with pytest.raises(DataError, match="singular"):
+            fit_logistic_random_intercept(gen_interview_margins(0))
+
     def test_simpson_fit_regression_guard(self):
         fit = fit_logistic_random_intercept(gen_simpson(0))
         assert fit.log_likelihood == pytest.approx(-62.13186060, abs=1e-7)
