@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataError
 from .jsonio import write_json
@@ -191,16 +190,30 @@ def agreement_report(cm: ConfusionMatrix) -> AgreementReport:
     )
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share the mean of their
+    positions, as in ``scipy.stats.rankdata``'s default method."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def spearman_rho(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Rank correlation with average ranks for ties."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1 or len(xs) < 2:
         raise DataError("spearman_rho needs two equal-length vectors of length >= 2")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise DataError("spearman_rho needs finite values")
     if np.ptp(xs) == 0 or np.ptp(ys) == 0:
         raise DataError("spearman_rho is undefined for a constant vector")
-    rx = rankdata(xs)
-    ry = rankdata(ys)
+    rx = _average_ranks(xs)
+    ry = _average_ranks(ys)
     rx -= rx.mean()
     ry -= ry.mean()
     return float(np.dot(rx, ry) / np.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))

@@ -22,14 +22,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
-import requests
 
 from .corpus import Corpus, CodingScheme, Unit, Variable, approx_tokens
 from .errors import ConfigError, DataError, TransportError
 from .jsonio import write_json, write_jsonl
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -52,17 +54,30 @@ def run_timestamp() -> str:
 class PromptTemplate:
     """Instruction text with placeholders resolved per unit.
 
-    Supported placeholders: {text} and any key of the unit's metadata, such
-    as {title}. A batched prompt fills only {text}, with the numbered texts
-    of the batch.
+    Supported placeholders: {text}, always the unit's text, and any other
+    key of the unit's metadata, such as {title}. A batched prompt fills only
+    {text}, with the numbered texts of the batch.
     """
 
     instruction: str
     variable: str
 
+    def placeholders(self) -> set[str]:
+        """Names of the placeholders; a malformed brace or a positional
+        placeholder ({} or {0}) is a ConfigError."""
+        try:
+            names = {name for _, name, _, _ in
+                     string.Formatter().parse(self.instruction) if name is not None}
+        except ValueError as exc:
+            raise ConfigError(f"template cannot be parsed: {exc}")
+        if any(name == "" or name[0].isdigit() for name in names):
+            raise ConfigError("template placeholders must be named, "
+                              "like {text}; {} and {0} are not")
+        return names
+
     def render(self, unit: Unit) -> str:
         try:
-            return self.instruction.format(**{"text": unit.text, **unit.meta})
+            return self.instruction.format(**{**unit.meta, "text": unit.text})
         except KeyError as exc:
             raise DataError(
                 f"unit {unit.id!r}: placeholder {exc.args[0]!r} cannot be resolved"
@@ -151,6 +166,10 @@ class ChatCompletionClient:
         audit: Optional[AuditLog] = None,
         session: Optional[requests.Session] = None,
     ):
+        # requests is imported here and in send, not at module level, so
+        # that runs on the mock annotator never load it
+        import requests
+
         token = os.environ.get(auth_env)
         if not token:
             raise ConfigError(
@@ -184,6 +203,8 @@ class ChatCompletionClient:
         controls: DecodingControls,
         unit_ids: Sequence[str] = (),
     ) -> ModelReply:
+        import requests
+
         body = self.build_request(prompt, controls)
         try:
             resp = self.session.post(
@@ -515,12 +536,10 @@ def annotate(
     assembled in unit order, so output does not depend on completion order.
     """
     variable = scheme.variable(template.variable)
-    if policy.batch_size > 1:
-        other = {name for _, name, _, _ in string.Formatter().parse(
-            template.instruction) if name is not None} - {"text"}
-        if other:
-            raise ConfigError("a batched prompt fills only {text}; the "
-                              f"template also has {sorted(other)}")
+    other = template.placeholders() - {"text"}
+    if policy.batch_size > 1 and other:
+        raise ConfigError("a batched prompt fills only {text}; the "
+                          f"template also has {sorted(other)}")
     if controls is None:
         controls = DecodingControls.for_variable(variable)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .agreement import ConfusionMatrix
 from .errors import ConfigError, DataError
@@ -25,7 +25,8 @@ log = logging.getLogger(__name__)
 
 # statistic plugin: (labels, covariates) -> named reals. ``labels`` is a 1-D
 # array of label strings, one per unit; ``covariates`` maps each covariate
-# name to a column aligned with the labels.
+# name to a column aligned with the labels. Outputs named ``p_*`` or
+# ``prop_*`` are probabilities, so their normal interval is clipped to [0, 1].
 StatisticPlugin = Callable[[np.ndarray, Mapping[str, np.ndarray]], dict[str, float]]
 
 
@@ -112,7 +113,7 @@ class BootstrapConfig:
     def z(self) -> float:
         if abs(self.level - 0.95) < 1e-12:
             return 1.96  # conventional value, not the exact quantile
-        return float(norm.ppf(0.5 + self.level / 2))
+        return float(ndtri(0.5 + self.level / 2))
 
 
 @dataclass(frozen=True)
@@ -210,6 +211,8 @@ def bootstrap_ci(
         if config.ci_method == "normal_1p96sigma":
             half = config.z * sigma[j]
             lo, hi = point[name] - half, point[name] + half
+            if name.startswith(("p_", "prop_")):
+                lo, hi = max(lo, 0.0), min(hi, 1.0)
         else:
             alpha = (1 - config.level) / 2
             lo = float(np.quantile(values[:, j], alpha))
@@ -244,9 +247,18 @@ def proportion_of(label: str) -> StatisticPlugin:
 def yearly_proportion_of(label: str) -> StatisticPlugin:
     """Per-year fraction of the given label, one output per ``year`` value."""
 
+    # every replicate of a bootstrap passes the same year column object, so
+    # its years, codes and totals are computed once, for the last column seen
+    cached = {}
+
     def plugin(labels, covariates):
-        years, year_codes = np.unique(covariates["year"], return_inverse=True)
-        totals = np.bincount(year_codes, minlength=len(years))
+        column = covariates["year"]
+        if cached.get("column") is not column:
+            years, year_codes = np.unique(column, return_inverse=True)
+            cached["column"] = column
+            cached["codes"] = (years, year_codes,
+                               np.bincount(year_codes, minlength=len(years)))
+        years, year_codes, totals = cached["codes"]
         hits = np.bincount(year_codes[labels == label], minlength=len(years))
         return {f"prop_{label}_{year}": hits[i] / totals[i]
                 for i, year in enumerate(years)}

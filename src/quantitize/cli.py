@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -98,14 +99,36 @@ def _parse_strategy(text: str):
     raise ConfigError(f"unknown unitize strategy {kind!r}")
 
 
+def _fits(hint, value) -> bool:
+    """Whether a config value has a field's annotated type: a float field
+    takes an int, a tuple field a list, and no number field a bool."""
+    origin = typing.get_origin(hint) or hint
+    if origin is typing.Union:
+        return any(_fits(h, value) for h in typing.get_args(hint))
+    if origin is tuple:
+        return isinstance(value, (list, tuple))
+    if isinstance(value, bool) and origin in (int, float):
+        return False
+    if origin is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, origin)
+
+
 def _from_section(cls, doc, section: str):
     """``cls(**doc)`` for a config section, whose keys must be fields of
-    the dataclass ``cls``."""
+    the dataclass ``cls`` and whose values must have the fields' types."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{section} must be a mapping")
     unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in doc.items():
+        hint = hints[key]
+        if not _fits(hint, value):
+            expected = (hint.__name__ if isinstance(hint, type)
+                        else str(hint).replace("typing.", ""))
+            raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
     return cls(**doc)
 
 

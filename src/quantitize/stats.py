@@ -22,9 +22,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr
 
 from .errors import DataError
 from .jsonio import write_json
@@ -118,7 +116,7 @@ def _wald(names, beta, cov):
     out = {}
     for i, name in enumerate(names):
         z = beta[i] / se[i] if se[i] > 0 else math.inf * np.sign(beta[i])
-        p = float(2 * norm.sf(abs(z))) if math.isfinite(z) else 0.0
+        p = float(2 * ndtr(-abs(z))) if math.isfinite(z) else 0.0
         out[name] = Coefficient(float(beta[i]), float(se[i]), float(z), p)
     return out
 
@@ -349,6 +347,10 @@ def fit_logistic_random_intercept(
 def fit_random_intercept_arrays(X, y, names, groups, n_quad=15, max_iter=200):
     """:func:`fit_logistic_random_intercept` on a :func:`design_matrix`, a
     0/1 response and one group id per row."""
+    # imported here, not at module level: scipy.optimize adds about 0.3 s
+    # to every CLI start, and only a mixed fit needs it
+    from scipy.optimize import minimize
+
     model = _MarginalLikelihood(X, y, groups, n_quad)
     if len(model.starts) < 2:
         raise DataError("random-intercept variance needs at least 2 groups")

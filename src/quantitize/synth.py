@@ -31,8 +31,7 @@ Tuned constants:
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtri
 
 from .corpus import Corpus, Unit
 from .errors import DataError
@@ -92,7 +91,7 @@ def gen_simpson(seed: int, within_age_effect: float = 0.0) -> list[Observation]:
     for s, b0 in enumerate(SIMPSON_INTERCEPTS):
         mean_age = SIMPSON_BASE_AGE + SIMPSON_AGE_STEP * s
         quantiles = (np.arange(SIMPSON_PER_SCHOOL) + 0.5) / SIMPSON_PER_SCHOOL
-        ages = norm.ppf(quantiles) * SIMPSON_AGE_SD + mean_age
+        ages = ndtri(quantiles) * SIMPSON_AGE_SD + mean_age
         p = expit(b0 + within_age_effect * (ages - mean_age))
         responses = _systematic_draw(p)
         for age, resp in zip(ages, responses):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quantitize import (
     ConfusionMatrix,
@@ -11,6 +11,7 @@ from quantitize import (
     per_class_metrics,
     spearman_rho,
 )
+from quantitize.agreement import _average_ranks
 
 
 class TestBuildConfusion:
@@ -160,6 +161,19 @@ class TestSpearman:
         xs = [1.0, 2.0, 2.0, 3.0, 5.0]
         ys = [2.0, 1.0, 4.0, 4.0, 5.0]
         assert spearman_rho(xs, ys) == pytest.approx(spearmanr(xs, ys).statistic)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=60))
+    def test_average_ranks_match_rankdata(self, values):
+        # small integer range, so most samples hold ties
+        from scipy.stats import rankdata
+        values = np.array(values, dtype=float)
+        assert np.array_equal(_average_ranks(values), rankdata(values))
+
+    def test_non_finite_value_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DataError, match="finite"):
+                spearman_rho([1.0, bad, 3.0], [1.0, 2.0, 3.0])
 
     @given(st.lists(st.integers(-1000, 1000), min_size=3, max_size=20, unique=True))
     def test_monotone_transform_invariance(self, xs):

@@ -366,6 +366,24 @@ class TestAnnotationSet:
         with pytest.raises(DataError):
             AnnotationSet((r, r), {"x": 1})
 
+    def test_meta_text_key_does_not_replace_unit_text(self):
+        unit = Unit(id="u1", text="the passage", meta={"text": "META", "title": "T"})
+        rendered = PromptTemplate("Label {title}: {text}", "sentiment").render(unit)
+        assert rendered == "Label T: the passage"
+
+    @pytest.mark.parametrize("instruction", ["{} {text}", "{0}", "{text} {0.x}",
+                                             "unclosed {text"])
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_positional_or_malformed_template_rejected_before_send(
+            self, instruction, batch_size):
+        class NoSend:
+            def send(self, *args, **kwargs):
+                raise AssertionError("no request may be sent")
+
+        with pytest.raises(ConfigError):
+            annotate(make_corpus(4), PromptTemplate(instruction, "sentiment"),
+                     NoSend(), SCHEME, policy=AnnotatePolicy(batch_size=batch_size))
+
     def test_unresolvable_placeholder_names_unit(self):
         corpus = Corpus((Unit(id="u9", text="x"),))
         bad = PromptTemplate("{text} {missing_field}", "sentiment")

@@ -118,6 +118,25 @@ class TestYearlyProportionOf:
         table = self.table(["A", "A", "A", "B"], [1990] * 4)
         assert table[1990] == {"A": 0.75, "B": 0.25}
 
+    def test_years_counted_once_per_column(self, monkeypatch):
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(
+            np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        em = ErrorModel(("A", "B"), np.array([[0.8, 0.2], [0.2, 0.8]]))
+        years = np.array([1990, 1991] * 10)
+        bootstrap_ci(["A", "B", "B", "A"] * 5, {"year": years}, em,
+                     yearly_proportion_of("A"), BootstrapConfig(n_replicates=50))
+        assert len(calls) == 1
+
+    def test_new_year_column_is_recounted(self):
+        plugin = yearly_proportion_of("A")
+        labels = np.array(["A", "B", "A", "A"])
+        assert plugin(labels, {"year": np.array([1, 1, 2, 2])}) == {
+            "prop_A_1": 0.5, "prop_A_2": 1.0}
+        assert plugin(labels, {"year": np.array([3, 3, 3, 4])}) == {
+            "prop_A_3": 2 / 3, "prop_A_4": 1.0}
+
 
 class TestBootstrapCi:
     def test_identity_model_gives_zero_width(self):
@@ -180,6 +199,22 @@ class TestBootstrapCi:
         s = result.statistics["prop_A"]
         assert s.ci_low == pytest.approx(s.point - 1.96 * s.sigma)
         assert s.ci_high == pytest.approx(s.point + 1.96 * s.sigma)
+
+    def test_normal_ci_of_probabilities_clipped_to_unit_interval(self):
+        em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
+        labels = ["A"] + ["B"] * 99
+
+        def plugin(labels, covariates):
+            share = np.count_nonzero(labels == "A") / len(labels)
+            return {"p_A": share, "prop_B": 1 - share, "beta_A": share}
+
+        result = bootstrap_ci(labels, {}, em, plugin,
+                              BootstrapConfig(n_replicates=500, seed=2))
+        p, prop, beta = (result.statistics[n] for n in ("p_A", "prop_B", "beta_A"))
+        assert beta.ci_low < 0 and beta.ci_high < 1
+        assert (p.ci_low, p.ci_high) == (0.0, beta.ci_high)
+        assert prop.ci_low == pytest.approx(1 - beta.ci_high)
+        assert prop.ci_high == 1.0
 
     def test_percentile_ci_brackets_the_mass(self):
         em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))

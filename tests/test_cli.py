@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -86,6 +90,21 @@ def _bootstrap_with_meta(workspace, statistic, meta, replicates=10, out="boot"):
         "--out", workspace / out / "boot.json",
         "--replicates-csv", workspace / out / "replicates.csv",
     ])
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    # every CLI process pays for what importing the CLI loads; these are
+    # loaded only by the commands that use them (a mixed fit, an endpoint)
+    import quantitize
+    heavy = ("scipy.stats", "scipy.optimize", "requests")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(quantitize.__file__).resolve().parents[1])}
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, quantitize.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.strip()
+    assert loaded == "[]"
 
 
 class TestPipeline:
@@ -195,6 +214,26 @@ class TestExitCodes:
         assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2
         assert "policy must be a mapping" in capsys.readouterr().err
 
+    def test_wrong_value_type_is_2(self, workspace, capsys):
+        # a value of the wrong type is named with its section and key
+        for section, key, value in (("policy", "batch_size", "2"),
+                                    ("policy", "max_retries", True),
+                                    ("decoding", "max_output_tokens", "3"),
+                                    ("decoding", "stop", "###")):
+            cfg = yaml.safe_load((workspace / "run.yaml").read_text())
+            cfg[section] = {key: value}
+            (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg),
+                                                encoding="utf-8")
+            assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2, key
+            assert f"{section}.{key}" in capsys.readouterr().err
+        (workspace / "rows.csv").write_text("id,text\nr1,hello\n", encoding="utf-8")
+        (workspace / "map.yaml").write_text(yaml.safe_dump({"id_column": 3}),
+                                            encoding="utf-8")
+        assert run(["ingest", "--input", workspace / "rows.csv", "--format", "csv",
+                    "--mapping", workspace / "map.yaml",
+                    "--out", workspace / "c.jsonl"]) == 2
+        assert "mapping.id_column" in capsys.readouterr().err
+
     def test_unknown_client_key_is_2(self, workspace, capsys):
         # concurrency is policy.max_in_flight; the client section has none
         for key in ("api_key", "max_in_flight"):
@@ -221,6 +260,23 @@ class TestExitCodes:
         (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
         assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2
         assert "'title'" in capsys.readouterr().err
+
+    def test_positional_placeholder_is_2(self, workspace, monkeypatch, capsys):
+        # also at batch_size 1, before a single request goes out
+        def send(*args, **kwargs):
+            raise AssertionError("no request may be sent")
+
+        monkeypatch.setattr(MockModel, "send", send)
+        for placeholder in ("{}", "{0}"):
+            (workspace / "positional.txt").write_text(
+                f"Label {placeholder}: Positive or Negative.\n\n{{text}}\n",
+                encoding="utf-8")
+            cfg = yaml.safe_load((workspace / "run.yaml").read_text())
+            cfg["template"] = "positional.txt"
+            (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg),
+                                                encoding="utf-8")
+            assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2
+            assert "must be named" in capsys.readouterr().err
 
     def test_bad_data_is_3(self, workspace, tmp_path):
         (tmp_path / "dupes.jsonl").write_text(
