@@ -82,6 +82,8 @@ class PromptTemplate:
             raise DataError(
                 f"unit {unit.id!r}: placeholder {exc.args[0]!r} cannot be resolved"
             )
+        except (AttributeError, IndexError, ValueError) as exc:  # {a.b}, {a[1]}, {a:d}
+            raise DataError(f"unit {unit.id!r}: template cannot be filled: {exc}")
 
 
 @dataclass(frozen=True)
@@ -262,9 +264,11 @@ class MockModel:
                 raise ConfigError(
                     "gold_corruption needs labels, a corruption matrix and gold labels"
                 )
-            matrix = np.asarray(matrix, dtype=float)
-            if matrix.shape != (len(labels), len(labels)):
+            # row by row, so that ragged rows are a shape error too
+            if len(matrix) != len(labels) or any(
+                    np.shape(row) != (len(labels),) for row in matrix):
                 raise ConfigError("corruption matrix shape does not match labels")
+            matrix = np.asarray(matrix, dtype=float)
             if not np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9):
                 raise ConfigError("corruption matrix rows must sum to 1")
             self.labels = tuple(labels)

@@ -3,8 +3,8 @@
 Subcommands wire the library into a batch pipeline: ingest, annotate,
 evaluate, bootstrap, fit, demo, report. Reports are machine-first (JSON and
 CSV files) with a short human summary on standard output. Every command
-writes a manifest that is sufficient to re-run it bit-identically on the
-mock/seeded paths.
+but demo and report writes a manifest that is sufficient to re-run it
+bit-identically on the mock/seeded paths.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 transport
 failure.
@@ -74,39 +74,44 @@ EXIT_DATA = 3
 EXIT_TRANSPORT = 4
 
 
-def _write_manifest(out_dir: Path, command: str, payload: dict) -> None:
-    write_json(out_dir / "manifest.json",
-               {"command": command, "version": __version__, **payload})
+def _write_manifest(out_dir: Path, args) -> None:
+    """The command's parsed arguments, enough to run it again."""
+    manifest = {key: value for key, value in vars(args).items() if key != "func"}
+    write_json(out_dir / "manifest.json", {"version": __version__, **manifest})
 
 
 def _parse_strategy(text: str):
-    parts = text.split(":")
-    kind = parts[0]
+    kind, *params = text.split(":")
     if kind == "paragraph":
         return Paragraph()
     if kind == "sentence":
         return SentenceSplit()
-    if kind == "window":
-        if len(parts) < 2:
-            raise ConfigError("window strategy needs a size, e.g. window:100")
-        merge = int(parts[2]) if len(parts) > 2 else 0
-        return Window(size=int(parts[1]), merge_below=merge)
-    if kind == "scene":
-        if len(parts) < 2:
-            raise ConfigError(r"scene strategy needs a marker, e.g. scene:INT\.|EXT\.")
-        merge = int(parts[2]) if len(parts) > 2 else 0
-        return Scene(marker=parts[1], merge_below=merge)
-    raise ConfigError(f"unknown unitize strategy {kind!r}")
+    if kind not in ("window", "scene"):
+        raise ConfigError(f"unknown unitize strategy {kind!r}")
+    if not params:
+        raise ConfigError(r"strategy needs a parameter: window:100, scene:INT\.|EXT\.")
+    try:
+        merge = int(params[1]) if len(params) > 1 else 0
+        return (Window(size=int(params[0]), merge_below=merge) if kind == "window"
+                else Scene(marker=params[0], merge_below=merge))
+    except ValueError:
+        raise ConfigError(f"strategy {text!r}: sizes must be integers") from None
 
 
 def _fits(hint, value) -> bool:
-    """Whether a config value has a field's annotated type: a float field
-    takes an int, a tuple field a list, and no number field a bool."""
-    origin = typing.get_origin(hint) or hint
+    """Whether a config value has a field's type, down to tuple and dict
+    elements: a float takes an int, a tuple a list, and no number a bool."""
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
     if origin is typing.Union:
-        return any(_fits(h, value) for h in typing.get_args(hint))
+        return any(_fits(h, value) for h in args)
     if origin is tuple:
-        return isinstance(value, (list, tuple))
+        if args[-1:] == (Ellipsis,) and isinstance(value, (list, tuple)):
+            args = args[:1] * len(value)
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, args, value)))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(args[0], k) and _fits(args[1], v) for k, v in value.items())
     if isinstance(value, bool) and origin in (int, float):
         return False
     if origin is float:
@@ -115,127 +120,123 @@ def _fits(hint, value) -> bool:
 
 
 def _from_section(cls, doc, section: str):
-    """``cls(**doc)`` for a config section, whose keys must be fields of
-    the dataclass ``cls`` and whose values must have the fields' types."""
+    """``cls(**doc)`` for a config section. Each key must be a field of the
+    dataclass ``cls``, each field without a default must be given, and each
+    value must have its field's type; a dataclass field is a nested section."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{section} must be a mapping")
-    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(fields)
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    missing = [name for name, f in fields.items() if name not in doc
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{section} is missing required keys {missing}")
     hints = typing.get_type_hints(cls)
+    values = {}
     for key, value in doc.items():
         hint = hints[key]
-        if not _fits(hint, value):
+        nested = [h for h in (hint, *typing.get_args(hint))
+                  if dataclasses.is_dataclass(h)]
+        if _fits(hint, value):
+            values[key] = value
+        elif nested:
+            values[key] = _from_section(nested[0], value, f"{section}.{key}")
+        else:
             expected = (hint.__name__ if isinstance(hint, type)
                         else str(hint).replace("typing.", ""))
             raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
-    return cls(**doc)
+    return cls(**values)
 
 
-def _load_mapping(path: Path) -> CsvMapping:
+def _load_yaml(cls, path, section: str):
+    """A YAML file as the dataclass ``cls``, through :func:`_from_section`."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh) or {}
-    return _from_section(CsvMapping, doc, "mapping")
+    return _from_section(cls, doc, section)
 
 
 def cmd_ingest(args) -> int:
     scheme = load_scheme(args.scheme) if args.scheme else None
-    mapping = _load_mapping(Path(args.mapping)) if args.mapping else None
+    mapping = _load_yaml(CsvMapping, args.mapping, "mapping") if args.mapping else None
     strategy = _parse_strategy(args.strategy) if args.strategy else None
     corpus = ingest(args.input, args.format, scheme=scheme, csv_mapping=mapping,
                     unitize_strategy=strategy)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_corpus(corpus, out)
-    _write_manifest(out.parent, "ingest", {
-        "input": str(args.input), "format": args.format,
-        "scheme": args.scheme, "mapping": args.mapping,
-        "strategy": args.strategy, "out": str(out),
-    })
+    _write_manifest(out.parent, args)
     print(f"ingested {len(corpus)} units -> {out}")
     return EXIT_OK
 
 
-_RUN_CONFIG_KEYS = {
-    "corpus", "scheme", "template", "variable", "output_dir", "seed",
-    "client", "policy", "decoding",
-}
-_CLIENT_KEYS = {
-    "kind", "endpoint", "model", "auth_env", "timeout",
-    "mode", "rules", "matrix", "refuse_units",
-}
+@dataclasses.dataclass(frozen=True)
+class ClientConfig:
+    """The ``client`` section of a run config: an endpoint or the mock."""
+
+    kind: str = "mock"  # or "endpoint"
+    endpoint: typing.Optional[str] = None
+    model: typing.Optional[str] = None
+    auth_env: str = "QUANTITIZE_API_TOKEN"
+    timeout: float = 60.0
+    mode: str = "gold_corruption"  # or "rules"
+    rules: dict[str, str] = dataclasses.field(default_factory=dict)
+    matrix: typing.Optional[tuple[tuple[float, ...], ...]] = None  # default: identity
+    refuse_units: tuple[str, ...] = ()
 
 
-def _load_run_config(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
-    unknown = set(doc) - _RUN_CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    client = doc.get("client", {})
-    unknown = set(client) - _CLIENT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown client keys: {sorted(unknown)}")
-    for key in ("corpus", "scheme", "template", "variable", "output_dir"):
-        if key not in doc:
-            raise ConfigError(f"config is missing required key {key!r}")
-    base = path.parent
-    for key in ("corpus", "scheme", "template", "output_dir"):
-        doc[key] = str((base / doc[key]).resolve())
-    return doc
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """An annotate run config; paths are relative to the config file."""
+
+    corpus: str
+    scheme: str
+    template: str
+    variable: str
+    output_dir: str
+    seed: int = 0
+    client: ClientConfig = dataclasses.field(default_factory=ClientConfig)
+    policy: AnnotatePolicy = AnnotatePolicy()
+    decoding: typing.Optional[DecodingControls] = None  # None: for_variable's
 
 
-def _build_client(cfg: dict, corpus, scheme, variable, seed: int, audit: AuditLog):
-    kind = cfg.get("kind", "mock")
-    if kind == "endpoint":
-        for key in ("endpoint", "model"):
-            if key not in cfg:
-                raise ConfigError(f"endpoint client needs {key!r}")
-        return ChatCompletionClient(
-            base_url=cfg["endpoint"],
-            model=cfg["model"],
-            auth_env=cfg.get("auth_env", "QUANTITIZE_API_TOKEN"),
-            timeout=float(cfg.get("timeout", 60.0)),
-            audit=audit,
-        )
-    if kind == "mock":
-        mode = cfg.get("mode", "gold_corruption")
-        if mode == "rules":
-            return MockModel("rules", rules=cfg.get("rules", {}),
-                             refuse_units=cfg.get("refuse_units", ()))
+def _build_client(cfg: ClientConfig, corpus, scheme, variable, seed: int, audit):
+    if cfg.kind == "endpoint":
+        if cfg.endpoint is None or cfg.model is None:
+            raise ConfigError("an endpoint client needs 'endpoint' and 'model'")
+        return ChatCompletionClient(base_url=cfg.endpoint, model=cfg.model,
+                                    auth_env=cfg.auth_env, timeout=cfg.timeout,
+                                    audit=audit)
+    if cfg.kind == "mock":
+        if cfg.mode != "gold_corruption":
+            return MockModel(cfg.mode, rules=cfg.rules, refuse_units=cfg.refuse_units)
         var = scheme.variable(variable)
-        matrix = cfg.get("matrix")
-        if matrix is None:
-            matrix = np.eye(len(var.labels))
-        return MockModel.from_corpus(corpus, var, np.asarray(matrix, dtype=float),
-                                     seed=seed,
-                                     refuse_units=cfg.get("refuse_units", ()))
-    raise ConfigError(f"unknown client kind {kind!r}")
+        matrix = np.eye(len(var.labels)) if cfg.matrix is None else cfg.matrix
+        return MockModel.from_corpus(corpus, var, matrix, seed=seed,
+                                     refuse_units=cfg.refuse_units)
+    raise ConfigError(f"unknown client kind {cfg.kind!r}")
 
 
 def cmd_annotate(args) -> int:
-    cfg = _load_run_config(Path(args.config).resolve())
-    out_dir = Path(cfg["output_dir"])
+    path = Path(args.config).resolve()
+    cfg = _load_yaml(RunConfig, path, "config")
+    out_dir = path.parent / cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = ingest(cfg["corpus"], "jsonl")
-    scheme = load_scheme(cfg["scheme"])
-    instruction = Path(cfg["template"]).read_text(encoding="utf-8")
-    template = PromptTemplate(instruction=instruction, variable=cfg["variable"])
-    seed = int(cfg.get("seed", 0))
-    policy = _from_section(AnnotatePolicy, cfg.get("policy", {}), "policy")
-    controls = (_from_section(DecodingControls, cfg["decoding"], "decoding")
-                if "decoding" in cfg else None)
+    corpus = ingest(path.parent / cfg.corpus, "jsonl")
+    scheme = load_scheme(path.parent / cfg.scheme)
+    instruction = (path.parent / cfg.template).read_text(encoding="utf-8")
+    template = PromptTemplate(instruction=instruction, variable=cfg.variable)
     audit = AuditLog(out_dir / "audit.jsonl")
-    client = _build_client(cfg.get("client", {}), corpus, scheme,
-                           cfg["variable"], seed, audit)
-    result = annotate(corpus, template, client, scheme, policy=policy,
-                      controls=controls, seed=seed)
+    client = _build_client(cfg.client, corpus, scheme, cfg.variable, cfg.seed, audit)
+    result = annotate(corpus, template, client, scheme, policy=cfg.policy,
+                      controls=cfg.decoding, seed=cfg.seed)
     result.save(out_dir / "annotations.jsonl", out_dir / "manifest.json")
     counts = result.counts_by_status()
     failures = counts.get("refused", 0) + counts.get("unparseable", 0)
     # transport-fatal: nothing succeeded against an endpoint; no file may
     # look like the result of a finished run
-    if counts.get("ok", 0) == 0 and cfg.get("client", {}).get("kind") == "endpoint":
+    if counts.get("ok", 0) == 0 and cfg.client.kind == "endpoint":
         for name in ("annotations.jsonl", "manifest.json"):
             (out_dir / name).rename(out_dir / f"{name}.partial")
         raise TransportError("no unit could be annotated; endpoint unusable")
@@ -273,10 +274,7 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cm.to_csv(out_dir / "confusion.csv")
     report.to_json(out_dir / "report.json")
-    _write_manifest(out_dir, "evaluate", {
-        "corpus": str(args.corpus), "annotations": str(args.annotations),
-        "scheme": str(args.scheme), "variable": args.variable,
-    })
+    _write_manifest(out_dir, args)
     print(f"n={report.n} accuracy={report.accuracy:.4f} kappa={report.kappa:.4f} "
           f"macro_f1={report.macro_f1:.4f}")
     return EXIT_OK
@@ -367,12 +365,7 @@ def cmd_bootstrap(args) -> int:
     result.to_json(out)
     if args.replicates_csv:
         result.replicates_to_csv(args.replicates_csv)
-    _write_manifest(out.parent, "bootstrap", {
-        "annotations": str(args.annotations), "confusion": str(args.confusion),
-        "statistic": args.statistic, "replicates": args.replicates,
-        "seed": args.seed, "ci_method": args.ci_method, "level": args.level,
-        "error_mode": args.error_mode,
-    })
+    _write_manifest(out.parent, args)
     for name, s in result.statistics.items():
         print(f"{name}: {s.point:.6g} +- {config.z * s.sigma:.6g} "
               f"(sigma={s.sigma:.6g}, CI [{s.ci_low:.6g}, {s.ci_high:.6g}])")
@@ -426,10 +419,7 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fit.to_json(out)
-    _write_manifest(out.parent, "fit", {
-        "data": str(args.data), "formula": args.formula,
-        "quad_nodes": args.quad_nodes,
-    })
+    _write_manifest(out.parent, args)
     print(_fit_table(fit))
     return EXIT_OK
 

@@ -404,7 +404,10 @@ def unitize(text: str, strategy: UnitizeStrategy) -> list[Unit]:
         segments = _window_chunks(text, max_chars=strategy.size * 4)
         segments = _merge_short(segments, strategy.merge_below)
     elif isinstance(strategy, Scene):
-        pattern = re.compile(rf"(?m)^(?={strategy.marker})")
+        try:
+            pattern = re.compile(rf"(?m)^(?={strategy.marker})")
+        except re.error as exc:
+            raise ConfigError(f"scene strategy marker {strategy.marker!r}: {exc}")
         segments = [s for s in pattern.split(text) if s.strip()]
         segments = _merge_short(segments, strategy.merge_below)
     else:

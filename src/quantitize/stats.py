@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .jsonio import write_json
 
 MAX_ABS_BETA = 15.0  # separation guard on the logit scale
@@ -206,6 +206,8 @@ class _MarginalLikelihood:
     """
 
     def __init__(self, X, y, groups, n_quad):
+        if n_quad < 1:
+            raise ConfigError(f"need 1 or more quadrature nodes, got {n_quad}")
         _, group_index = np.unique(np.asarray(groups), return_inverse=True)
         order = np.argsort(group_index, kind="stable")
         self.X = X[order]

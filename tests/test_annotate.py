@@ -384,9 +384,13 @@ class TestAnnotationSet:
             annotate(make_corpus(4), PromptTemplate(instruction, "sentiment"),
                      NoSend(), SCHEME, policy=AnnotatePolicy(batch_size=batch_size))
 
-    def test_unresolvable_placeholder_names_unit(self):
-        corpus = Corpus((Unit(id="u9", text="x"),))
-        bad = PromptTemplate("{text} {missing_field}", "sentiment")
+    @pytest.mark.parametrize("instruction", [
+        "{text} {missing_field}", "{text:d}", "{title!z}", "{title.x}",
+        "{text[5]}",  # the unit's text is "hi"
+    ])
+    def test_unresolvable_placeholder_names_unit(self, instruction):
+        corpus = Corpus((Unit(id="u9", text="hi", meta={"title": "T"}),))
+        bad = PromptTemplate(instruction, "sentiment")
         mock = MockModel("rules", rules={})
         with pytest.raises(DataError, match="u9"):
             annotate(corpus, bad, mock, SCHEME)

@@ -214,18 +214,42 @@ class TestExitCodes:
         assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2
         assert "policy must be a mapping" in capsys.readouterr().err
 
-    def test_wrong_value_type_is_2(self, workspace, capsys):
-        # a value of the wrong type is named with its section and key
-        for section, key, value in (("policy", "batch_size", "2"),
-                                    ("policy", "max_retries", True),
-                                    ("decoding", "max_output_tokens", "3"),
-                                    ("decoding", "stop", "###")):
+    def test_wrong_value_type_is_2(self, workspace, monkeypatch, capsys):
+        # a value of the wrong type is named with its section and key, at
+        # every level of the run config and down to list and mapping
+        # elements; the last two have the right type but the mock cannot
+        # use them
+        monkeypatch.setenv("QUANTITIZE_API_TOKEN", "tok")
+        endpoint = {"kind": "endpoint", "endpoint": "http://127.0.0.1:9",
+                    "model": "m1", "timeout": "x"}
+        for path, value, named in (
+                ("policy.batch_size", "2", "policy.batch_size"),
+                ("policy.max_retries", True, "policy.max_retries"),
+                ("decoding.max_output_tokens", "3", "decoding.max_output_tokens"),
+                ("decoding.stop", "###", "decoding.stop"),
+                ("decoding.label_bias", [["Positive"]], "decoding.label_bias"),
+                ("seed", "abc", "config.seed"),
+                ("seed", 1.7, "config.seed"),
+                ("seed", True, "config.seed"),
+                ("corpus", 5, "config.corpus"),
+                ("client", None, "config.client"),
+                ("client.matrix", "foo", "client.matrix"),
+                ("client.refuse_units", 5, "client.refuse_units"),
+                ("client.refuse_units", "u001", "client.refuse_units"),
+                ("client.rules", ["a"], "client.rules"),
+                ("client", endpoint, "client.timeout"),
+                ("client.matrix", [[1.0, 0.0], [1.0]], "matrix shape"),
+                ("client.mode", "bogus", "unknown mock mode")):
             cfg = yaml.safe_load((workspace / "run.yaml").read_text())
-            cfg[section] = {key: value}
+            *parents, key = path.split(".")
+            section = cfg
+            for name in parents:
+                section = section.setdefault(name, {})
+            section[key] = value
             (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg),
                                                 encoding="utf-8")
-            assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2, key
-            assert f"{section}.{key}" in capsys.readouterr().err
+            assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2, path
+            assert named in capsys.readouterr().err, path
         (workspace / "rows.csv").write_text("id,text\nr1,hello\n", encoding="utf-8")
         (workspace / "map.yaml").write_text(yaml.safe_dump({"id_column": 3}),
                                             encoding="utf-8")
@@ -233,6 +257,42 @@ class TestExitCodes:
                     "--mapping", workspace / "map.yaml",
                     "--out", workspace / "c.jsonl"]) == 2
         assert "mapping.id_column" in capsys.readouterr().err
+
+    def test_missing_required_key_is_2(self, workspace, capsys):
+        cfg = yaml.safe_load((workspace / "run.yaml").read_text())
+        del cfg["variable"]
+        (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2
+        assert "'variable'" in capsys.readouterr().err
+
+    def test_null_decoding_is_the_default(self, workspace):
+        run(["annotate", "--config", workspace / "run.yaml"])
+        base = (workspace / "out" / "annotations.jsonl").read_bytes()
+        cfg = yaml.safe_load((workspace / "run.yaml").read_text())
+        cfg["decoding"] = None
+        cfg["output_dir"] = "out_null"
+        (workspace / "null.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert run(["annotate", "--config", workspace / "null.yaml"]) == 0
+        assert (workspace / "out_null" / "annotations.jsonl").read_bytes() == base
+
+    def test_unusable_argument_value_is_2(self, tmp_path, capsys):
+        (tmp_path / "doc.txt").write_text("word " * 50, encoding="utf-8")
+        for strategy in ("window:abc", "window:10:x", "scene:("):
+            assert run([
+                "ingest", "--input", tmp_path / "doc.txt", "--format", "text",
+                "--strategy", strategy, "--out", tmp_path / "corpus.jsonl",
+            ]) == 2, strategy
+            assert "strategy" in capsys.readouterr().err, strategy
+        rows = ["id,online"] + [f"g{i % 3},{i % 2}" for i in range(12)]
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n",
+                                           encoding="utf-8")
+        for nodes in (0, -1):
+            assert run([
+                "fit", "--data", tmp_path / "data.csv",
+                "--formula", "online ~ (1|id)", "--quad-nodes", nodes,
+                "--out", tmp_path / "fit.json",
+            ]) == 2, nodes
+            assert "quadrature nodes" in capsys.readouterr().err, nodes
 
     def test_unknown_client_key_is_2(self, workspace, capsys):
         # concurrency is policy.max_in_flight; the client section has none
@@ -347,6 +407,29 @@ class TestExitCodes:
             lambda i: {"age": 20.0 + i, "school": f"s{i % 3}"})
         assert code == 2
         assert "mixed:" in capsys.readouterr().err
+
+
+class TestManifests:
+    def test_bootstrap_reruns_from_its_manifest(self, workspace):
+        # the manifest holds every argument, --corpus and --replicates-csv
+        # included, so the run it describes can be repeated from it alone
+        _annotate_and_evaluate(workspace)
+        evaluate = json.loads((workspace / "eval" / "manifest.json").read_text())
+        assert evaluate["out_dir"] == str(workspace / "eval")
+        assert _bootstrap_with_meta(workspace, "yearly_proportions:Positive",
+                                    lambda i: {"year": 1990 + i % 4}) == 0
+        manifest = json.loads((workspace / "boot" / "manifest.json").read_text())
+        assert manifest["corpus"] == str(workspace / "meta.jsonl")
+        manifest["out"] = str(workspace / "again" / "boot.json")
+        manifest["replicates_csv"] = str(workspace / "again" / "replicates.csv")
+        argv = [manifest.pop("command")]
+        del manifest["version"]
+        for key, value in manifest.items():
+            argv += [f"--{key.replace('_', '-')}", value]
+        assert run(argv) == 0
+        for name in ("boot.json", "replicates.csv"):
+            assert ((workspace / "again" / name).read_bytes()
+                    == (workspace / "boot" / name).read_bytes()), name
 
 
 class TestGoldenStream:
