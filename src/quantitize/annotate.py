@@ -76,14 +76,19 @@ class PromptTemplate:
         return names
 
     def render(self, unit: Unit) -> str:
+        return self._fill(f"unit {unit.id!r}", {**unit.meta, "text": unit.text})
+
+    def render_batch(self, units: Sequence[Unit]) -> str:
+        numbered = "\n\n".join(f"{i + 1}. {u.text}" for i, u in enumerate(units))
+        return self._fill(f"units {[u.id for u in units]}", {"text": numbered})
+
+    def _fill(self, who: str, values: dict) -> str:
         try:
-            return self.instruction.format(**{**unit.meta, "text": unit.text})
+            return self.instruction.format(**values)
         except KeyError as exc:
-            raise DataError(
-                f"unit {unit.id!r}: placeholder {exc.args[0]!r} cannot be resolved"
-            )
+            raise DataError(f"{who}: placeholder {exc.args[0]!r} cannot be resolved")
         except (AttributeError, IndexError, ValueError) as exc:  # {a.b}, {a[1]}, {a:d}
-            raise DataError(f"unit {unit.id!r}: template cannot be filled: {exc}")
+            raise DataError(f"{who}: template cannot be filled: {exc}")
 
 
 @dataclass(frozen=True)
@@ -563,10 +568,7 @@ def annotate(
     def run_batch(batch: list[Unit]) -> list[AnnotationRecord]:
         if len(batch) == 1:
             return [run_single(batch[0])]
-        numbered = "\n\n".join(
-            f"{i + 1}. {u.text}" for i, u in enumerate(batch)
-        )
-        prompt = template.instruction.format(text=numbered)
+        prompt = template.render_batch(batch)
         ids = [u.id for u in batch]
         reply, attempts = _call_with_retry(client, prompt, controls, ids, policy,
                                            sleep=sleep)

@@ -23,11 +23,14 @@ from .jsonio import write_json
 
 log = logging.getLogger(__name__)
 
-# statistic plugin: (labels, covariates) -> named reals. ``labels`` is a 1-D
-# array of label strings, one per unit; ``covariates`` maps each covariate
-# name to a column aligned with the labels. Outputs named ``p_*`` or
-# ``prop_*`` are probabilities, so their normal interval is clipped to [0, 1].
-StatisticPlugin = Callable[[np.ndarray, Mapping[str, np.ndarray]], dict[str, float]]
+# statistic plugin: (labels, covariates) -> named outputs, each of the shape
+# ``labels.shape[:-1]``. ``labels[..., n]`` holds label strings, 1-D for the
+# point estimate and one row per replicate for a chunk; ``covariates`` maps
+# each covariate name to a column aligned with the last axis. Outputs named
+# ``p_*`` or ``prop_*`` are probabilities: their normal CI is clipped to [0, 1].
+StatisticPlugin = Callable[[np.ndarray, Mapping[str, np.ndarray]], dict[str, np.ndarray]]
+
+CHUNK_CELLS = 2**14  # labels per chunk of replicates: more costs memory, no time
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,13 @@ def error_model_from_confusion(
 
 
 def simulate_replicate(
-    codes: np.ndarray, em: ErrorModel, rng: np.random.Generator
+    codes: np.ndarray, em: ErrorModel, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
     """Redraw each unit's label code (an index into ``em.labels``) from the
-    distribution of its observed label."""
-    cum = np.cumsum(em.dists, axis=1)
-    u = rng.random(len(codes))
-    drawn = (u[:, None] > cum[codes]).sum(axis=1)
+    distribution of its observed label, one row per generator in ``rngs``."""
+    cum = np.cumsum(em.dists, axis=1)[codes]
+    u = np.stack([rng.random(len(codes)) for rng in rngs])
+    drawn = (u[:, :, None] > cum).sum(axis=2)
     return np.minimum(drawn, len(em.labels) - 1)
 
 
@@ -163,7 +166,7 @@ def bootstrap_ci(
 
     Every column in ``covariates`` must have one value per label. Each
     replicate draws from an RNG seeded by (seed, replicate index), so the
-    result does not depend on execution order. The normal CI is centered
+    result does not depend on order or chunking. The normal CI is centered
     on the observed-label point estimate with half-width z * sigma; the
     percentile CI uses empirical replicate quantiles.
     """
@@ -186,16 +189,29 @@ def bootstrap_ci(
         # statistic is constant across replicates by construction
         values[:] = point_row
     else:
-        for r in range(config.n_replicates):
-            rng = np.random.default_rng([config.seed, r])
-            sim = simulate_replicate(codes, em, rng)
+        size = max(1, CHUNK_CELLS // max(len(codes), 1))
+        for start in range(0, config.n_replicates, size):
+            chunk = range(start, min(start + size, config.n_replicates))
+            sim = simulate_replicate(
+                codes, em, [np.random.default_rng([config.seed, r]) for r in chunk])
             try:
                 stat = statistic(label_names[sim], covariates)
-            except Exception as exc:
-                raise DataError(
-                    f"statistic failed on replicate {r}: {exc}"
-                ) from exc
-            values[r] = [stat[n] for n in names]
+            except Exception as err:
+                # one replicate at a time, to name the first one that fails
+                for r, row in zip(chunk, sim):
+                    try:
+                        statistic(label_names[row], covariates)
+                    except Exception as exc:
+                        raise DataError(f"statistic failed on replicate {r}: "
+                                        f"{exc}") from exc
+                raise DataError(f"statistic failed on replicates {chunk.start}-"
+                                f"{chunk.stop - 1} but on none alone: {err}") from err
+            for j, name in enumerate(names):
+                column = np.asarray(stat[name])
+                if column.shape != (len(chunk),):
+                    raise DataError(f"statistic output {name!r} has shape "
+                                    f"{column.shape} for {len(chunk)} replicates")
+                values[chunk.start:chunk.stop, j] = column
 
     # Guard against float rounding in the degenerate case: when every
     # replicate reproduces the point value exactly, the spread is zero by
@@ -239,7 +255,8 @@ def proportion_of(label: str) -> StatisticPlugin:
     """Fraction of units carrying the given label."""
 
     def plugin(labels, covariates):
-        return {f"prop_{label}": np.count_nonzero(labels == label) / len(labels)}
+        hits = np.count_nonzero(labels == label, axis=-1)
+        return {f"prop_{label}": hits / labels.shape[-1]}
 
     return plugin
 
@@ -259,8 +276,13 @@ def yearly_proportion_of(label: str) -> StatisticPlugin:
             cached["codes"] = (years, year_codes,
                                np.bincount(year_codes, minlength=len(years)))
         years, year_codes, totals = cached["codes"]
-        hits = np.bincount(year_codes[labels == label], minlength=len(years))
-        return {f"prop_{label}_{year}": hits[i] / totals[i]
-                for i, year in enumerate(years)}
+        rows = (labels == label).reshape(-1, len(year_codes))
+        # one bincount for every row: row i counts into cells i * len(years) on
+        row, unit = np.divmod(np.flatnonzero(rows), len(year_codes))
+        hits = np.bincount(row * len(years) + year_codes[unit],
+                           minlength=len(rows) * len(years))
+        share = hits.reshape(labels.shape[:-1] + (len(years),)) / totals
+        return dict(zip((f"prop_{label}_{year}" for year in years),
+                        np.moveaxis(share, -1, 0)))
 
     return plugin

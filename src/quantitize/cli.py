@@ -60,11 +60,12 @@ from .stats import (
     Observation,
     design_matrix,
     fit_logistic,
-    fit_logistic_arrays,
+    fit_logistic_stack,
     fit_logistic_random_intercept,
     fit_random_intercept_arrays,
     odds_ratio,
     parse_formula,
+    wald_tests,
 )
 from .synth import gen_confound, gen_interview_margins, gen_simpson
 
@@ -327,13 +328,18 @@ def _parse_statistic(spec: str, units):
         groups = columns[formula.group] if mixed else None
 
         def plugin(labels, covariates):  # covariates: the columns above
-            y = (labels == formula.response).astype(float)
-            fit = (fit_random_intercept_arrays(X, y, names, groups) if mixed
-                   else fit_logistic_arrays(X, y, names))
-            out = {}
-            for name in names[1:]:  # the slopes, not the intercept
-                coef = fit.coefficients[name]
-                out[f"beta_{name}"], out[f"p_{name}"] = coef.estimate, coef.p_value
+            Y = (labels == formula.response).astype(float).reshape(-1, len(X))
+            if mixed:
+                fits = [fit_random_intercept_arrays(X, y, names, groups) for y in Y]
+                beta, p = np.moveaxis([[(c.estimate, c.p_value) for c in
+                                        f.coefficients.values()] for f in fits], -1, 0)
+            else:
+                beta, cov, _, _ = fit_logistic_stack(X, Y, names)
+                p = wald_tests(beta, cov)[2]
+            out, shape = {}, labels.shape[:-1]
+            for i, name in enumerate(names[1:], 1):  # the slopes, not the intercept
+                out[f"beta_{name}"] = beta[:, i].reshape(shape)
+                out[f"p_{name}"] = p[:, i].reshape(shape)
             return out
 
         return plugin, columns

@@ -111,7 +111,11 @@ def load_scheme(path: Union[str, Path]) -> CodingScheme:
     if not isinstance(doc, dict) or "variables" not in doc:
         raise ConfigError(f"scheme file {path} has no 'variables' section")
     variables = []
-    for vd in doc["variables"]:
+    for i, vd in enumerate(doc["variables"]):
+        nolabel = [j for j, ld in enumerate(vd.get("levels", [])) if "label" not in ld]
+        if "name" not in vd or nolabel:
+            key = "name" if "name" not in vd else f"levels[{nolabel[0]}].label"
+            raise ConfigError(f"scheme file {path}: variables[{i}].{key} is missing")
         levels = tuple(
             Level(str(ld["label"]), str(ld.get("definition", "")))
             for ld in vd.get("levels", [])
@@ -223,16 +227,17 @@ class CsvMapping:
     group_columns: dict[str, str] = field(default_factory=dict)  # role -> column
     meta_columns: dict[str, str] = field(default_factory=dict)  # column -> type
     gold_columns: dict[str, str] = field(default_factory=dict)  # variable -> column
+    _TYPES = {"int": int, "float": float, "str": str,  # not a field: no annotation
+              "bool": lambda value: value.strip().lower() in ("1", "true", "yes")}
+
+    def __post_init__(self):
+        for column, kind in self.meta_columns.items():
+            if kind not in self._TYPES:
+                raise ConfigError(f"meta column {column!r} has type tag {kind!r}; "
+                                  "the tags are int, float, str and bool")
 
     def coerce(self, column: str, value: str) -> Scalar:
-        kind = self.meta_columns.get(column, "str")
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        if kind == "bool":
-            return value.strip().lower() in ("1", "true", "yes")
-        return value
+        return self._TYPES[self.meta_columns.get(column, "str")](value)
 
 
 def ingest(

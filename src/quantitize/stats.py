@@ -111,14 +111,19 @@ def design_matrix(columns: Mapping[str, Sequence[float]], n: int):
     return X, names
 
 
+def wald_tests(beta, cov):
+    """Standard errors, z and two-sided normal p-values of ``beta[..., p]``
+    with covariances ``cov[..., p, p]``, for a stack of fits too."""
+    se = np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0, beta / se, math.inf * np.sign(beta))
+    return se, z, np.where(np.isfinite(z), 2 * ndtr(-np.abs(z)), 0.0)
+
+
 def _wald(names, beta, cov):
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    out = {}
-    for i, name in enumerate(names):
-        z = beta[i] / se[i] if se[i] > 0 else math.inf * np.sign(beta[i])
-        p = float(2 * ndtr(-abs(z))) if math.isfinite(z) else 0.0
-        out[name] = Coefficient(float(beta[i]), float(se[i]), float(z), p)
-    return out
+    se, z, p = wald_tests(beta, cov)
+    return {name: Coefficient(float(beta[i]), float(se[i]), float(z[i]), float(p[i]))
+            for i, name in enumerate(names)}
 
 
 def fit_logistic(observations: Sequence[Observation]) -> FitResult:
@@ -128,50 +133,61 @@ def fit_logistic(observations: Sequence[Observation]) -> FitResult:
 
 def fit_logistic_arrays(X: np.ndarray, y: np.ndarray, names: list[str]) -> FitResult:
     """:func:`fit_logistic` on a :func:`design_matrix` and a 0/1 response."""
-    beta = np.zeros(X.shape[1])
-    ll = logistic_loglik(X, y, beta)
-    converged = False
+    beta, cov, ll, n_iter = fit_logistic_stack(X, y[None], names)
+    return FitResult(
+        coefficients=_wald(names, beta[0], cov[0]),
+        log_likelihood=float(ll[0]),
+        converged=True,
+        n_iter=int(n_iter[0]),
+        n_obs=len(y),
+    )
+
+
+def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
+    """IRLS fits of each 0/1 row of ``Y`` (R x n) on one :func:`design_matrix`
+    ``X``: beta, covariance, log-likelihood and iterations, one per row. Each
+    row does the arithmetic of a fit on that row alone, bit for bit; a row
+    that fails fails the stack with that fit's :class:`DataError`."""
+    beta = np.zeros((len(Y), X.shape[1]))
+    # at beta = 0 every row's log-likelihood is the same sum of log 2
+    ll = np.repeat(logistic_loglik(X, Y[:1], beta[:1]), len(Y))
+    n_iter = np.zeros(len(Y), dtype=int)
+    active = np.arange(len(Y))  # the rows not yet converged
     for it in range(1, IRLS_MAX_ITER + 1):
-        mu = expit(X @ beta)
-        w = mu * (1 - mu)
-        info = X.T @ (X * w[:, None])
-        score = X.T @ (y - mu)
+        b, y, ll_old = beta[active], Y[active], ll[active]
+        mu = expit(np.matmul(X, b[..., None])[..., 0])
+        info = np.matmul(X.T, X * (mu * (1 - mu))[..., None])
         try:
-            step = np.linalg.solve(info, score)
+            step = np.linalg.solve(info, np.matmul(X.T, (y - mu)[..., None]))[..., 0]
         except np.linalg.LinAlgError:
             raise DataError("singular information matrix during IRLS")
-        # step-halving: full Newton steps can overshoot near separation
-        factor = 1.0
+        # step-halving: full Newton steps can overshoot near separation; each
+        # row halves its own step, and the others recompute the same candidate
+        factor = np.ones(len(b))
         for _ in range(20):
-            candidate = beta + factor * step
-            if logistic_loglik(X, y, candidate) >= ll - 1e-12:
+            candidate = b + factor[:, None] * step
+            ll_new = logistic_loglik(X, y, candidate)  # also the next ll
+            worse = ~(ll_new >= ll_old - 1e-12)
+            if not worse.any():
                 break
-            factor /= 2
-        beta = candidate
-        big = np.abs(beta) > MAX_ABS_BETA
+            factor[worse] /= 2
+        big = np.abs(candidate) > MAX_ABS_BETA
         if big.any():
-            bad = [names[i] for i in np.where(big)[0]]
+            bad = [names[i] for i in np.flatnonzero(big[big.any(axis=1)][0])]
             raise DataError(
                 f"logistic fit did not converge (quasi-separation): {bad}"
             )
-        ll_new = logistic_loglik(X, y, beta)
-        if abs(ll_new - ll) < IRLS_TOL * (abs(ll) + IRLS_TOL):
-            ll = ll_new
-            converged = True
+        beta[active], ll[active] = candidate, ll_new
+        done = np.abs(ll_new - ll_old) < IRLS_TOL * (np.abs(ll_old) + IRLS_TOL)
+        n_iter[active[done]] = it
+        active = active[~done]
+        if not len(active):
             break
-        ll = ll_new
-    if not converged:
+    else:
         raise DataError(f"IRLS did not converge in {IRLS_MAX_ITER} iterations")
-    mu = expit(X @ beta)
-    info = X.T @ (X * (mu * (1 - mu))[:, None])
-    cov = np.linalg.inv(info)
-    return FitResult(
-        coefficients=_wald(names, beta, cov),
-        log_likelihood=ll,
-        converged=True,
-        n_iter=it,
-        n_obs=len(y),
-    )
+    mu = expit(np.matmul(X, beta[..., None])[..., 0])
+    info = np.matmul(X.T, X * (mu * (1 - mu))[..., None])
+    return beta, np.linalg.inv(info), ll, n_iter
 
 
 def logistic_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -179,10 +195,12 @@ def logistic_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray
     return X.T @ (y - expit(X @ beta))
 
 
-def logistic_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    eta = X @ beta
+def logistic_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray):
+    """Log-likelihood of the responses ``y[..., n]`` at ``beta[..., p]``;
+    leading axes hold a stack of fits."""
+    eta = np.matmul(X, beta[..., None])[..., 0]
     # log(1 + e^eta) computed stably
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+    return np.vecdot(y, eta) - np.logaddexp(0.0, eta).sum(axis=-1)
 
 
 # --- random-intercept model ------------------------------------------------
@@ -359,8 +377,7 @@ def fit_random_intercept_arrays(X, y, names, groups, n_quad=15, max_iter=200):
 
     # warm start from the fixed-effects fit; fall back to zeros on separation
     try:
-        fixed = fit_logistic_arrays(X, y, names)
-        beta0 = np.array([fixed.coefficients[n].estimate for n in names])
+        beta0 = fit_logistic_stack(X, y[None], names)[0][0]
     except DataError:
         beta0 = np.zeros(X.shape[1])
     theta0 = np.append(beta0, math.log(0.5))

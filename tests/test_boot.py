@@ -10,12 +10,16 @@ from quantitize import (
     ConfusionMatrix,
     DataError,
     ErrorModel,
+    Unit,
     bootstrap_ci,
     error_model_from_confusion,
+    gen_confound,
     proportion_of,
     simulate_replicate,
 )
+from quantitize import boot
 from quantitize.boot import yearly_proportion_of
+from quantitize.cli import _parse_statistic
 
 
 def identity_model(labels=("A", "B")):
@@ -55,13 +59,13 @@ class TestSimulateReplicate:
     def test_identity_returns_input(self):
         codes = np.array([0, 1, 0, 0, 1])
         out = simulate_replicate(codes, identity_model(),
-                                 np.random.default_rng(0))
+                                 [np.random.default_rng(0)])[0]
         assert out.tolist() == codes.tolist()
 
     def test_point_mass_maps_everything(self):
         em = ErrorModel(("A", "B"), np.array([[0.0, 1.0], [0.0, 1.0]]))
         out = simulate_replicate(np.array([0, 1, 0]), em,
-                                 np.random.default_rng(0))
+                                 [np.random.default_rng(0)])[0]
         assert out.tolist() == [1, 1, 1]
 
     def test_flip_rate_within_three_sigma(self):
@@ -69,7 +73,7 @@ class TestSimulateReplicate:
         em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
         n = 10000
         out = simulate_replicate(np.zeros(n, dtype=np.intp), em,
-                                 np.random.default_rng(42))
+                                 [np.random.default_rng(42)])[0]
         flips = np.count_nonzero(out == 1)
         sd = math.sqrt(n * 0.9 * 0.1)
         assert abs(flips - n * 0.1) < 3 * sd
@@ -88,7 +92,7 @@ class TestSimulateReplicate:
                                   [1.0, 0.0, 0.0],
                                   [0.0, 0.5, 0.5]]))
         out = simulate_replicate(np.tile([0, 1, 2], 7), em,
-                                 np.random.default_rng(seed))
+                                 [np.random.default_rng(seed)])[0]
         assert set(out.tolist()) <= {0, 1, 2}
         assert len(out) == 21
 
@@ -205,7 +209,7 @@ class TestBootstrapCi:
         labels = ["A"] + ["B"] * 99
 
         def plugin(labels, covariates):
-            share = np.count_nonzero(labels == "A") / len(labels)
+            share = np.count_nonzero(labels == "A", axis=-1) / labels.shape[-1]
             return {"p_A": share, "prop_B": 1 - share, "beta_A": share}
 
         result = bootstrap_ci(labels, {}, em, plugin,
@@ -261,3 +265,66 @@ class TestBootstrapCi:
         data = json.loads((tmp_path / "boot.json").read_text())
         assert data["statistics"]["prop_A"]["point"] == 0.5
         assert data["config"]["n_replicates"] == 10
+
+
+class TestChunks:
+    @pytest.mark.parametrize("spec", ["proportion:A", "yearly_proportions:A",
+                                      "logistic:A ~ age"])
+    def test_chunk_size_does_not_change_a_byte(self, spec, tmp_path,
+                                               monkeypatch):
+        rng = np.random.default_rng(4)
+        n = 60
+        units = [Unit(f"u{i}", "text", meta={"year": 2000 + i % 3,
+                                              "age": float(rng.normal(40, 9))})
+                 for i in range(n)]
+        labels = rng.choice(["A", "B", "C"], n).tolist()
+        em = ErrorModel(("A", "B", "C"), np.array([[0.8, 0.1, 0.1],
+                                                   [0.1, 0.8, 0.1],
+                                                   [0.2, 0.2, 0.6]]))
+        written = set()
+        for rows in (1, 7, 30):  # 30 replicates: the last chunk of 7 has 2
+            monkeypatch.setattr(boot, "CHUNK_CELLS", rows * n)
+            plugin, columns = _parse_statistic(spec, units)
+            result = bootstrap_ci(labels, columns, em, plugin,
+                                  BootstrapConfig(n_replicates=30, seed=2),
+                                  keep_replicates=True)
+            result.to_json(tmp_path / "boot.json")
+            result.replicates_to_csv(tmp_path / "replicates.csv")
+            written.add((tmp_path / "boot.json").read_bytes()
+                        + (tmp_path / "replicates.csv").read_bytes())
+        assert len(written) == 1
+
+    def test_separating_replicate_is_named_exactly(self):
+        # a chunk whose stacked fit fails is re-run one replicate at a time
+        obs = gen_confound(0)[::8]
+        units = [Unit(f"u{i}", "text", meta=dict(o.covariates))
+                 for i, o in enumerate(obs)]
+        plugin, columns = _parse_statistic("logistic:yes ~ campus + age", units)
+        em = ErrorModel(("yes", "no"), np.array([[0.8, 0.2], [0.2, 0.8]]))
+        with pytest.raises(DataError) as exc:
+            bootstrap_ci(["yes" if o.response else "no" for o in obs], columns,
+                         em, plugin, BootstrapConfig(n_replicates=2000, seed=0))
+        assert str(exc.value) == (
+            "statistic failed on replicate 94: logistic fit did not converge "
+            "(quasi-separation): ['(Intercept)']")
+
+    def test_scalar_output_for_a_chunk_is_rejected(self):
+        em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
+
+        def pooled(labels, covariates):  # one count over every replicate
+            return {"p_A": np.count_nonzero(labels == "A") / labels.size}
+
+        with pytest.raises(DataError,
+                           match=r"'p_A' has shape \(\) for 5 replicates"):
+            bootstrap_ci(["A", "B"] * 10, {}, em, pooled,
+                         BootstrapConfig(n_replicates=5))
+
+    def test_chunk_failure_that_no_replicate_repeats_is_reported(self):
+        em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
+
+        def first(labels, covariates):  # float() takes one label, not a row
+            return {"first_A": float(labels[0] == "A")}
+
+        with pytest.raises(DataError, match="replicates 0-4 but on none alone"):
+            bootstrap_ci(["A", "B"] * 10, {}, em, first,
+                         BootstrapConfig(n_replicates=5))

@@ -338,6 +338,41 @@ class TestExitCodes:
             assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2
             assert "must be named" in capsys.readouterr().err
 
+    def test_scheme_entry_without_name_or_label_is_2(self, workspace, capsys):
+        levels = [{"label": "Positive"}, {"label": "Negative"}]
+        for variable, key in (({"levels": levels}, "variables[0].name"),
+                              ({"name": "s", "levels": [levels[0], {}]},
+                               "variables[0].levels[1].label")):
+            (workspace / "bad.yaml").write_text(
+                yaml.safe_dump({"variables": [variable]}), encoding="utf-8")
+            assert run(["ingest", "--input", workspace / "corpus.jsonl",
+                        "--format", "jsonl", "--scheme", workspace / "bad.yaml",
+                        "--out", workspace / "again.jsonl"]) == 2, key
+            assert key in capsys.readouterr().err
+
+    def test_unknown_meta_column_tag_is_2(self, tmp_path, capsys):
+        (tmp_path / "rows.csv").write_text("id,text,year\nr1,hello,1954\n",
+                                           encoding="utf-8")
+        (tmp_path / "map.yaml").write_text(yaml.safe_dump({
+            "id_column": "id", "meta_columns": {"year": "integer"},
+        }), encoding="utf-8")
+        assert run(["ingest", "--input", tmp_path / "rows.csv", "--format", "csv",
+                    "--mapping", tmp_path / "map.yaml",
+                    "--out", tmp_path / "corpus.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert "'year'" in err and "'integer'" in err
+        assert "int, float, str and bool" in err
+
+    def test_unfillable_batched_template_is_3(self, workspace, capsys):
+        (workspace / "spec.txt").write_text("Label these:\n\n{text:d}\n",
+                                            encoding="utf-8")
+        cfg = yaml.safe_load((workspace / "run.yaml").read_text())
+        cfg["template"] = "spec.txt"
+        cfg["policy"] = {"batch_size": 2}
+        (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert run(["annotate", "--config", workspace / "bad.yaml"]) == 3
+        assert "units ['u000', 'u001']" in capsys.readouterr().err
+
     def test_bad_data_is_3(self, workspace, tmp_path):
         (tmp_path / "dupes.jsonl").write_text(
             '{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n',

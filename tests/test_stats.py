@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from hypothesis import given, settings, strategies as st
+from scipy.special import expit, logsumexp, ndtr
 
 from quantitize import (
     DataError,
@@ -14,9 +16,16 @@ from quantitize import (
     odds_ratio,
     parse_formula,
 )
+from quantitize import stats
 from quantitize.stats import (
+    IRLS_MAX_ITER,
+    IRLS_TOL,
+    MAX_ABS_BETA,
     _design,
     _MarginalLikelihood,
+    design_matrix,
+    fit_logistic_arrays,
+    fit_logistic_stack,
     logistic_loglik,
     logistic_score,
 )
@@ -111,6 +120,119 @@ class TestFitLogistic:
         assert scaled.coef("x").p_value == pytest.approx(
             base.coef("x").p_value, abs=1e-6
         )
+
+
+def reference_irls(X, y, names):
+    """The one-response IRLS loop that :func:`fit_logistic_stack` replaced,
+    kept as the reference its rows must match bit for bit: (beta,
+    log-likelihood, iterations, covariance)."""
+    def loglik(beta):
+        eta = X @ beta
+        return float(y @ eta - np.logaddexp(0.0, eta).sum())
+
+    beta = np.zeros(X.shape[1])
+    ll = loglik(beta)
+    for it in range(1, IRLS_MAX_ITER + 1):
+        mu = expit(X @ beta)
+        info = X.T @ (X * (mu * (1 - mu))[:, None])
+        try:
+            step = np.linalg.solve(info, X.T @ (y - mu))
+        except np.linalg.LinAlgError:
+            raise DataError("singular information matrix during IRLS")
+        factor = 1.0
+        for _ in range(20):
+            candidate = beta + factor * step
+            if loglik(candidate) >= ll - 1e-12:
+                break
+            factor /= 2
+        beta = candidate
+        if (np.abs(beta) > MAX_ABS_BETA).any():
+            raise DataError("quasi-separation")
+        ll_new = loglik(beta)
+        if abs(ll_new - ll) < IRLS_TOL * (abs(ll) + IRLS_TOL):
+            mu = expit(X @ beta)
+            cov = np.linalg.inv(X.T @ (X * (mu * (1 - mu))[:, None]))
+            return beta, ll_new, it, cov
+        ll = ll_new
+    raise DataError("IRLS did not converge")
+
+
+class TestLogisticStack:
+    @staticmethod
+    def sample(rng, n, n_covariates, rows):
+        columns = {f"x{j}": (rng.integers(0, 2, n).astype(float) if j % 2
+                             else rng.normal(0, rng.uniform(0.1, 30), n))
+                   for j in range(n_covariates)}
+        X, names = design_matrix(columns, n)
+        truth = rng.normal(0, 1.5, X.shape[1]) / np.abs(X).max(axis=0)
+        Y = (rng.random((rows, n)) < expit(X @ truth)).astype(float)
+        return X, names, Y
+
+    @given(st.integers(0, 2**32 - 1), st.integers(12, 150), st.integers(0, 3),
+           st.integers(1, 6), st.sampled_from([1.0, 8.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_the_one_response_fit_bit_for_bit(self, seed, n,
+                                                         n_covariates, rows,
+                                                         overshoot):
+        # Newton steps on these data never lower the log-likelihood, so an
+        # overshoot of 8 (exact in binary, for both fits) makes rows halve
+        # their steps, each as many times as it needs
+        X, names, Y = self.sample(np.random.default_rng(seed), n, n_covariates,
+                                  rows)
+        solve = np.linalg.solve
+        with mock.patch.object(np.linalg, "solve",
+                               lambda a, b: overshoot * solve(a, b)):
+            expected = []
+            for y in Y:
+                try:
+                    expected.append(reference_irls(X, y, names))
+                except DataError:
+                    expected.append(None)
+            if None in expected:  # a separated or unconverged row fails the stack
+                with pytest.raises(DataError):
+                    fit_logistic_stack(X, Y, names)
+                return
+            stack = fit_logistic_stack(X, Y, names)
+            singles = [fit_logistic_arrays(X, y, names) for y in Y]
+        for r, (beta, ll, n_iter, cov) in enumerate(expected):
+            assert stack[0][r].tobytes() == beta.tobytes()
+            assert stack[1][r].tobytes() == cov.tobytes()
+            assert stack[2][r] == ll
+            assert stack[3][r] == n_iter
+            single = singles[r]
+            assert (single.log_likelihood, single.n_iter) == (ll, n_iter)
+            se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+            for i, c in enumerate(single.coefficients.values()):
+                z = beta[i] / se[i]
+                assert (c.estimate, c.std_error, c.z, c.p_value) == (
+                    beta[i], se[i], z, float(2 * ndtr(-abs(z))))
+
+    def test_a_failing_row_fails_the_stack_with_its_own_message(self,
+                                                                monkeypatch):
+        x = np.tile([0.0, 1.0], 20)
+        X, names = design_matrix({"x": x}, len(x))
+        balanced = np.tile([0.0, 1.0, 1.0, 0.0], 10)
+        with pytest.raises(DataError, match="quasi-separation") as alone:
+            fit_logistic_arrays(X, x, names)
+        with pytest.raises(DataError) as stacked:
+            fit_logistic_stack(X, np.array([balanced, x, balanced]), names)
+        assert str(stacked.value) == str(alone.value)
+        # a row whose means saturate at 1 has every IRLS weight mu (1 - mu)
+        # at zero, so its information matrix is singular
+        saturated = [1]
+
+        def saturating_expit(eta):
+            mu = expit(eta)
+            mu[saturated] = 1.0
+            return mu
+
+        monkeypatch.setattr(stats, "expit", saturating_expit)
+        singular = "^singular information matrix during IRLS$"
+        with pytest.raises(DataError, match=singular):
+            fit_logistic_stack(X, np.array([balanced] * 3), names)
+        saturated[:] = [0]
+        with pytest.raises(DataError, match=singular):
+            fit_logistic_arrays(X, balanced, names)
 
 
 class TestOddsRatio:
