@@ -15,7 +15,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import DataError
-from .jsonio import write_json
+from .jsonio import read_lines, write_json
 
 ERROR_LABEL = "ERROR"
 
@@ -62,11 +62,19 @@ class ConfusionMatrix:
 
     @classmethod
     def from_csv(cls, path: Union[str, Path]) -> "ConfusionMatrix":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-        labels = tuple(rows[0][1:])
-        counts = np.array([[int(c) for c in r[1:]] for r in rows[1:]], dtype=np.int64)
-        return cls(labels, counts)
+        """A :meth:`to_csv` file; a bad cell or row is a DataError naming it."""
+        reader = csv.reader(read_lines(path, newline=""))
+        labels, counts = tuple(next(reader, [""])[1:]), []
+        for row in reader:
+            try:
+                if len(row) != len(labels) + 1:
+                    raise ValueError(f"{len(row) - 1} counts for {len(labels)} labels")
+                counts.append([int(c) for c in row[1:]])
+            except ValueError as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+        if not counts:
+            raise DataError(f"{path} holds no confusion matrix")
+        return cls(labels, np.array(counts, dtype=np.int64))
 
 
 def build_confusion(

@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import Corpus, CodingScheme, Unit, Variable, approx_tokens
 from .errors import ConfigError, DataError, TransportError
-from .jsonio import write_json, write_jsonl
+from .jsonio import read_json, read_jsonl, write_json, write_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -467,18 +467,9 @@ class AnnotationSet:
 
     @classmethod
     def load(cls, path: Union[str, Path], manifest_path: Optional[Union[str, Path]] = None) -> "AnnotationSet":
-        records = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                d = json.loads(line)
-                records.append(AnnotationRecord(**d))
-        manifest = {"source": str(path)}
-        if manifest_path is not None:
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        return cls(tuple(records), manifest)
+        records = tuple(read_jsonl(path, lambda d, _: AnnotationRecord(**d)))
+        return cls(records, {"source": str(path)} if manifest_path is None
+                   else read_json(manifest_path))
 
 
 _BATCH_LINE = re.compile(r"^\s*(\d+)[.):]\s*(.*)$")

@@ -15,14 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import math
 import sys
 import typing
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .agreement import ERROR_LABEL, ConfusionMatrix, agreement_report, build_confusion
@@ -52,10 +50,11 @@ from .corpus import (
     Window,
     ingest,
     load_scheme,
+    load_yaml,
     save_corpus,
 )
 from .errors import ConfigError, DataError, TransportError
-from .jsonio import format_json, write_json
+from .jsonio import format_json, read_json, read_text, write_json
 from .stats import (
     Observation,
     design_matrix,
@@ -99,68 +98,9 @@ def _parse_strategy(text: str):
         raise ConfigError(f"strategy {text!r}: sizes must be integers") from None
 
 
-def _fits(hint, value) -> bool:
-    """Whether a config value has a field's type, down to tuple and dict
-    elements: a float takes an int, a tuple a list, and no number a bool."""
-    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
-    if origin is typing.Union:
-        return any(_fits(h, value) for h in args)
-    if origin is tuple:
-        if args[-1:] == (Ellipsis,) and isinstance(value, (list, tuple)):
-            args = args[:1] * len(value)
-        return (isinstance(value, (list, tuple)) and len(value) == len(args)
-                and all(map(_fits, args, value)))
-    if origin is dict:
-        return isinstance(value, dict) and all(
-            _fits(args[0], k) and _fits(args[1], v) for k, v in value.items())
-    if isinstance(value, bool) and origin in (int, float):
-        return False
-    if origin is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, origin)
-
-
-def _from_section(cls, doc, section: str):
-    """``cls(**doc)`` for a config section. Each key must be a field of the
-    dataclass ``cls``, each field without a default must be given, and each
-    value must have its field's type; a dataclass field is a nested section."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{section} must be a mapping")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(doc) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-    missing = [name for name, f in fields.items() if name not in doc
-               and f.default is f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ConfigError(f"{section} is missing required keys {missing}")
-    hints = typing.get_type_hints(cls)
-    values = {}
-    for key, value in doc.items():
-        hint = hints[key]
-        nested = [h for h in (hint, *typing.get_args(hint))
-                  if dataclasses.is_dataclass(h)]
-        if _fits(hint, value):
-            values[key] = value
-        elif nested:
-            values[key] = _from_section(nested[0], value, f"{section}.{key}")
-        else:
-            expected = (hint.__name__ if isinstance(hint, type)
-                        else str(hint).replace("typing.", ""))
-            raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
-    return cls(**values)
-
-
-def _load_yaml(cls, path, section: str):
-    """A YAML file as the dataclass ``cls``, through :func:`_from_section`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
-    return _from_section(cls, doc, section)
-
-
 def cmd_ingest(args) -> int:
     scheme = load_scheme(args.scheme) if args.scheme else None
-    mapping = _load_yaml(CsvMapping, args.mapping, "mapping") if args.mapping else None
+    mapping = load_yaml(CsvMapping, args.mapping, "mapping") if args.mapping else None
     strategy = _parse_strategy(args.strategy) if args.strategy else None
     corpus = ingest(args.input, args.format, scheme=scheme, csv_mapping=mapping,
                     unitize_strategy=strategy)
@@ -221,12 +161,12 @@ def _build_client(cfg: ClientConfig, corpus, scheme, variable, seed: int, audit)
 
 def cmd_annotate(args) -> int:
     path = Path(args.config).resolve()
-    cfg = _load_yaml(RunConfig, path, "config")
+    cfg = load_yaml(RunConfig, path, "config")
     out_dir = path.parent / cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = ingest(path.parent / cfg.corpus, "jsonl")
     scheme = load_scheme(path.parent / cfg.scheme)
-    instruction = (path.parent / cfg.template).read_text(encoding="utf-8")
+    instruction = read_text(path.parent / cfg.template, ConfigError)
     template = PromptTemplate(instruction=instruction, variable=cfg.variable)
     audit = AuditLog(out_dir / "audit.jsonl")
     client = _build_client(cfg.client, corpus, scheme, cfg.variable, cfg.seed, audit)
@@ -495,8 +435,7 @@ def cmd_demo(args) -> int:
 def cmd_report(args) -> int:
     sections = []
     for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         sections.append(f"## {Path(path).name}\n")
         sections.append("```json")
         sections.append(format_json(doc))

@@ -10,9 +10,10 @@ against it at ingestion time.
 from __future__ import annotations
 
 import csv
-import json
+import dataclasses
 import math
 import re
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -21,7 +22,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, DataError
-from .jsonio import write_jsonl
+from .jsonio import read_jsonl, read_lines, read_text, write_jsonl
 
 Scalar = Union[str, int, float, bool]
 
@@ -45,7 +46,7 @@ class Variable:
     """
 
     name: str
-    kind: str
+    kind: str = "categorical"
     levels: tuple[Level, ...] = ()
     catch_all: Optional[str] = None
 
@@ -104,31 +105,81 @@ class CodingScheme:
         }
 
 
+def _fits(hint, value) -> bool:
+    """Whether a config value has a field's type, down to tuple and dict
+    elements: a float takes an int, a tuple a list, and no number a bool."""
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if origin is typing.Union:
+        return any(_fits(h, value) for h in args)
+    if origin is tuple:
+        if args[-1:] == (Ellipsis,) and isinstance(value, (list, tuple)):
+            args = args[:1] * len(value)
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, args, value)))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(args[0], k) and _fits(args[1], v) for k, v in value.items())
+    if isinstance(value, bool) and origin in (int, float):
+        return False
+    if origin is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, origin)
+
+
+def _from_section(cls, doc, section: str):
+    """``cls(**doc)`` for a config section. Each key must be a field of the
+    dataclass ``cls``, each field without a default must be given, and each
+    value must have its field's type; a dataclass field is a nested section,
+    and a ``tuple[<dataclass>, ...]`` field a list of them."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section} must be a mapping")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    missing = [name for name, f in fields.items() if name not in doc
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError("missing required keys: " + ", ".join(
+            f"{section}.{name} ({name!r})" for name in missing))
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, value in doc.items():
+        hint = hints[key]
+        nested = [h for h in (hint, *typing.get_args(hint))
+                  if dataclasses.is_dataclass(h)]
+        many = typing.get_origin(hint) is tuple
+        if nested and many and isinstance(value, list):
+            values[key] = tuple(_from_section(nested[0], v, f"{section}.{key}[{i}]")
+                                for i, v in enumerate(value))
+        elif _fits(hint, value):
+            values[key] = value
+        elif nested and not many:
+            values[key] = _from_section(nested[0], value, f"{section}.{key}")
+        else:
+            expected = (hint.__name__ if isinstance(hint, type) else str(hint)
+                        .replace("typing.", "").replace(f"{__name__}.", ""))
+            raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
+    return cls(**values)
+
+
+def load_yaml(cls, path, section: str):
+    """A YAML file as the dataclass ``cls``, through :func:`_from_section`;
+    a file that is not YAML or does not fit is a ConfigError naming it."""
+    text = read_text(path, ConfigError)
+    try:
+        return _from_section(cls, yaml.safe_load(text) or {}, section)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)  # a reader error has none
+        at = f", line {mark.line + 1}" if mark else ""
+        raise ConfigError(f"{path}{at}: not YAML: {getattr(exc, 'problem', exc)}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def load_scheme(path: Union[str, Path]) -> CodingScheme:
     """Load a coding scheme from a YAML (or JSON) document."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict) or "variables" not in doc:
-        raise ConfigError(f"scheme file {path} has no 'variables' section")
-    variables = []
-    for i, vd in enumerate(doc["variables"]):
-        nolabel = [j for j, ld in enumerate(vd.get("levels", [])) if "label" not in ld]
-        if "name" not in vd or nolabel:
-            key = "name" if "name" not in vd else f"levels[{nolabel[0]}].label"
-            raise ConfigError(f"scheme file {path}: variables[{i}].{key} is missing")
-        levels = tuple(
-            Level(str(ld["label"]), str(ld.get("definition", "")))
-            for ld in vd.get("levels", [])
-        )
-        variables.append(
-            Variable(
-                name=str(vd["name"]),
-                kind=str(vd.get("kind", "categorical")),
-                levels=levels,
-                catch_all=vd.get("catch_all"),
-            )
-        )
-    return CodingScheme(tuple(variables), version=str(doc.get("version", "1")))
+    return load_yaml(CodingScheme, path, "scheme")
 
 
 def save_scheme(scheme: CodingScheme, path: Union[str, Path]) -> None:
@@ -254,49 +305,40 @@ def ingest(
     (UTF-8 plain text, split by ``unitize_strategy``). Ids missing from the
     input are synthesized as ``u000001...`` in file order.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file {path} does not exist")
     units: list[Unit] = []
     if format == "jsonl":
-        with open(path, "r", encoding="utf-8") as fh:
-            for i, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                units.append(_unit_from_obj(json.loads(line), len(units)))
+        units = read_jsonl(path, _unit_from_obj)
     elif format == "csv":
         if csv_mapping is None:
             raise ConfigError("csv ingestion requires a column mapping")
         m = csv_mapping
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            mapped = {m.id_column, m.text_column}
-            mapped |= set(m.group_columns.values())
-            mapped |= set(m.gold_columns.values())
-            for i, row in enumerate(reader):
-                if m.text_column not in row:
-                    raise ConfigError(f"csv has no column {m.text_column!r}")
-                uid = row[m.id_column] if m.id_column else _synth_id(i)
-                meta: dict[str, Scalar] = {}
-                for col, val in row.items():
-                    if col in mapped:
-                        continue
-                    meta[col] = m.coerce(col, val)
-                gold = {v: row[c] for v, c in m.gold_columns.items() if row.get(c)}
-                units.append(
-                    Unit(
-                        id=str(uid),
-                        text=row[m.text_column],
-                        groups={r: row[c] for r, c in m.group_columns.items()},
-                        meta=meta,
-                        gold=gold or None,
-                    )
+        reader = csv.DictReader(read_lines(path, newline=""))
+        mapped = {m.id_column, m.text_column}
+        mapped |= set(m.group_columns.values())
+        mapped |= set(m.gold_columns.values())
+        for i, row in enumerate(reader):
+            if m.text_column not in row:
+                raise ConfigError(f"csv has no column {m.text_column!r}")
+            uid = row[m.id_column] if m.id_column else _synth_id(i)
+            meta: dict[str, Scalar] = {}
+            for col, val in row.items():
+                if col in mapped:
+                    continue
+                meta[col] = m.coerce(col, val)
+            gold = {v: row[c] for v, c in m.gold_columns.items() if row.get(c)}
+            units.append(
+                Unit(
+                    id=str(uid),
+                    text=row[m.text_column],
+                    groups={r: row[c] for r, c in m.group_columns.items()},
+                    meta=meta,
+                    gold=gold or None,
                 )
+            )
     elif format == "text":
         if unitize_strategy is None:
             raise ConfigError("text ingestion requires a unitizing strategy")
-        units = unitize(path.read_text(encoding="utf-8"), unitize_strategy)
+        units = unitize(read_text(path), unitize_strategy)
     else:
         raise ConfigError(f"unknown ingestion format {format!r}")
 

@@ -1,4 +1,4 @@
-"""The on-disk JSON layout of every result file, manifest and JSONL record.
+"""Every JSON document and JSONL file the program writes, and every one it reads.
 
 Documents are indented by two spaces with sorted keys and end in a newline;
 JSONL files hold one sorted-key object per line with non-ASCII text kept.
@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
+
+from .errors import DataError
 
 
 def format_json(doc) -> str:
@@ -27,3 +29,45 @@ def write_jsonl(path: Union[str, Path], docs: Iterable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(d, ensure_ascii=False, sort_keys=True) + "\n"
                       for d in docs)
+
+
+def read_lines(path: Union[str, Path], error=DataError, newline=None) -> Iterator[str]:
+    """The lines of the UTF-8 text file ``path``, read as they are consumed
+    (``newline`` as for :func:`open`); a file that cannot be read is ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield from fh
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise error(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from None
+
+
+def read_text(path: Union[str, Path], error=DataError) -> str:
+    return "".join(read_lines(path, error))
+
+
+def read_json(path: Union[str, Path]):
+    try:
+        return json.loads(read_text(path))
+    except ValueError as exc:
+        raise DataError(f"{path} is not JSON: {exc}") from None
+
+
+def read_jsonl(path: Union[str, Path], build) -> list:
+    """``build(obj, i)`` for the ``i``-th JSON object in ``path``, one per
+    non-blank line. A line that is not a JSON object, or whose object
+    ``build`` rejects, is a :class:`DataError` naming the file and line."""
+    out = []
+    for line_no, line in enumerate(read_lines(path), 1):
+        try:
+            if not line.isspace():
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise DataError(f"not a JSON object: {line.strip()[:40]}")
+                out.append(build(obj, len(out)))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}, line {line_no}: not JSON: {exc.msg}") from None
+        except KeyError as exc:  # a missing field
+            raise DataError(f"{path}, line {line_no}: lacks field {exc}") from None
+        except (ValueError, TypeError, AttributeError, DataError) as exc:
+            raise DataError(f"{path}, line {line_no}: {exc}") from None
+    return out

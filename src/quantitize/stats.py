@@ -28,6 +28,7 @@ from .errors import ConfigError, DataError
 from .jsonio import write_json
 
 MAX_ABS_BETA = 15.0  # separation guard on the logit scale
+MAX_FINAL_STEP = 1e-2  # largest logit change one more Newton step may make
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
 
@@ -186,8 +187,13 @@ def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
     else:
         raise DataError(f"IRLS did not converge in {IRLS_MAX_ITER} iterations")
     mu = expit(np.matmul(X, beta[..., None])[..., 0])
-    info = np.matmul(X.T, X * (mu * (1 - mu))[..., None])
-    return beta, np.linalg.inv(info), ll, n_iter
+    cov = np.linalg.inv(np.matmul(X.T, X * (mu * (1 - mu))[..., None]))
+    # a separated fit stops when its log-likelihood stops changing, while one
+    # more Newton step would still move its logits by about 1, not by ~0
+    if (np.abs(X @ (cov @ (X.T @ (Y - mu)[..., None]))) > MAX_FINAL_STEP).any():
+        raise DataError("logistic fit did not converge (quasi-separation): "
+                        "fitted probabilities reach 0 or 1")
+    return beta, cov, ll, n_iter
 
 
 def logistic_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -193,6 +193,26 @@ class TestMockModel:
         assert rec.status == "refused" and rec.label is None
         assert result.counts_by_status() == {"ok": 4, "refused": 1}
 
+    def test_refused_batch_is_retried_unit_by_unit(self):
+        # the mock refuses a whole batch that holds a refused unit; the batch
+        # is then sent again one unit at a time, so only that unit is refused
+        corpus = make_corpus(9)
+        mock = MockModel.from_corpus(corpus, SENTIMENT, np.eye(2),
+                                     refuse_units=["u004"])
+        sent, send = [], mock.send
+        mock.send = lambda prompt, controls, unit_ids=(): (
+            sent.append(tuple(unit_ids)) or send(prompt, controls, unit_ids))
+        result = annotate(corpus, TEMPLATE, mock, SCHEME,
+                          policy=AnnotatePolicy(batch_size=3))
+        assert result.counts_by_status() == {"ok": 8, "refused": 1}
+        assert result.record_for("u004").status == "refused"
+        for r, u in zip(result.records, corpus):
+            assert r.unit_id == u.id
+            if u.id != "u004":
+                assert r.label == u.gold["sentiment"]
+        assert sent == [("u000", "u001", "u002"), ("u003", "u004", "u005"),
+                        ("u003",), ("u004",), ("u005",), ("u006", "u007", "u008")]
+
     def test_every_unit_gets_exactly_one_record(self):
         corpus = make_corpus(17)
         mock = MockModel.from_corpus(corpus, SENTIMENT, np.eye(2))

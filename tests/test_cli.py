@@ -350,6 +350,96 @@ class TestExitCodes:
                         "--out", workspace / "again.jsonl"]) == 2, key
             assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ("variables: [sentiment]\n", "scheme.variables[0] must be a mapping"),
+        ("variables:\n- name: s\n  levels: abc\n",
+         "scheme.variables[0].levels must be tuple[Level, ...], got 'abc'"),
+        # YAML reads an unquoted yes as true, and 1 as a number
+        ("variables:\n- name: s\n  levels: [{label: yes}, {label: no}]\n",
+         "scheme.variables[0].levels[0].label must be str, got True"),
+        ("variables:\n- name: s\n  levels: [{label: 1}, {label: '2'}]\n",
+         "scheme.variables[0].levels[0].label must be str, got 1"),
+        ("version: 2\nvariables: []\n", "scheme.version must be str, got 2"),
+        ("variables:\n- {name: s, colour: red}\n",
+         "unknown scheme.variables[0] keys: ['colour']"),
+        ("version: '1'\n", "scheme.variables ('variables')"),
+        ("variables: [\n", "line 2: not YAML"),
+    ], ids=["entry-not-mapping", "levels-not-list", "label-yes", "label-1",
+            "version-2", "unknown-key", "no-variables", "invalid-yaml"])
+    def test_bad_scheme_file_is_2(self, workspace, capsys, text, key):
+        (workspace / "bad.yaml").write_text(text, encoding="utf-8")
+        assert run(["ingest", "--input", workspace / "corpus.jsonl",
+                    "--format", "jsonl", "--scheme", workspace / "bad.yaml",
+                    "--out", workspace / "again.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.yaml" in err and key in err
+
+    def test_invalid_config_yaml_is_2(self, workspace, capsys):
+        (workspace / "bad.yaml").write_text("corpus: [\n", encoding="utf-8")
+        assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2
+        assert "bad.yaml, line 2: not YAML" in capsys.readouterr().err
+
+    def test_missing_input_file_is_named(self, workspace, capsys):
+        corpus, scheme = workspace / "corpus.jsonl", workspace / "scheme.yaml"
+        ingest = ["ingest", "--format", "jsonl", "--out", workspace / "x.jsonl"]
+        cfg = yaml.safe_load((workspace / "run.yaml").read_text())
+        (workspace / "template.yaml").write_text(
+            yaml.safe_dump(cfg | {"template": "nope.txt"}), encoding="utf-8")
+        for argv, code in (
+                (["annotate", "--config", workspace / "nope.yaml"], 2),
+                (["annotate", "--config", workspace / "template.yaml"], 2),
+                (ingest + ["--input", corpus, "--scheme", workspace / "nope.yaml"], 2),
+                (ingest + ["--input", workspace / "nope.jsonl"], 3),
+                (["evaluate", "--corpus", corpus, "--annotations",
+                  workspace / "nope.jsonl", "--scheme", scheme, "--variable",
+                  "sentiment", "--out-dir", workspace / "eval"], 3),
+                (["report", workspace / "nope.json"], 3)):
+            assert run(argv) == code, argv
+            assert "nope." in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "b", "te', "line 3: not JSON"),
+        ('{"id": "b"}', "line 3: lacks field 'text'"),
+        ("[1, 2]", "line 3: not a JSON object: [1, 2]"),
+    ], ids=["truncated", "no-text", "array"])
+    def test_bad_corpus_line_is_3(self, tmp_path, capsys, line, message):
+        (tmp_path / "c.jsonl").write_text(f'{{"id": "a", "text": "x"}}\n\n{line}\n',
+                                          encoding="utf-8")
+        assert run(["ingest", "--input", tmp_path / "c.jsonl", "--format", "jsonl",
+                    "--out", tmp_path / "out.jsonl"]) == 3
+        assert f"c.jsonl, {message}" in capsys.readouterr().err
+
+    def test_bad_annotation_record_is_3(self, workspace, capsys):
+        run(["annotate", "--config", workspace / "run.yaml"])
+        lines = (workspace / "out" / "annotations.jsonl").read_text().splitlines()
+        extra = json.loads(lines[1]) | {"extra": 1}
+        missing = {k: v for k, v in json.loads(lines[1]).items() if k != "status"}
+        for record, message in ((extra, "'extra'"), (missing, "'status'")):
+            (workspace / "bad.jsonl").write_text(
+                "\n".join([lines[0], json.dumps(record)]) + "\n", encoding="utf-8")
+            assert run(["evaluate", "--corpus", workspace / "corpus.jsonl",
+                        "--annotations", workspace / "bad.jsonl",
+                        "--scheme", workspace / "scheme.yaml",
+                        "--variable", "sentiment", "--out-dir", workspace / "eval"]) == 3
+            err = capsys.readouterr().err
+            assert "bad.jsonl, line 2" in err and message in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("gold\\pred,Positive,Negative\nPositive,3,x\nNegative,1,4\n",
+         "bad.csv, line 2: invalid literal for int()"),
+        ("gold\\pred,Positive,Negative\nPositive,3,1\nNegative,1\n",
+         "bad.csv, line 3: 1 counts for 2 labels"),
+        ("", "bad.csv holds no confusion matrix"),
+    ], ids=["non-integer", "ragged", "empty"])
+    def test_bad_confusion_csv_is_3(self, workspace, capsys, text, message):
+        run(["annotate", "--config", workspace / "run.yaml"])
+        (workspace / "bad.csv").write_text(text, encoding="utf-8")
+        assert run(["bootstrap", "--annotations", workspace / "out" / "annotations.jsonl",
+                    "--confusion", workspace / "bad.csv", "--replicates", 10,
+                    "--statistic", "proportion:Positive",
+                    "--out", workspace / "boot" / "boot.json"]) == 3
+        assert message in capsys.readouterr().err
+
     def test_unknown_meta_column_tag_is_2(self, tmp_path, capsys):
         (tmp_path / "rows.csv").write_text("id,text,year\nr1,hello,1954\n",
                                            encoding="utf-8")

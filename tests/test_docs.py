@@ -1,10 +1,11 @@
-"""The README's run-config key table against the dataclasses that declare
-the keys."""
+"""The README's key tables, for the run config and the coding scheme,
+against the dataclasses that declare the keys."""
 
 import dataclasses
 from pathlib import Path
 
-from quantitize import AnnotatePolicy, CsvMapping, DecodingControls
+from quantitize import (AnnotatePolicy, CodingScheme, CsvMapping,
+                        DecodingControls, Level, Variable)
 from quantitize.cli import ClientConfig, RunConfig
 
 
@@ -14,7 +15,8 @@ def test_config_key_table_lists_every_field():
     # without a default
     sections = {"top level": RunConfig, "`client`": ClientConfig,
                 "`policy`": AnnotatePolicy, "`decoding`": DecodingControls,
-                "`--mapping` file": CsvMapping}
+                "`--mapping` file": CsvMapping, "scheme top level": CodingScheme,
+                "`variables` entry": Variable, "`levels` entry": Level}
     listed = {name: {} for name in sections}
     readme = Path(__file__).resolve().parents[1] / "README.md"
     for line in readme.read_text(encoding="utf-8").splitlines():

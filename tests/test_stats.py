@@ -21,6 +21,7 @@ from quantitize.stats import (
     IRLS_MAX_ITER,
     IRLS_TOL,
     MAX_ABS_BETA,
+    MAX_FINAL_STEP,
     _design,
     _MarginalLikelihood,
     design_matrix,
@@ -60,6 +61,18 @@ class TestFitLogistic:
         obs = two_by_two(50, 0, 0, 50)
         with pytest.raises(DataError, match="separation"):
             fit_logistic(obs)
+
+    @pytest.mark.parametrize("scale", [10.0, 1000.0])
+    def test_separation_under_the_beta_guard_raises(self, scale):
+        # the slope stays under MAX_ABS_BETA while every fitted probability
+        # goes to 0 or 1; the log-likelihood stops changing, the fit does not
+        x = np.repeat([-scale, scale], 10)
+        X, names = design_matrix({"x": x}, len(x))
+        y = (x > 0).astype(float)
+        with pytest.raises(DataError, match="separation"):
+            fit_logistic_arrays(X, y, names)
+        with pytest.raises(DataError, match="separation"):
+            fit_logistic_stack(X, np.array([np.tile([0.0, 1.0], 10), y]), names)
 
     def test_collinear_columns_rejected(self):
         obs = [
@@ -152,6 +165,8 @@ def reference_irls(X, y, names):
         if abs(ll_new - ll) < IRLS_TOL * (abs(ll) + IRLS_TOL):
             mu = expit(X @ beta)
             cov = np.linalg.inv(X.T @ (X * (mu * (1 - mu))[:, None]))
+            if (np.abs(X @ (cov @ (X.T @ (y - mu)))) > MAX_FINAL_STEP).any():
+                raise DataError("quasi-separation")
             return beta, ll_new, it, cov
         ll = ll_new
     raise DataError("IRLS did not converge")
