@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from .corpus import Corpus, CodingScheme, Unit, Variable, approx_tokens
+from .corpus import STRIP_CHARS, Corpus, CodingScheme, Unit, Variable, approx_tokens
 from .errors import ConfigError, DataError, TransportError
 from .jsonio import read_json, read_jsonl, write_json, write_jsonl
 
@@ -35,7 +35,6 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-REFUSED = "Refused"
 UNPARSEABLE = "Unparseable"
 
 
@@ -274,11 +273,16 @@ class MockModel:
                     np.shape(row) != (len(labels),) for row in matrix):
                 raise ConfigError("corruption matrix shape does not match labels")
             matrix = np.asarray(matrix, dtype=float)
+            if (matrix < 0).any():
+                raise ConfigError("corruption matrix entries must be non-negative")
             if not np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9):
                 raise ConfigError("corruption matrix rows must sum to 1")
             self.labels = tuple(labels)
             self.matrix = matrix
             self.gold = dict(gold)
+            # the cumulative rows Generator.choice builds on every call
+            self._cdf = matrix.cumsum(axis=1)
+            self._cdf /= self._cdf[:, -1:]
 
     @classmethod
     def from_corpus(
@@ -310,7 +314,8 @@ class MockModel:
         i = self.labels.index(gold)
         digest = hashlib.sha256(f"{self.seed}:{unit_id}".encode()).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-        return str(rng.choice(self.labels, p=self.matrix[i]))
+        # rng.choice(self.labels, p=self.matrix[i]), draw for draw
+        return self.labels[int(self._cdf[i].searchsorted(rng.random(), side="right"))]
 
     def send(
         self,
@@ -343,8 +348,6 @@ class MockModel:
 
 # --- output normalization --------------------------------------------------
 
-_STRIP_CHARS = string.whitespace + string.punctuation + "‘’“”"
-
 
 def normalize_output(raw: str, variable: Variable) -> str:
     """Map a raw model response onto a declared level.
@@ -355,20 +358,15 @@ def normalize_output(raw: str, variable: Variable) -> str:
     """
     if variable.kind not in ("categorical", "ordinal"):
         raise ConfigError(f"cannot normalize against {variable.kind} variable")
-    cleaned = raw.strip(_STRIP_CHARS).casefold()
+    cleaned = raw.strip(STRIP_CHARS).casefold()
     if not cleaned:
         return UNPARSEABLE
-    for label in variable.labels:
-        if cleaned == label.strip(_STRIP_CHARS).casefold():
-            return label
-    prefix_hits = [
-        label
-        for label in variable.labels
-        if label.strip(_STRIP_CHARS).casefold().startswith(cleaned)
-    ]
-    if len(prefix_hits) == 1:
-        return prefix_hits[0]
-    return UNPARSEABLE
+    folded = variable.folded_labels
+    if cleaned in folded:
+        return variable.labels[folded.index(cleaned)]
+    prefix_hits = [label for label, fold in zip(variable.labels, folded)
+                   if fold.startswith(cleaned)]
+    return prefix_hits[0] if len(prefix_hits) == 1 else UNPARSEABLE
 
 
 def extract_pairs(
@@ -439,8 +437,7 @@ class AnnotationSet:
     manifest: dict
 
     def __post_init__(self):
-        keys = [(r.unit_id, r.variable) for r in self.records]
-        if len(set(keys)) != len(keys):
+        if len({(r.unit_id, r.variable) for r in self.records}) != len(self.records):
             raise DataError("duplicate (unit, variable) record")
         if not self.manifest:
             raise DataError("annotation set requires a manifest")

@@ -90,11 +90,14 @@ def simulate_replicate(
     codes: np.ndarray, em: ErrorModel, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
     """Redraw each unit's label code (an index into ``em.labels``) from the
-    distribution of its observed label, one row per generator in ``rngs``."""
-    cum = np.cumsum(em.dists, axis=1)[codes]
+    distribution of its observed label, one row per generator in ``rngs``:
+    the number of the label's cumulative bounds, all but the last, below a
+    uniform draw."""
     u = np.stack([rng.random(len(codes)) for rng in rngs])
-    drawn = (u[:, :, None] > cum).sum(axis=2)
-    return np.minimum(drawn, len(em.labels) - 1)
+    drawn = np.zeros(u.shape, dtype=np.intp)
+    for bound in np.cumsum(em.dists, axis=1).T[:-1]:
+        drawn += u > bound[codes]
+    return drawn
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from .corpus import (
     save_corpus,
 )
 from .errors import ConfigError, DataError, TransportError
-from .jsonio import format_json, read_json, read_text, write_json
+from .jsonio import format_json, read_json, read_lines, read_text, write_json
 from .stats import (
     Observation,
     design_matrix,
@@ -323,37 +323,36 @@ def _read_observations_csv(path: Path, formula) -> list[Observation]:
     response other than 0 or 1, is a :class:`DataError` naming the line
     and column."""
     obs = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {formula.response, *formula.covariates}
-        if formula.group:
-            needed.add(formula.group)
-        missing = needed - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(f"data file lacks columns {sorted(missing)}")
+    reader = csv.DictReader(read_lines(path, newline=""))
+    needed = {formula.response, *formula.covariates}
+    if formula.group:
+        needed.add(formula.group)
+    missing = needed - set(reader.fieldnames or ())
+    if missing:
+        raise DataError(f"data file lacks columns {sorted(missing)}")
 
-        def cell(row, name, convert):
-            value = row[name]
-            try:
-                out = convert(value) if value and value.strip() else None
-            except ValueError:
-                out = None
-            if out is None or (convert is float and not math.isfinite(out)):
-                raise DataError(f"{path}, line {reader.line_num}: column "
-                                f"{name!r} has no usable value {value!r}")
-            return out
+    def cell(row, name, convert):
+        value = row[name]
+        try:
+            out = convert(value) if value and value.strip() else None
+        except ValueError:
+            out = None
+        if out is None or (convert is float and not math.isfinite(out)):
+            raise DataError(f"{path}, line {reader.line_num}: column "
+                            f"{name!r} has no usable value {value!r}")
+        return out
 
-        for row in reader:
-            response = cell(row, formula.response, float)
-            if response not in (0.0, 1.0):
-                raise DataError(f"{path}, line {reader.line_num}: column "
-                                f"{formula.response!r} must be 0 or 1, got "
-                                f"{row[formula.response]!r}")
-            obs.append(Observation(
-                response=int(response),
-                covariates={n: cell(row, n, float) for n in formula.covariates},
-                group=cell(row, formula.group, str) if formula.group else None,
-            ))
+    for row in reader:
+        response = cell(row, formula.response, float)
+        if response not in (0.0, 1.0):
+            raise DataError(f"{path}, line {reader.line_num}: column "
+                            f"{formula.response!r} must be 0 or 1, got "
+                            f"{row[formula.response]!r}")
+        obs.append(Observation(
+            response=int(response),
+            covariates={n: cell(row, n, float) for n in formula.covariates},
+            group=cell(row, formula.group, str) if formula.group else None,
+        ))
     return obs
 
 

@@ -13,8 +13,10 @@ import csv
 import dataclasses
 import math
 import re
+import string
 import typing
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -27,6 +29,7 @@ from .jsonio import read_jsonl, read_lines, read_text, write_jsonl
 Scalar = Union[str, int, float, bool]
 
 VARIABLE_KINDS = ("categorical", "ordinal", "numeric", "open")
+STRIP_CHARS = string.whitespace + string.punctuation + "‘’“”"
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class Variable:
                 raise ConfigError(
                     f"variable {self.name!r} ({self.kind}) needs at least 2 levels"
                 )
-            labels = [lv.label for lv in self.levels]
+            labels = self.labels
             if len(set(labels)) != len(labels):
                 raise ConfigError(f"duplicate level labels in variable {self.name!r}")
             if self.catch_all is not None and self.catch_all not in labels:
@@ -66,9 +69,14 @@ class Variable:
                     f"catch_all {self.catch_all!r} is not a level of {self.name!r}"
                 )
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(lv.label for lv in self.levels)
+
+    @cached_property
+    def folded_labels(self) -> tuple[str, ...]:
+        """The labels trimmed of STRIP_CHARS and case-folded."""
+        return tuple(l.strip(STRIP_CHARS).casefold() for l in self.labels)
 
 
 @dataclass(frozen=True)
@@ -324,7 +332,11 @@ def ingest(
             for col, val in row.items():
                 if col in mapped:
                     continue
-                meta[col] = m.coerce(col, val)
+                try:
+                    meta[col] = m.coerce(col, val)
+                except (AttributeError, TypeError, ValueError):  # a short row: None
+                    raise DataError(f"{path}, line {reader.line_num}: column {col!r} "
+                                    f"is not {m.meta_columns[col]}: {val!r}") from None
             gold = {v: row[c] for v, c in m.gold_columns.items() if row.get(c)}
             units.append(
                 Unit(

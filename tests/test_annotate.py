@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import string
 
 import numpy as np
 import pytest
@@ -77,6 +79,33 @@ class TestNormalizeOutput:
 
     def test_curly_quotes_stripped(self):
         assert normalize_output("“Positive”", SENTIMENT) == "Positive"
+
+    def test_levels_that_fold_alike(self):
+        # "Yes" and "YES" fold to the same text: an exact match takes the
+        # first declared level, and a prefix of both matches neither. The
+        # answers are those of a loop that folds every level on every call.
+        strip = string.whitespace + string.punctuation + "‘’“”"
+
+        def reference(raw, variable):
+            cleaned = raw.strip(strip).casefold()
+            if not cleaned:
+                return "Unparseable"
+            for label in variable.labels:
+                if cleaned == label.strip(strip).casefold():
+                    return label
+            hits = [label for label in variable.labels
+                    if label.strip(strip).casefold().startswith(cleaned)]
+            return hits[0] if len(hits) == 1 else "Unparseable"
+
+        v = Variable("x", "categorical",
+                     (Level("Yes"), Level("YES"), Level("No."), Level("Nota")))
+        assert normalize_output("yes", v) == "Yes"
+        assert normalize_output("Y", v) == "Unparseable"
+        assert normalize_output("no", v) == "No."
+        assert normalize_output("not", v) == "Nota"
+        for raw in ("yes", "YES!", " y", "Y", "ye", "no", "No.", "n", "not",
+                    "nota", "maybe", "", "...", "“yes”"):
+            assert normalize_output(raw, v) == reference(raw, v), raw
 
 
 class TestExtractPairs:
@@ -220,6 +249,39 @@ class TestMockModel:
                           policy=AnnotatePolicy(batch_size=5))
         assert sorted(r.unit_id for r in result.records) == \
             sorted(u.id for u in corpus)
+
+    def test_negative_matrix_entry_rejected(self):
+        # the row sums to 1, but -0.1 is no probability
+        with pytest.raises(ConfigError, match="non-negative"):
+            MockModel("gold_corruption", labels=("Positive", "Negative"),
+                      matrix=np.array([[1.1, -0.1], [0.0, 1.0]]),
+                      gold={"u1": "Positive"})
+
+    def test_label_for_is_generator_choice(self):
+        # each unit's label is what Generator.choice draws from the unit's
+        # own stream: over matrices with zero entries, rows rounded to two
+        # decimals and rows that sum to 1 only within 1e-9
+        rng = np.random.default_rng(2024)
+        for trial in range(60):
+            k = int(rng.integers(2, 5))
+            matrix = rng.random((k, k)) * (rng.random((k, k)) > 0.3)
+            matrix[:, 0] += 1e-3  # no row of zeros
+            matrix /= matrix.sum(axis=1, keepdims=True)
+            if trial % 3 == 1:
+                matrix = matrix.round(2)
+                matrix[np.arange(k), matrix.argmax(axis=1)] += 1 - matrix.sum(axis=1)
+            elif trial % 3 == 2:
+                matrix[:, 0] -= 6e-10
+            labels = tuple(f"L{j}" for j in range(k))
+            ids = [f"t{trial}-u{i}" for i in range(150)]
+            gold = {uid: labels[i % k] for i, uid in enumerate(ids)}
+            mock = MockModel("gold_corruption", labels=labels, matrix=matrix,
+                             gold=gold, seed=trial)
+            for uid in ids:
+                digest = hashlib.sha256(f"{trial}:{uid}".encode()).digest()
+                stream = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+                row = matrix[labels.index(gold[uid])]
+                assert mock._label_for(uid) == str(stream.choice(labels, p=row))
 
     def test_gold_required(self):
         corpus = Corpus((Unit(id="a", text="x"),))

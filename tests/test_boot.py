@@ -97,6 +97,46 @@ class TestSimulateReplicate:
         assert len(out) == 21
 
 
+    def test_matches_the_three_axis_reference(self):
+        # the redraw counts the cumulative bounds below each draw, clipped to
+        # the last label: the same codes as comparing every bound at once
+        def reference(codes, em, rngs):
+            cum = np.cumsum(em.dists, axis=1)[codes]
+            u = np.stack([rng.random(len(codes)) for rng in rngs])
+            drawn = (u[:, :, None] > cum).sum(axis=2)
+            return np.minimum(drawn, len(em.labels) - 1)
+
+        gen = np.random.default_rng(5)
+        for k in (2, 3, 4, 5):
+            dists = gen.random((k, k)) * (gen.random((k, k)) > 0.4)
+            dists[:, -1] += 1e-3
+            dists /= dists.sum(axis=1, keepdims=True)
+            em = ErrorModel(tuple("ABCDE"[:k]), dists)
+            codes = gen.integers(0, k, 500)
+            seeds = [[k, r] for r in range(3)]
+            new = simulate_replicate(codes, em,
+                                     [np.random.default_rng(s) for s in seeds])
+            ref = reference(codes, em, [np.random.default_rng(s) for s in seeds])
+            assert new.dtype == ref.dtype and (new == ref).all()
+
+        class Draws:  # a generator whose draws are given
+            def __init__(self, u):
+                self.u = np.asarray(u)
+
+            def random(self, n):
+                return self.u[:n]
+
+        # row A ends just below 1, so a draw above its last bound is clipped
+        em = ErrorModel(("A", "B", "C"), np.array([[0.25, 0.5, 0.25 - 6e-10],
+                                                   [0.0, 0.0, 1.0],
+                                                   [0.5, 0.5, 0.0]]))
+        codes = np.array([0, 0, 0, 0, 1, 1, 2, 2, 2])
+        u = [[0.25, 0.75, 1 - 1e-12, 0.0, 0.0, 0.5, 0.5, 0.999, 0.25]]
+        new = simulate_replicate(codes, em, [Draws(row) for row in u])
+        ref = reference(codes, em, [Draws(row) for row in u])
+        assert new.tolist() == ref.tolist() == [[0, 1, 2, 0, 0, 2, 0, 1, 0]]
+
+
 class TestYearlyProportionOf:
     @staticmethod
     def table(labels, years):

@@ -217,7 +217,7 @@ class TestExitCodes:
     def test_wrong_value_type_is_2(self, workspace, monkeypatch, capsys):
         # a value of the wrong type is named with its section and key, at
         # every level of the run config and down to list and mapping
-        # elements; the last two have the right type but the mock cannot
+        # elements; the last three have the right type but the mock cannot
         # use them
         monkeypatch.setenv("QUANTITIZE_API_TOKEN", "tok")
         endpoint = {"kind": "endpoint", "endpoint": "http://127.0.0.1:9",
@@ -239,6 +239,7 @@ class TestExitCodes:
                 ("client.rules", ["a"], "client.rules"),
                 ("client", endpoint, "client.timeout"),
                 ("client.matrix", [[1.0, 0.0], [1.0]], "matrix shape"),
+                ("client.matrix", [[1.1, -0.1], [0.0, 1.0]], "non-negative"),
                 ("client.mode", "bogus", "unknown mock mode")):
             cfg = yaml.safe_load((workspace / "run.yaml").read_text())
             *parents, key = path.split(".")
@@ -393,7 +394,9 @@ class TestExitCodes:
                 (["evaluate", "--corpus", corpus, "--annotations",
                   workspace / "nope.jsonl", "--scheme", scheme, "--variable",
                   "sentiment", "--out-dir", workspace / "eval"], 3),
-                (["report", workspace / "nope.json"], 3)):
+                (["report", workspace / "nope.json"], 3),
+                (["fit", "--data", workspace / "nope.csv", "--formula", "y ~ x",
+                  "--out", workspace / "fit.json"], 3)):
             assert run(argv) == code, argv
             assert "nope." in capsys.readouterr().err
 
@@ -452,6 +455,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'year'" in err and "'integer'" in err
         assert "int, float, str and bool" in err
+
+    def test_uncoercible_meta_cell_is_3(self, tmp_path, capsys):
+        (tmp_path / "rows.csv").write_text("id,text,year\nr1,hello,1954\n"
+                                           "r2,world,19x4\n", encoding="utf-8")
+        (tmp_path / "map.yaml").write_text(yaml.safe_dump({
+            "id_column": "id", "meta_columns": {"year": "int"},
+        }), encoding="utf-8")
+        assert run(["ingest", "--input", tmp_path / "rows.csv", "--format", "csv",
+                    "--mapping", tmp_path / "map.yaml",
+                    "--out", tmp_path / "corpus.jsonl"]) == 3
+        assert "rows.csv, line 3: column 'year'" in capsys.readouterr().err
 
     def test_unfillable_batched_template_is_3(self, workspace, capsys):
         (workspace / "spec.txt").write_text("Label these:\n\n{text:d}\n",
