@@ -21,6 +21,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
+from itertools import islice, permutations
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -237,13 +239,55 @@ class ChatCompletionClient:
         return ModelReply.text(str(message.get("content", "")))
 
 
+# numpy's SeedSequence hash constants, and PCG64's multiplier and its square
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32, _MASK64 = 0xCA01F9DD, 0x4973F715, (1 << 32) - 1, (1 << 64) - 1
+_PCG_MULT, _MASK128 = 2549297995355413924 << 64 | 4865540595714422341, (1 << 128) - 1
+_PCG_MULT_2 = _PCG_MULT * _PCG_MULT & _MASK128
+
+
+def _first_uniforms(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(s).random()`` for every uint64 seed ``s``, bit
+    for bit: SeedSequence's pool and ``generate_state(4, uint64)`` on uint32
+    arrays, then PCG64's seeding, first step and XSL-RR output in Python ints."""
+    const = _INIT_A
+
+    def hashmix(value, mult):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    with np.errstate(over="ignore"):
+        # the seed's 32-bit words, low first, zero-padded to the pool's 4
+        lo, hi = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
+        pool = [hashmix(w, _MULT_A) for w in (lo, hi, 0 * lo, 0 * lo)]
+        for src, dst in permutations(range(4), 2):
+            mixed = (np.uint32(_MIX_L) * pool[dst]
+                     - np.uint32(_MIX_R) * hashmix(pool[src], _MULT_A))
+            pool[dst] = mixed ^ mixed >> np.uint32(16)
+        const = _INIT_B
+        state = [hashmix(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
+    words = [(state[j] | state[j + 1] << np.uint64(32)).tolist() for j in (0, 2, 4, 6)]
+    out = np.empty(len(seeds))
+    for i, (a, b, c, d) in enumerate(zip(*words)):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        # state 0 stepped, plus a << 64 | b, stepped, then the draw's own step
+        s = ((inc + (a << 64 | b)) * _PCG_MULT_2 + inc * (_PCG_MULT + 1)) & _MASK128
+        x, rot = (s >> 64 ^ s) & _MASK64, s >> 122
+        out[i] = ((x >> rot | x << (64 - rot)) & _MASK64) >> 11
+    return out * 2.0**-53
+
+
 class MockModel:
     """Deterministic offline stand-in for a model endpoint.
 
     ``rules`` mode maps the first keyword found in the prompt to a label;
     ``gold_corruption`` mode emits each unit's gold label pushed through a
-    confusion-style corruption matrix, with a per-unit random stream derived
-    from (seed, unit id) so results do not depend on batching or scheduling.
+    confusion-style corruption matrix. Each label is drawn once, at
+    construction, from a per-unit random stream derived from (seed, unit id),
+    so results do not depend on batching, scheduling or unit order.
     """
 
     def __init__(
@@ -255,12 +299,12 @@ class MockModel:
         gold: Optional[dict[str, str]] = None,
         seed: int = 0,
         refuse_units: Sequence[str] = (),
+        variable: Optional[str] = None,
     ):
         if mode not in ("rules", "gold_corruption"):
             raise ConfigError(f"unknown mock mode {mode!r}")
         self.mode = mode
         self.rules = rules or {}
-        self.seed = seed
         self.refuse_units = set(refuse_units)
         self.identifier = f"mock-{mode}-seed{seed}"
         if mode == "gold_corruption":
@@ -277,12 +321,25 @@ class MockModel:
                 raise ConfigError("corruption matrix entries must be non-negative")
             if not np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9):
                 raise ConfigError("corruption matrix rows must sum to 1")
-            self.labels = tuple(labels)
-            self.matrix = matrix
-            self.gold = dict(gold)
-            # the cumulative rows Generator.choice builds on every call
-            self._cdf = matrix.cumsum(axis=1)
-            self._cdf /= self._cdf[:, -1:]
+            index = {label: j for j, label in enumerate(labels)}
+            where = repr(variable) if variable else "the mock's labels"
+            for uid, label in gold.items():
+                if label not in index:
+                    raise DataError(f"unit {uid!r}: gold label {label!r} is not a level "
+                                    f"of {where}")
+            # each unit's label, drawn once from its own stream: what
+            # default_rng(unit seed).choice(labels, p=matrix[gold]) draws,
+            # through the cumulative rows Generator.choice builds
+            cdf = matrix.cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            ids, self._drawn = iter(gold), {}
+            while block := list(islice(ids, 1024)):  # blocks bound the temporaries
+                digests = (hashlib.sha256(f"{seed}:{uid}".encode()).digest() for uid in block)
+                seeds = np.fromiter((int.from_bytes(d[:8], "big") for d in digests),
+                                    np.uint64, len(block))
+                rows = cdf[[index[gold[uid]] for uid in block]]
+                picks = (rows <= _first_uniforms(seeds)[:, None]).sum(axis=1)
+                self._drawn.update(zip(block, (labels[j] for j in picks)))
 
     @classmethod
     def from_corpus(
@@ -307,15 +364,11 @@ class MockModel:
             gold=gold,
             seed=seed,
             refuse_units=refuse_units,
+            variable=variable.name,
         )
 
     def _label_for(self, unit_id: str) -> str:
-        gold = self.gold[unit_id]
-        i = self.labels.index(gold)
-        digest = hashlib.sha256(f"{self.seed}:{unit_id}".encode()).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-        # rng.choice(self.labels, p=self.matrix[i]), draw for draw
-        return self.labels[int(self._cdf[i].searchsorted(rng.random(), side="right"))]
+        return self._drawn[unit_id]
 
     def send(
         self,
@@ -445,11 +498,15 @@ class AnnotationSet:
     def labels(self) -> dict[str, Optional[str]]:
         return {r.unit_id: r.label for r in self.records}
 
+    @cached_property
+    def _by_unit(self) -> dict[str, AnnotationRecord]:
+        return {r.unit_id: r for r in reversed(self.records)}  # a unit's first record
+
     def record_for(self, unit_id: str) -> AnnotationRecord:
-        for r in self.records:
-            if r.unit_id == unit_id:
-                return r
-        raise DataError(f"no record for unit {unit_id!r}")
+        try:
+            return self._by_unit[unit_id]
+        except KeyError:
+            raise DataError(f"no record for unit {unit_id!r}") from None
 
     def counts_by_status(self) -> dict[str, int]:
         out: dict[str, int] = {}

@@ -327,6 +327,9 @@ def ingest(
         for i, row in enumerate(reader):
             if m.text_column not in row:
                 raise ConfigError(f"csv has no column {m.text_column!r}")
+            if None in row or None in row.values():  # csv's marks of a ragged row
+                raise DataError(f"{path}, line {reader.line_num}: the row's cells do "
+                                f"not match the header's {len(reader.fieldnames)} columns")
             uid = row[m.id_column] if m.id_column else _synth_id(i)
             meta: dict[str, Scalar] = {}
             for col, val in row.items():
@@ -334,7 +337,7 @@ def ingest(
                     continue
                 try:
                     meta[col] = m.coerce(col, val)
-                except (AttributeError, TypeError, ValueError):  # a short row: None
+                except ValueError:
                     raise DataError(f"{path}, line {reader.line_num}: column {col!r} "
                                     f"is not {m.meta_columns[col]}: {val!r}") from None
             gold = {v: row[c] for v, c in m.gold_columns.items() if row.get(c)}

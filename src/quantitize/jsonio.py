@@ -26,9 +26,9 @@ def write_json(path: Union[str, Path], doc) -> None:
 
 
 def write_jsonl(path: Union[str, Path], docs: Iterable) -> None:
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(d, ensure_ascii=False, sort_keys=True) + "\n"
-                      for d in docs)
+        fh.writelines(encode(d) + "\n" for d in docs)
 
 
 def read_lines(path: Union[str, Path], error=DataError, newline=None) -> Iterator[str]:

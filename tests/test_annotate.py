@@ -27,6 +27,7 @@ from quantitize import (
     extract_pairs,
     normalize_output,
 )
+from quantitize.annotate import _first_uniforms
 
 SENTIMENT = Variable(
     "sentiment", "categorical", (Level("Positive"), Level("Negative"))
@@ -288,6 +289,46 @@ class TestMockModel:
         with pytest.raises(ConfigError, match="gold"):
             MockModel.from_corpus(corpus, SENTIMENT, np.eye(2))
 
+    def test_gold_outside_labels_rejected_at_construction(self):
+        corpus = Corpus((Unit(id="a", text="x", gold={"sentiment": "Foo"}),))
+        with pytest.raises(DataError, match="unit 'a': gold label 'Foo' is not "
+                                            "a level of 'sentiment'"):
+            MockModel.from_corpus(corpus, SENTIMENT, np.eye(2))
+        with pytest.raises(DataError, match="gold label 'Foo'"):
+            MockModel("gold_corruption", labels=("Positive", "Negative"),
+                      matrix=np.eye(2), gold={"a": "Foo"})
+
+    def test_first_uniforms_are_default_rng_random(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds += [int.from_bytes(hashlib.sha256(f"7:u{i}".encode()).digest()[:8], "big")
+                  for i in range(10_000)]
+        got = _first_uniforms(np.array(seeds, dtype=np.uint64))
+        want = [np.random.default_rng(s).random() for s in seeds]
+        assert got.tolist() == want
+
+    def test_labels_cross_draw_blocks(self):
+        # 2049 units span three blocks of the vectorised draw; each label is
+        # still what the unit's own Generator.choice draws
+        labels = ("A", "B", "C")
+        matrix = np.array([[0.5, 0.3, 0.2], [0.1, 0.0, 0.9], [0.25, 0.25, 0.5]])
+        gold = {f"b{i}": labels[i % 3] for i in range(2049)}
+        mock = MockModel("gold_corruption", labels=labels, matrix=matrix,
+                         gold=gold, seed=11)
+        for uid, g in gold.items():
+            digest = hashlib.sha256(f"11:{uid}".encode()).digest()
+            stream = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+            want = str(stream.choice(labels, p=matrix[labels.index(g)]))
+            assert mock._label_for(uid) == want
+
+    def test_labels_do_not_depend_on_unit_order(self):
+        corpus = make_corpus(1500, seed=4)
+        matrix = np.array([[0.7, 0.3], [0.2, 0.8]])
+        forward = MockModel.from_corpus(corpus, SENTIMENT, matrix, seed=9)
+        backward = MockModel.from_corpus(Corpus(corpus.units[::-1]), SENTIMENT,
+                                         matrix, seed=9)
+        assert {u.id: forward._label_for(u.id) for u in corpus} == \
+            {u.id: backward._label_for(u.id) for u in corpus}
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_same_seed_same_annotations(self, seed):
@@ -447,6 +488,17 @@ class TestAnnotationSet:
         r = AnnotationRecord("u1", "sentiment", "Positive", "Positive", "ok", 1)
         with pytest.raises(DataError):
             AnnotationSet((r, r), {"x": 1})
+
+    def test_record_for_takes_a_units_first_record(self):
+        from quantitize import AnnotationRecord
+        first = AnnotationRecord("u1", "sentiment", "Positive", "Positive", "ok", 1)
+        second = AnnotationRecord("u1", "stance", "x", None, "unparseable", 1)
+        other = AnnotationRecord("u2", "sentiment", "", None, "refused", 1)
+        records = AnnotationSet((first, second, other), {"x": 1})
+        assert records.record_for("u1") is first
+        assert records.record_for("u2") is other
+        with pytest.raises(DataError, match="no record for unit 'u3'"):
+            records.record_for("u3")
 
     def test_meta_text_key_does_not_replace_unit_text(self):
         unit = Unit(id="u1", text="the passage", meta={"text": "META", "title": "T"})

@@ -467,6 +467,32 @@ class TestExitCodes:
                     "--out", tmp_path / "corpus.jsonl"]) == 3
         assert "rows.csv, line 3: column 'year'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["r1", "r2,hello", "r3,hello,1954,x"],
+                             ids=["no-text", "no-year", "extra-cell"])
+    def test_ragged_csv_row_is_3(self, tmp_path, capsys, row):
+        # csv fills a short row's missing cells with None and keeps a long
+        # row's extra cells under the key None; neither an AttributeError, a
+        # stored "None" nor a None key in the written corpus is an answer
+        (tmp_path / "rows.csv").write_text(f"id,text,year\nr0,hi,1954\n{row}\n",
+                                           encoding="utf-8")
+        (tmp_path / "map.yaml").write_text(yaml.safe_dump({"id_column": "id"}),
+                                           encoding="utf-8")
+        assert run(["ingest", "--input", tmp_path / "rows.csv", "--format", "csv",
+                    "--mapping", tmp_path / "map.yaml",
+                    "--out", tmp_path / "corpus.jsonl"]) == 3
+        assert "rows.csv, line 3" in capsys.readouterr().err
+        assert not (tmp_path / "corpus.jsonl").exists()
+
+    def test_gold_outside_scheme_is_3(self, workspace, capsys):
+        # a corpus ingested without --scheme can hold a gold label that the
+        # annotate run's scheme lacks; the mock rejects it before any send
+        text = (workspace / "corpus.jsonl").read_text(encoding="utf-8")
+        (workspace / "corpus.jsonl").write_text(
+            text.replace('"Negative"', '"Foo"', 1), encoding="utf-8")
+        assert run(["annotate", "--config", workspace / "run.yaml"]) == 3
+        assert ("unit 'u001': gold label 'Foo' is not a level of 'sentiment'"
+                in capsys.readouterr().err)
+
     def test_unfillable_batched_template_is_3(self, workspace, capsys):
         (workspace / "spec.txt").write_text("Label these:\n\n{text:d}\n",
                                             encoding="utf-8")
