@@ -21,7 +21,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property
 from itertools import islice, permutations
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -299,7 +298,6 @@ class MockModel:
         gold: Optional[dict[str, str]] = None,
         seed: int = 0,
         refuse_units: Sequence[str] = (),
-        variable: Optional[str] = None,
     ):
         if mode not in ("rules", "gold_corruption"):
             raise ConfigError(f"unknown mock mode {mode!r}")
@@ -322,11 +320,6 @@ class MockModel:
             if not np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9):
                 raise ConfigError("corruption matrix rows must sum to 1")
             index = {label: j for j, label in enumerate(labels)}
-            where = repr(variable) if variable else "the mock's labels"
-            for uid, label in gold.items():
-                if label not in index:
-                    raise DataError(f"unit {uid!r}: gold label {label!r} is not a level "
-                                    f"of {where}")
             # each unit's label, drawn once from its own stream: what
             # default_rng(unit seed).choice(labels, p=matrix[gold]) draws,
             # through the cumulative rows Generator.choice builds
@@ -357,6 +350,9 @@ class MockModel:
                     f"gold_corruption mock requires gold labels; unit {u.id!r} has none"
                 )
             gold[u.id] = u.gold[variable.name]
+            if gold[u.id] not in variable.labels:
+                raise DataError(f"unit {u.id!r}: gold label {gold[u.id]!r} is not a "
+                                f"level of {variable.name!r}")
         return cls(
             "gold_corruption",
             labels=variable.labels,
@@ -364,7 +360,6 @@ class MockModel:
             gold=gold,
             seed=seed,
             refuse_units=refuse_units,
-            variable=variable.name,
         )
 
     def _label_for(self, unit_id: str) -> str:
@@ -498,15 +493,11 @@ class AnnotationSet:
     def labels(self) -> dict[str, Optional[str]]:
         return {r.unit_id: r.label for r in self.records}
 
-    @cached_property
-    def _by_unit(self) -> dict[str, AnnotationRecord]:
-        return {r.unit_id: r for r in reversed(self.records)}  # a unit's first record
-
     def record_for(self, unit_id: str) -> AnnotationRecord:
-        try:
-            return self._by_unit[unit_id]
-        except KeyError:
-            raise DataError(f"no record for unit {unit_id!r}") from None
+        for r in self.records:
+            if r.unit_id == unit_id:
+                return r
+        raise DataError(f"no record for unit {unit_id!r}")
 
     def counts_by_status(self) -> dict[str, int]:
         out: dict[str, int] = {}

@@ -294,9 +294,6 @@ class TestMockModel:
         with pytest.raises(DataError, match="unit 'a': gold label 'Foo' is not "
                                             "a level of 'sentiment'"):
             MockModel.from_corpus(corpus, SENTIMENT, np.eye(2))
-        with pytest.raises(DataError, match="gold label 'Foo'"):
-            MockModel("gold_corruption", labels=("Positive", "Negative"),
-                      matrix=np.eye(2), gold={"a": "Foo"})
 
     def test_first_uniforms_are_default_rng_random(self):
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
