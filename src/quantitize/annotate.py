@@ -471,8 +471,8 @@ class AnnotationRecord:
     unit_id: str
     variable: str
     raw: str
-    label: Optional[str]  # None when refused/unparseable
-    status: str  # "ok" | "refused" | "unparseable"
+    label: Optional[str]  # None unless ok
+    status: str  # "ok" | "refused" | "unparseable" | "transport_error"
     attempts: int
 
     def to_dict(self) -> dict:
@@ -553,9 +553,9 @@ def _record_from_reply(unit_id, variable, reply, attempts):
     if reply.kind == "refusal":
         return AnnotationRecord(unit_id, variable.name, reply.content, None,
                                 "refused", attempts)
-    if reply.kind == "transport_error":
+    if reply.kind == "transport_error":  # retries exhausted: no answer came
         return AnnotationRecord(unit_id, variable.name, reply.content, None,
-                                "unparseable", attempts)
+                                "transport_error", attempts)
     label = normalize_output(reply.content, variable)
     if label == UNPARSEABLE:
         return AnnotationRecord(unit_id, variable.name, reply.content, None,

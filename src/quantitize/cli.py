@@ -174,7 +174,8 @@ def cmd_annotate(args) -> int:
                       controls=cfg.decoding, seed=cfg.seed)
     result.save(out_dir / "annotations.jsonl", out_dir / "manifest.json")
     counts = result.counts_by_status()
-    failures = counts.get("refused", 0) + counts.get("unparseable", 0)
+    failures = {status: counts.get(status, 0)
+                for status in ("refused", "unparseable", "transport_error")}
     # transport-fatal: nothing succeeded against an endpoint; no file may
     # look like the result of a finished run
     if counts.get("ok", 0) == 0 and cfg.client.kind == "endpoint":
@@ -182,9 +183,9 @@ def cmd_annotate(args) -> int:
             (out_dir / name).rename(out_dir / f"{name}.partial")
         raise TransportError("no unit could be annotated; endpoint unusable")
     print(f"annotated {len(result.records)} units -> {out_dir/'annotations.jsonl'}")
-    if failures:
-        print(f"warning: {counts.get('refused', 0)} refused, "
-              f"{counts.get('unparseable', 0)} unparseable", file=sys.stderr)
+    if any(failures.values()):
+        print("warning: " + ", ".join(f"{n} {s}" for s, n in failures.items()),
+              file=sys.stderr)
     return EXIT_OK
 
 
@@ -193,10 +194,13 @@ def _gold_and_predicted(corpus: Corpus, annset: AnnotationSet, variable: str):
             if u.gold is not None and variable in u.gold}
     predicted = {}
     for r in annset.records:
-        if r.variable == variable and r.unit_id in gold:
+        # a transport failure is no answer of the model's, so not an error of it
+        if (r.variable == variable and r.unit_id in gold
+                and r.status != "transport_error"):
             predicted[r.unit_id] = r.label if r.status == "ok" else ERROR_LABEL
     if not predicted:
-        raise DataError("no overlap between gold units and annotations")
+        raise DataError("no overlap between gold units and annotations "
+                        "other than transport_error records")
     return {k: gold[k] for k in predicted}, predicted
 
 

@@ -212,11 +212,11 @@ class Unit:
     def to_dict(self) -> dict:
         d = {"id": self.id, "text": self.text}
         if self.groups:
-            d["groups"] = dict(self.groups)
+            d["groups"] = self.groups
         if self.meta:
-            d["meta"] = dict(self.meta)
+            d["meta"] = self.meta
         if self.gold is not None:
-            d["gold"] = dict(self.gold)
+            d["gold"] = self.gold
         return d
 
 
@@ -261,15 +261,31 @@ def _synth_id(i: int) -> str:
     return f"u{i + 1:06d}"
 
 
+def _str_dict(obj: dict, key: str) -> dict:
+    """The JSON object ``obj[key]`` with every value a string: the parsed
+    dict itself when they all are already."""
+    d = obj[key]
+    if type(d) is not dict:
+        raise DataError(f"{key} must be a JSON object")
+    for v in d.values():
+        if type(v) is not str:
+            return {k: str(v) for k, v in d.items()}
+    return d
+
+
 def _unit_from_obj(obj: dict, index: int) -> Unit:
-    uid = str(obj["id"]) if "id" in obj else _synth_id(index)
-    gold = obj.get("gold")
+    uid = obj["id"] if "id" in obj else _synth_id(index)
+    text = str(obj["text"])
+    groups = _str_dict(obj, "groups") if "groups" in obj else {}
+    meta = obj.get("meta", {})
+    if type(meta) is not dict:
+        raise DataError("meta must be a JSON object")
     return Unit(
-        id=uid,
-        text=str(obj["text"]),
-        groups={str(k): str(v) for k, v in obj.get("groups", {}).items()},
-        meta=dict(obj.get("meta", {})),
-        gold={str(k): str(v) for k, v in gold.items()} if gold is not None else None,
+        id=uid if type(uid) is str else str(uid),
+        text=text,
+        groups=groups,
+        meta=meta,
+        gold=_str_dict(obj, "gold") if obj.get("gold") is not None else None,
     )
 
 

@@ -9,6 +9,8 @@ append-only audit log of raw model traffic keeps its own record format.
 from __future__ import annotations
 
 import json
+import json.decoder
+import json.scanner
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -55,12 +57,25 @@ def read_json(path: Union[str, Path]):
 def read_jsonl(path: Union[str, Path], build) -> list:
     """``build(obj, i)`` for the ``i``-th JSON object in ``path``, one per
     non-blank line. A line that is not a JSON object, or whose object
-    ``build`` rejects, is a :class:`DataError` naming the file and line."""
+    ``build`` rejects, is a :class:`DataError` naming the file and line.
+
+    A line is decoded by one scanner with ``json.loads``'s settings, made
+    once per file; only a line that it cannot take whole, from its first
+    character to JSON whitespace at the end, goes through ``json.loads``,
+    so the objects accepted and every message are ``json.loads``'s."""
+    scan = json.scanner.make_scanner(json.JSONDecoder())
+    space = json.decoder.WHITESPACE.match
     out = []
     for line_no, line in enumerate(read_lines(path), 1):
         try:
             if not line.isspace():
-                obj = json.loads(line)
+                try:
+                    obj, end = scan(line, 0)
+                    whole = space(line, end).end() == len(line)
+                except (StopIteration, ValueError):
+                    whole = False
+                if not whole:
+                    obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise DataError(f"not a JSON object: {line.strip()[:40]}")
                 out.append(build(obj, len(out)))

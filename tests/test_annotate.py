@@ -442,7 +442,7 @@ class TestChatCompletionClient:
         assert rec.status == "ok" and rec.attempts == 3
         assert delays == [0.5, 1.0]
 
-    def test_retries_exhausted_marks_unparseable(self, monkeypatch):
+    def test_retries_exhausted_marks_transport_error(self, monkeypatch):
         monkeypatch.setenv("QUANTITIZE_API_TOKEN", "tok")
         corpus = Corpus((Unit(id="a", text="some text"),))
         session = _FakeSession([_FakeResponse(503, text="busy")] * 4)
@@ -452,7 +452,7 @@ class TestChatCompletionClient:
                           policy=AnnotatePolicy(max_retries=3),
                           sleep=lambda _: None)
         rec = result.record_for("a")
-        assert rec.status == "unparseable"
+        assert rec.status == "transport_error" and rec.label is None
         assert rec.attempts == 4
 
 

@@ -12,6 +12,7 @@ from quantitize import (
     Corpus,
     Level,
     MockModel,
+    ModelReply,
     Unit,
     Variable,
     gen_interview_margins,
@@ -404,13 +405,58 @@ class TestExitCodes:
         ('{"id": "b", "te', "line 3: not JSON"),
         ('{"id": "b"}', "line 3: lacks field 'text'"),
         ("[1, 2]", "line 3: not a JSON object: [1, 2]"),
-    ], ids=["truncated", "no-text", "array"])
+        ('{"id": "b", "text": "x", "meta": [["year", 1954]]}',
+         "line 3: meta must be a JSON object"),
+        ('{"id": "b", "text": "x", "meta": "ab"}', "line 3: meta must be a JSON object"),
+        ('{"id": "b", "text": "x", "groups": ["r1"]}',
+         "line 3: groups must be a JSON object"),
+        ('{"id": "b", "text": "x", "gold": "Positive"}',
+         "line 3: gold must be a JSON object"),
+    ], ids=["truncated", "no-text", "array", "meta-pairs", "meta-string",
+            "groups-list", "gold-string"])
     def test_bad_corpus_line_is_3(self, tmp_path, capsys, line, message):
         (tmp_path / "c.jsonl").write_text(f'{{"id": "a", "text": "x"}}\n\n{line}\n',
                                           encoding="utf-8")
         assert run(["ingest", "--input", tmp_path / "c.jsonl", "--format", "jsonl",
                     "--out", tmp_path / "out.jsonl"]) == 3
         assert f"c.jsonl, {message}" in capsys.readouterr().err
+
+    def test_transport_failure_is_its_own_status(self, workspace, monkeypatch,
+                                                 capsys):
+        # a request that fails in transport is not the model's answer: it is
+        # counted apart from unparseable replies and left out of the
+        # confusion matrix rather than scored as an ERROR prediction
+        mock_send = MockModel.send
+
+        def send(self, prompt, controls, unit_ids=()):
+            if "u003" in unit_ids:
+                return ModelReply.transport_error("timeout")
+            return mock_send(self, prompt, controls, unit_ids)
+
+        monkeypatch.setattr(MockModel, "send", send)
+        cfg = yaml.safe_load((workspace / "run.yaml").read_text())
+        cfg["policy"] = {"max_retries": 1, "backoff": 0.0}
+        (workspace / "run.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        _annotate_and_evaluate(workspace)
+        err = capsys.readouterr().err
+        assert "warning: 0 refused, 0 unparseable, 1 transport_error" in err
+        lines = (workspace / "out" / "annotations.jsonl").read_text().splitlines()
+        failed = [r for r in map(json.loads, lines) if r["status"] != "ok"]
+        assert failed == [{"unit_id": "u003", "variable": "sentiment",
+                           "raw": "timeout", "label": None,
+                           "status": "transport_error", "attempts": 2}]
+        report = json.loads((workspace / "eval" / "report.json").read_text())
+        assert report["n"] == 39
+        assert "ERROR" not in (workspace / "eval" / "confusion.csv").read_text()
+        # with nothing but transport failures there is nothing to score
+        (workspace / "lost.jsonl").write_text("".join(
+            json.dumps(json.loads(line) | {"status": "transport_error"}) + "\n"
+            for line in lines), encoding="utf-8")
+        assert run(["evaluate", "--corpus", workspace / "corpus.jsonl",
+                    "--annotations", workspace / "lost.jsonl",
+                    "--scheme", workspace / "scheme.yaml",
+                    "--variable", "sentiment", "--out-dir", workspace / "eval"]) == 3
+        assert "other than transport_error records" in capsys.readouterr().err
 
     def test_bad_annotation_record_is_3(self, workspace, capsys):
         run(["annotate", "--config", workspace / "run.yaml"])
