@@ -4,13 +4,15 @@ Fixed-effects binary logistic regression fit by iteratively reweighted
 least squares, and a random-intercept extension whose marginal likelihood
 is integrated per group with adaptive Gauss-Hermite quadrature. The mixed
 objective handles every group in one vectorised pass over rows sorted by
-group: a step-halving Newton search finds all group modes at once, and the
-negative log-likelihood comes with its exact gradient in (beta, log sigma),
-including how the modes and quadrature scales move. The fit is accepted
+group, for one parameter point or a stack of them: a step-halving Newton
+search finds all group modes at once, and the negative log-likelihood comes
+with its exact gradient in (beta, log sigma), including how the modes and
+quadrature scales move. The fit takes projected Newton steps on central
+differences of that gradient, with log sigma kept in its box. It is accepted
 only when the predicted decrease at its final point is negligible, and it
 reports whether the intercept SD ended on its bound. Inference is Wald:
-standard errors from the inverse observed information (for mixed fits,
-central differences of the exact gradient), two-sided normal p-values.
+standard errors from the inverse observed information (for mixed fits, the
+same central-difference Hessian), two-sided normal p-values.
 """
 
 from __future__ import annotations
@@ -215,7 +217,8 @@ def logistic_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray):
 LOG_SIGMA_BOUNDS = (-6.0, 4.0)  # box for log of the random-intercept SD
 MODE_TOL = 1e-10  # Newton step size at which every group's mode is final
 MODE_MAX_STEPS = 100
-MODE_MAX_HALVINGS = 60
+MAX_HALVINGS = 60  # of a group's mode step and of a Newton step
+NEWTON_TOL = 1e-10  # predicted decrease at which the Newton loop stops
 CONVERGENCE_TOL = 1e-8  # largest accepted predicted decrease 1/2 g'H^-1 g
 
 
@@ -235,7 +238,7 @@ class _MarginalLikelihood:
         _, group_index = np.unique(np.asarray(groups), return_inverse=True)
         order = np.argsort(group_index, kind="stable")
         self.X = X[order]
-        self.y = y[order]
+        self.y = y[order, None]  # a column, against (rows x k) predictors
         self.group = group_index[order]
         self.starts = np.flatnonzero(np.r_[True, np.diff(self.group) != 0])
         self.nodes, weights = np.polynomial.hermite.hermgauss(n_quad)
@@ -250,16 +253,18 @@ class _MarginalLikelihood:
         return self._sum(self.y * t - np.logaddexp(0.0, t)) - 0.5 * u * u / sigma2
 
     def modes(self, eta, sigma2):
-        """Posterior mode of every group's intercept by Newton's method. A
-        group whose step lowers its log posterior halves that step, so the
-        search cannot run away where the linear predictor is large."""
-        u = np.zeros(len(self.starts))
+        """Posterior mode of every group's intercept, for each column k of
+        ``eta`` and ``sigma2``, by Newton's method. A group whose step lowers
+        its log posterior halves that step, so the search cannot run away
+        where the linear predictor is large."""
+        u = np.zeros((len(self.starts), eta.shape[1]))
         h = self._log_posterior(eta, u, sigma2)
+        active = np.ones(eta.shape[1], dtype=bool)  # columns still searching
         for _ in range(MODE_MAX_STEPS):
             mu = expit(eta + u[self.group])
-            step = (self._sum(self.y - mu) - u / sigma2) / (
+            step = active * (self._sum(self.y - mu) - u / sigma2) / (
                 self._sum(mu * (1 - mu)) + 1.0 / sigma2)
-            for _ in range(MODE_MAX_HALVINGS):
+            for _ in range(MAX_HALVINGS):
                 h_new = self._log_posterior(eta, u + step, sigma2)
                 worse = h_new < h - 1e-12 * (1.0 + np.abs(h))
                 if not worse.any():
@@ -267,16 +272,20 @@ class _MarginalLikelihood:
                 step = np.where(worse, 0.5 * step, step)
             u = u + step
             h = h_new
-            if np.max(np.abs(step)) < MODE_TOL:
+            active &= np.max(np.abs(step), axis=0) >= MODE_TOL
+            if not active.any():
                 break
         return u
 
     def nll_grad(self, theta):
+        """Negative log-likelihood and its gradient at ``theta`` = (beta, log
+        sigma), or at each row of a stack ``theta[k, p + 1]``: then arrays
+        over rows are (rows x k) and over nodes (rows x k x nodes)."""
         X, y, group = self.X, self.y, self.group
-        p = X.shape[1]
-        beta, log_sigma = theta[:p], theta[p]
-        sigma2 = math.exp(2.0 * log_sigma)
-        eta = X @ beta
+        stack = np.atleast_2d(theta)
+        beta, log_sigma = stack[:, :-1], stack[:, -1]
+        sigma2 = np.exp(2.0 * log_sigma)
+        eta = np.einsum("np,kp->nk", X, beta)  # the same sums for any k
 
         # mode, curvature and quadrature scale of each group
         u_hat = self.modes(eta, sigma2)
@@ -286,66 +295,85 @@ class _MarginalLikelihood:
         curv = self._sum(w) + 1.0 / sigma2
         tau = 1.0 / np.sqrt(curv)
 
-        # log integrand at the adaptive nodes, one row per group
-        u = u_hat[:, None] + math.sqrt(2.0) * tau[:, None] * self.nodes
-        t = eta[:, None] + u[group]
-        cond = self._sum(y[:, None] * t - np.logaddexp(0.0, t))
-        prior = -0.5 * u * u / sigma2 - 0.5 * math.log(2 * math.pi) - log_sigma
-        terms = self.log_w + np.log(tau)[:, None] + prior + cond
-        peak = terms.max(axis=1, keepdims=True)
+        # log integrand at the adaptive nodes, (groups x k x nodes)
+        u = u_hat[..., None] + math.sqrt(2.0) * tau[..., None] * self.nodes
+        t = eta[..., None] + u[group]
+        cond = self._sum(y[..., None] * t - np.logaddexp(0.0, t))
+        prior = (-0.5 * u * u / sigma2[:, None]
+                 - (0.5 * math.log(2 * math.pi) + log_sigma)[:, None])
+        terms = self.log_w + np.log(tau)[..., None] + prior + cond
+        peak = terms.max(axis=-1, keepdims=True)
         pi = np.exp(terms - peak)
-        mass = pi.sum(axis=1, keepdims=True)
-        group_ll = peak[:, 0] + np.log(mass[:, 0])
+        mass = pi.sum(axis=-1, keepdims=True)
+        group_ll = peak[..., 0] + np.log(mass[..., 0])
         pi /= mass  # posterior weight of each node
 
-        # derivatives at fixed nodes u
-        resid = y[:, None] - expit(t)
-        d_u = self._sum(resid) - u / sigma2
-        grad_beta = X.T @ np.sum(pi[group] * resid, axis=1)
-        grad_log_sigma = float(np.sum(pi * (u * u / sigma2 - 1.0)))
+        # derivatives at fixed nodes u, per group
+        resid = y[..., None] - expit(t)
+        d_u = self._sum(resid) - u / sigma2[:, None]
+        grad_beta = self._sum(np.sum(pi[group] * resid, axis=-1)[..., None] * X[:, None])
+        grad_log_sigma = np.sum(pi * (u * u / sigma2[:, None] - 1.0), axis=-1)
 
         # the nodes move with the mode and the scale: implicit derivatives of
         # the mode equation, then of log tau = -log(curv) / 2
-        du_beta = -self._sum(w[:, None] * X) / curv[:, None]
+        du_beta = -self._sum(w[..., None] * X[:, None]) / curv[..., None]
         du_log_sigma = 2.0 * u_hat / (sigma2 * curv)
         sum_v = self._sum(v)
-        dlogtau_beta = -0.5 * (self._sum(v[:, None] * X)
-                               + sum_v[:, None] * du_beta) / curv[:, None]
+        dlogtau_beta = -0.5 * (self._sum(v[..., None] * X[:, None])
+                               + sum_v[..., None] * du_beta) / curv[..., None]
         dlogtau_log_sigma = -0.5 * (sum_v * du_log_sigma - 2.0 / sigma2) / curv
-        a = np.sum(pi * d_u, axis=1)
-        c = 1.0 + math.sqrt(2.0) * tau * np.sum(pi * d_u * self.nodes, axis=1)
-        grad_beta = grad_beta + (c[:, None] * dlogtau_beta
-                                 + a[:, None] * du_beta).sum(axis=0)
-        grad_log_sigma += float(np.sum(c * dlogtau_log_sigma + a * du_log_sigma))
-        return -float(group_ll.sum()), -np.append(grad_beta, grad_log_sigma)
+        a = np.sum(pi * d_u, axis=-1)
+        c = 1.0 + math.sqrt(2.0) * tau * np.sum(pi * d_u * self.nodes, axis=-1)
+        grad_beta += c[..., None] * dlogtau_beta + a[..., None] * du_beta
+        grad_log_sigma += c * dlogtau_log_sigma + a * du_log_sigma
+        # one sum over the groups, in an order that does not depend on k
+        total = -np.dstack([group_ll, grad_beta, grad_log_sigma]).sum(axis=0)
+        nll, grad = total[:, 0], total[:, 1:]
+        return (float(nll[0]), grad[0]) if np.ndim(theta) == 1 else (nll, grad)
 
     def hessian(self, theta):
-        """Central differences of the exact gradient, symmetrised."""
-        n = len(theta)
-        hess = np.empty((n, n))
-        for j in range(n):
-            step = np.zeros(n)
-            step[j] = 1e-5 * max(1.0, abs(theta[j]))
-            hess[:, j] = (self.nll_grad(theta + step)[1]
-                          - self.nll_grad(theta - step)[1]) / (2 * step[j])
+        """Central differences of the exact gradient, every perturbed
+        gradient in one stacked call; symmetrised."""
+        step = np.diag(1e-5 * np.maximum(1.0, np.abs(theta)))
+        plus, minus = np.split(self.nll_grad(theta + np.vstack([step, -step]))[1], 2)
+        hess = (plus - minus).T / (2 * step.diagonal())
         return 0.5 * (hess + hess.T)
 
 
-def _newton_decrement(grad, hess, log_sigma):
-    """Predicted decrease 1/2 g'H^-1 g over the free coordinates: log sigma
-    is held when it sits on a bound with the gradient pointing outward.
-    Infinite when the free Hessian is not positive definite."""
-    free = np.ones(len(grad), dtype=bool)
+def _newton_step(grad, hess, log_sigma):
+    """Newton step on the free coordinates, and the predicted decrease
+    1/2 g'H^-1 g there. Log sigma is held when it sits on a bound with the
+    gradient pointing outward. Each eigenvalue of the free Hessian becomes
+    max(|l|, 1e-8 max |l|), so the step goes downhill; the decrease is
+    infinite when the free Hessian is not positive definite."""
     low, high = LOG_SIGMA_BOUNDS
-    if (log_sigma <= low and grad[-1] > 0) or (log_sigma >= high and grad[-1] < 0):
-        free[-1] = False
-    g = grad[free]
-    try:
-        chol = np.linalg.cholesky(hess[np.ix_(free, free)])
-    except np.linalg.LinAlgError:
-        return math.inf
-    z = np.linalg.solve(chol, g)
-    return 0.5 * float(z @ z)
+    held = (log_sigma <= low and grad[-1] > 0) or (log_sigma >= high and grad[-1] < 0)
+    free = np.r_[np.ones(len(grad) - 1, dtype=bool), not held]
+    lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
+    g = vec.T @ grad[free]
+    step = np.zeros(len(grad))
+    step[free] = -vec @ (g / np.maximum(np.abs(lam), 1e-8 * np.abs(lam).max()))
+    return step, (0.5 * float(g @ (g / lam)) if lam.min() > 0 else math.inf)
+
+
+def _line_search(model, theta, nll, grad, step):
+    """The point, objective and gradient that a downhill ``step`` reaches:
+    the bound probe or the first halving that meets the Armijo condition,
+    with log sigma clamped to its box; None when no halving does."""
+    if step[-1] < 0:
+        # near sigma = 0 the objective flattens and a Newton step moves log
+        # sigma by only about 0.5: try the bound, kept if log sigma stays there
+        probe = np.append(theta[:-1] + step[:-1], LOG_SIGMA_BOUNDS[0])
+        nll_new, grad_new = model.nll_grad(probe)
+        if nll_new <= nll and grad_new[-1] > 0:
+            return probe, nll_new, grad_new
+    for halvings in range(MAX_HALVINGS):
+        candidate = theta + step / 2**halvings
+        candidate[-1] = np.clip(candidate[-1], *LOG_SIGMA_BOUNDS)
+        nll_new, grad_new = model.nll_grad(candidate)
+        if nll_new <= nll + 1e-4 * float(grad @ (candidate - theta)):
+            return candidate, nll_new, grad_new
+    return None
 
 
 def fit_logistic_random_intercept(
@@ -357,10 +385,11 @@ def fit_logistic_random_intercept(
 
     The marginal likelihood integrates the intercept out with adaptive
     Gauss-Hermite quadrature (nodes recentred at each group's posterior
-    mode); the outer optimization is quasi-Newton over the fixed effects
-    and the log of the intercept SD, on the exact gradient. The fit is
-    accepted only when the predicted decrease at the returned point is
-    below ``CONVERGENCE_TOL``; otherwise it raises :class:`DataError`.
+    mode); the outer optimization is projected Newton over the fixed effects
+    and the log of the intercept SD, on central differences of the exact
+    gradient, and ``max_iter`` caps its iterations. The fit is accepted only
+    when the predicted decrease at the returned point is below
+    ``CONVERGENCE_TOL``; otherwise it raises :class:`DataError`.
     ``boundary`` on the result says whether log sigma ended on a bound.
     """
     groups = [o.group for o in observations]
@@ -373,10 +402,6 @@ def fit_logistic_random_intercept(
 def fit_random_intercept_arrays(X, y, names, groups, n_quad=15, max_iter=200):
     """:func:`fit_logistic_random_intercept` on a :func:`design_matrix`, a
     0/1 response and one group id per row."""
-    # imported here, not at module level: scipy.optimize adds about 0.3 s
-    # to every CLI start, and only a mixed fit needs it
-    from scipy.optimize import minimize
-
     model = _MarginalLikelihood(X, y, groups, n_quad)
     if len(model.starts) < 2:
         raise DataError("random-intercept variance needs at least 2 groups")
@@ -386,25 +411,23 @@ def fit_random_intercept_arrays(X, y, names, groups, n_quad=15, max_iter=200):
         beta0 = fit_logistic_stack(X, y[None], names)[0][0]
     except DataError:
         beta0 = np.zeros(X.shape[1])
-    theta0 = np.append(beta0, math.log(0.5))
+    theta = np.append(beta0, math.log(0.5))
 
     p = X.shape[1]
-    res = minimize(
-        model.nll_grad,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(None, None)] * p + [LOG_SIGMA_BOUNDS],
-        options={"maxiter": max_iter, "ftol": 1e-13, "gtol": 1e-8},
-    )
-    theta = res.x
-    log_sigma = theta[p]
-    hess = model.hessian(theta)
-    decrement = _newton_decrement(res.jac, hess, log_sigma)
+    nll, grad = model.nll_grad(theta)
+    for n_iter in range(max_iter + 1):  # n_iter: the steps taken so far
+        hess = model.hessian(theta)
+        step, decrement = _newton_step(grad, hess, theta[p])
+        if not -0.5 * float(grad @ step) > NEWTON_TOL or n_iter == max_iter:
+            break
+        moved = _line_search(model, theta, nll, grad, step)
+        if moved is None:
+            break
+        theta, nll, grad = moved
     if not decrement <= CONVERGENCE_TOL:
         raise DataError(
-            f"mixed fit did not converge: predicted decrease {decrement:.3g} "
-            f"at the returned point ({res.message})")
+            f"mixed fit did not converge in {n_iter} Newton iterations: predicted "
+            f"decrease {decrement:.3g} at the returned point")
     try:
         cov = np.linalg.inv(hess)
     except np.linalg.LinAlgError:
@@ -412,13 +435,13 @@ def fit_random_intercept_arrays(X, y, names, groups, n_quad=15, max_iter=200):
                         "there are no Wald standard errors") from None
     return FitResult(
         coefficients=_wald(names, theta[:p], cov[:p, :p]),
-        log_likelihood=-float(res.fun),
+        log_likelihood=-nll,
         converged=True,
-        n_iter=int(res.nit),
+        n_iter=n_iter,
         n_obs=len(y),
-        sigma_u=math.exp(log_sigma),
+        sigma_u=math.exp(theta[p]),
         n_quad=n_quad,
-        boundary=bool(not LOG_SIGMA_BOUNDS[0] < log_sigma < LOG_SIGMA_BOUNDS[1]),
+        boundary=bool(not LOG_SIGMA_BOUNDS[0] < theta[p] < LOG_SIGMA_BOUNDS[1]),
     )
 
 

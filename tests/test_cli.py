@@ -93,19 +93,38 @@ def _bootstrap_with_meta(workspace, statistic, meta, replicates=10, out="boot"):
     ])
 
 
-def test_import_leaves_heavy_modules_unloaded():
-    # every CLI process pays for what importing the CLI loads; these are
-    # loaded only by the commands that use them (a mixed fit, an endpoint)
+def _child_stdout(code, *args):
+    """Standard output of ``code`` run in a fresh interpreter on this package."""
     import quantitize
-    heavy = ("scipy.stats", "scipy.optimize", "requests")
     env = {**os.environ,
            "PYTHONPATH": str(Path(quantitize.__file__).resolve().parents[1])}
-    loaded = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, quantitize.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
         env=env, capture_output=True, text=True, check=True, timeout=60,
-    ).stdout.strip()
-    assert loaded == "[]"
+    ).stdout
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    # every CLI process pays for what importing the CLI loads; requests is
+    # loaded only by a run on an HTTP endpoint, and no command needs the rest
+    heavy = ("scipy.stats", "scipy.optimize", "requests")
+    loaded = _child_stdout(
+        f"import sys, quantitize.cli; print([m for m in {heavy!r} if m in sys.modules])")
+    assert loaded.strip() == "[]"
+
+
+def test_mixed_fit_leaves_scipy_optimize_unloaded(tmp_path):
+    # the random-intercept fit runs its own Newton loop
+    rows = ["g,x,y"] + [f"g{i % 5},{(i % 7) / 3!r},{(i * i + i // 5) % 3 % 2}"
+                        for i in range(100)]
+    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = _child_stdout(
+        "import sys; from quantitize.cli import main; "
+        "code = main(sys.argv[1:]); print(code, 'scipy.optimize' in sys.modules)",
+        "fit", "--data", tmp_path / "data.csv", "--formula", "y ~ x + (1|g)",
+        "--out", tmp_path / "fit.json")
+    assert out.splitlines()[-1] == "0 False"
+    assert json.loads((tmp_path / "fit.json").read_text())["converged"] is True
 
 
 class TestPipeline:

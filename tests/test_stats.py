@@ -317,9 +317,14 @@ class TestMixedModel:
         assert "boundary" not in fit.to_dict()
 
     def test_unconverged_fit_raises(self):
-        # two quasi-Newton steps end far from the optimum; the fit must not
-        # come back labelled converged
+        # two Newton steps end short of the optimum (predicted decrease about
+        # 2e-3); the fit must not come back labelled converged
         with pytest.raises(DataError, match="did not converge"):
+            fit_logistic_random_intercept(gen_simpson(0), max_iter=2)
+
+    def test_unconverged_fit_names_its_newton_iterations(self):
+        with pytest.raises(DataError, match=r"did not converge in 2 Newton "
+                                            r"iterations: predicted decrease \S+ at"):
             fit_logistic_random_intercept(gen_simpson(0), max_iter=2)
 
     def test_singular_wald_hessian_raises(self, monkeypatch):
@@ -358,6 +363,31 @@ class TestMixedModel:
             fit = fit_logistic_random_intercept(shuffled)
             betas.append([c.estimate for c in fit.coefficients.values()])
         assert np.max(np.abs(np.array(betas) - betas[0])) <= 1e-8
+
+    @pytest.mark.parametrize("data, seeds, on_bound", [
+        ("interview", range(20), [0, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14, 16]),
+        ("simpson", range(30), []),
+    ])
+    def test_newton_fits_are_optimal(self, data, seeds, on_bound):
+        # no step of +-1e-3 in any coordinate of (beta, log sigma) that stays
+        # inside the box may raise the log-likelihood of a returned fit
+        gen = gen_simpson if data == "simpson" else gen_interview_margins
+        low, high = stats.LOG_SIGMA_BOUNDS
+        bound = []
+        for seed in seeds:
+            obs = gen(seed)
+            fit = fit_logistic_random_intercept(obs)
+            assert fit.n_iter <= 10, seed
+            if fit.boundary:
+                bound.append(seed)
+            model = _likelihood(obs)[0]
+            theta = np.append([c.estimate for c in fit.coefficients.values()],
+                              math.log(fit.sigma_u))
+            steps = 1e-3 * np.eye(len(theta))
+            probes = theta + np.concatenate([steps, -steps])
+            nll, _ = model.nll_grad(probes[(low <= probes[:, -1]) & (probes[:, -1] <= high)])
+            assert np.max(-nll) <= fit.log_likelihood, seed
+        assert bound == on_bound
 
 
 def _likelihood(obs):
@@ -412,6 +442,45 @@ class TestMarginalLikelihood:
             numeric = (-nll(theta + 2 * e) + 8 * nll(theta + e)
                        - 8 * nll(theta - e) + nll(theta - 2 * e)) / (12 * e[j])
             assert abs(grad[j] - numeric) <= 1e-6 * abs(numeric)
+
+
+def _random_points(X, seed):
+    """Two points for each log sigma, with |X beta| of order 1."""
+    rng = np.random.default_rng(seed)
+    return np.array([
+        np.append(rng.normal(scale=0.3, size=X.shape[1]) / np.abs(X).max(axis=0),
+                  log_sigma)
+        for log_sigma in (-6.0, math.log(0.7), 1.5) for _ in range(2)])
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("data", ["simpson", "interview"])
+    def test_each_row_matches_its_one_point_call(self, data):
+        obs = gen_simpson(1) if data == "simpson" else gen_interview_margins(0)
+        model, X, _, _ = _likelihood(obs)
+        stack = _random_points(X, 3)
+        nll, grad = model.nll_grad(stack)
+        assert nll.shape == (len(stack),) and grad.shape == stack.shape
+        for k, theta in enumerate(stack):
+            one_nll, one_grad = model.nll_grad(theta)
+            assert isinstance(one_nll, float) and one_grad.shape == theta.shape
+            assert abs(nll[k] - one_nll) <= 1e-12 * abs(one_nll)
+            assert np.max(np.abs(grad[k] - one_grad)) <= 1e-12 * np.max(np.abs(one_grad))
+
+    @pytest.mark.parametrize("data", ["simpson", "interview"])
+    def test_hessian_matches_one_coordinate_at_a_time(self, data):
+        obs = gen_simpson(1) if data == "simpson" else gen_interview_margins(0)
+        model, X, _, _ = _likelihood(obs)
+        for theta in _random_points(X, 4):
+            n = len(theta)
+            hess = np.empty((n, n))
+            for j in range(n):
+                step = np.zeros(n)
+                step[j] = 1e-5 * max(1.0, abs(theta[j]))
+                hess[:, j] = (model.nll_grad(theta + step)[1]
+                              - model.nll_grad(theta - step)[1]) / (2 * step[j])
+            hess = 0.5 * (hess + hess.T)
+            assert np.max(np.abs(model.hessian(theta) - hess)) <= 1e-9
 
 
 class TestParseFormula:
