@@ -59,6 +59,7 @@ from .errors import ConfigError, DataError, QuantitizeError, TransportError
 from .stats import (
     FitResult,
     Observation,
+    fit_formula,
     fit_logistic,
     fit_logistic_random_intercept,
     odds_ratio,

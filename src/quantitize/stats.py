@@ -12,7 +12,8 @@ differences of that gradient, with log sigma kept in its box. It is accepted
 only when the predicted decrease at its final point is negligible, and it
 reports whether the intercept SD ended on its bound. Inference is Wald:
 standard errors from the inverse observed information (for mixed fits, the
-same central-difference Hessian), two-sided normal p-values.
+same central-difference Hessian), two-sided normal p-values. Both fits are
+reached through :func:`fit_formula`, on a formula and one column per name.
 """
 
 from __future__ import annotations
@@ -89,15 +90,6 @@ def odds_ratio(beta: float) -> float:
 # --- design matrix ---------------------------------------------------------
 
 
-def _design(observations: Sequence[Observation]):
-    keys = {k for o in observations for k in o.covariates}
-    if any(set(o.covariates) != keys for o in observations):
-        raise DataError("covariate names are inconsistent across observations")
-    X, names = design_matrix({k: [o.covariates[k] for o in observations]
-                              for k in keys}, len(observations))
-    return X, np.array([o.response for o in observations], dtype=float), names
-
-
 def design_matrix(columns: Mapping[str, Sequence[float]], n: int):
     """Intercept plus one column per covariate in sorted name order, checked
     for full rank; returns the matrix and its column names."""
@@ -129,13 +121,9 @@ def _wald(names, beta, cov):
             for i, name in enumerate(names)}
 
 
-def fit_logistic(observations: Sequence[Observation]) -> FitResult:
-    """Binary logistic regression via IRLS; intercept always included."""
-    return fit_logistic_arrays(*_design(observations))
-
-
 def fit_logistic_arrays(X: np.ndarray, y: np.ndarray, names: list[str]) -> FitResult:
-    """:func:`fit_logistic` on a :func:`design_matrix` and a 0/1 response."""
+    """Binary logistic regression via IRLS on a :func:`design_matrix` and a
+    0/1 response."""
     beta, cov, ll, n_iter = fit_logistic_stack(X, y[None], names)
     return FitResult(
         coefficients=_wald(names, beta[0], cov[0]),
@@ -376,12 +364,9 @@ def _line_search(model, theta, nll, grad, step):
     return None
 
 
-def fit_logistic_random_intercept(
-    observations: Sequence[Observation],
-    n_quad: int = 15,
-    max_iter: int = 200,
-) -> FitResult:
-    """Mixed logistic regression with one normal random intercept per group.
+def _fit_random_intercept(X, y, names, groups, n_quad, max_iter):
+    """Mixed logistic regression with one normal random intercept per group,
+    on a :func:`design_matrix`, a 0/1 response and one group id per row.
 
     The marginal likelihood integrates the intercept out with adaptive
     Gauss-Hermite quadrature (nodes recentred at each group's posterior
@@ -392,16 +377,6 @@ def fit_logistic_random_intercept(
     ``CONVERGENCE_TOL``; otherwise it raises :class:`DataError`.
     ``boundary`` on the result says whether log sigma ended on a bound.
     """
-    groups = [o.group for o in observations]
-    if any(g is None for g in groups):
-        raise DataError("every observation needs a group id for a mixed fit")
-    return fit_random_intercept_arrays(*_design(observations), groups,
-                                       n_quad=n_quad, max_iter=max_iter)
-
-
-def fit_random_intercept_arrays(X, y, names, groups, n_quad=15, max_iter=200):
-    """:func:`fit_logistic_random_intercept` on a :func:`design_matrix`, a
-    0/1 response and one group id per row."""
     model = _MarginalLikelihood(X, y, groups, n_quad)
     if len(model.starts) < 2:
         raise DataError("random-intercept variance needs at least 2 groups")
@@ -445,7 +420,7 @@ def fit_random_intercept_arrays(X, y, names, groups, n_quad=15, max_iter=200):
     )
 
 
-# --- formula parsing -------------------------------------------------------
+# --- formulas --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -489,3 +464,45 @@ def parse_formula(text: str) -> Formula:
         else:
             raise DataError(f"unsupported formula term {term!r}")
     return Formula(response, tuple(covariates), group)
+
+
+def fit_formula(formula: Formula, columns: Mapping[str, Sequence], n_quad: int = 15,
+                max_iter: int = 200) -> FitResult:
+    """Fit ``formula`` on ``columns``, one sequence of row values per name it
+    reads: by IRLS, or with a ``(1|group)`` term by the random-intercept fit
+    (``n_quad`` quadrature nodes, at most ``max_iter`` Newton steps)."""
+    y = np.asarray(columns[formula.response], dtype=float)
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise DataError(f"response {formula.response!r} must be 0 or 1")
+    X, names = design_matrix({c: columns[c] for c in formula.covariates}, len(y))
+    if not formula.mixed:
+        return fit_logistic_arrays(X, y, names)
+    return _fit_random_intercept(X, y, names, columns[formula.group], n_quad, max_iter)
+
+
+def _observation_columns(observations: Sequence[Observation], mixed: bool):
+    """The formula and columns on which :func:`fit_formula` fits the
+    response of ``observations`` on all their covariates, plus a random
+    intercept per group if ``mixed``."""
+    if mixed and any(o.group is None for o in observations):
+        raise DataError("every observation needs a group id for a mixed fit")
+    keys = {k for o in observations for k in o.covariates}
+    if any(set(o.covariates) != keys for o in observations):
+        raise DataError("covariate names are inconsistent across observations")
+    columns = {k: [o.covariates[k] for o in observations] for k in keys}
+    columns["(response)"] = [o.response for o in observations]
+    columns["(group)"] = [o.group for o in observations]
+    return Formula("(response)", tuple(keys), "(group)" if mixed else None), columns
+
+
+def fit_logistic(observations: Sequence[Observation]) -> FitResult:
+    """:func:`fit_formula` of the response on every covariate."""
+    return fit_formula(*_observation_columns(observations, mixed=False))
+
+
+def fit_logistic_random_intercept(observations: Sequence[Observation],
+                                  n_quad: int = 15, max_iter: int = 200) -> FitResult:
+    """:func:`fit_formula` of the response on every covariate and a random
+    intercept per group."""
+    return fit_formula(*_observation_columns(observations, mixed=True),
+                       n_quad=n_quad, max_iter=max_iter)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit, ndtri
 
-from .corpus import Corpus, Unit
 from .errors import DataError
 from .stats import Observation
 
@@ -182,25 +181,3 @@ def gen_interview_margins(seed: int) -> list[Observation]:
                 )
             pos_idx += count
     return out
-
-
-def observations_to_corpus(
-    observations: list[Observation],
-    variable: str = "sentiment",
-    labels: tuple[str, str] = ("negative", "positive"),
-) -> Corpus:
-    """Wrap observations in the corpus schema so demos can run the full
-    pipeline; the response becomes a gold label, covariates become metadata."""
-    units = []
-    for i, o in enumerate(observations):
-        label = labels[o.response]
-        units.append(
-            Unit(
-                id=f"u{i + 1:06d}",
-                text=f"[synthetic response {i + 1}: {label}]",
-                groups={"respondent": o.group} if o.group else {},
-                meta={k: v for k, v in o.covariates.items()},
-                gold={variable: label},
-            )
-        )
-    return Corpus(tuple(units))

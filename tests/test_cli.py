@@ -164,6 +164,13 @@ class TestPipeline:
         text = (workspace / "summary.md").read_text()
         assert "report.json" in text and "boot.json" in text
 
+    def test_report_creates_its_output_directory(self, tmp_path):
+        (tmp_path / "r.json").write_text('{"n": 1}\n', encoding="utf-8")
+        assert run([
+            "report", tmp_path / "r.json", "--out", tmp_path / "missing" / "summary.md",
+        ]) == 0
+        assert "r.json" in (tmp_path / "missing" / "summary.md").read_text()
+
     def test_rerun_is_byte_identical(self, workspace):
         run(["annotate", "--config", workspace / "run.yaml"])
         first = (workspace / "out" / "annotations.jsonl").read_bytes()
@@ -746,10 +753,26 @@ class TestFitAndDemo:
         ]) == 3
         assert "['age', 'id']" in capsys.readouterr().err
 
+    def test_fit_names_repeated_columns(self, tmp_path, capsys):
+        # which copy of a repeated column would be fitted is a guess
+        (tmp_path / "data.csv").write_text("y,x,x\n0,1,2\n1,2,1\n0,3,0\n",
+                                           encoding="utf-8")
+        assert run([
+            "fit", "--data", tmp_path / "data.csv", "--formula", "y ~ x",
+            "--out", tmp_path / "fit.json",
+        ]) == 3
+        assert "repeats columns ['x']" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_demo_simpson_verdict(self, capsys):
         assert run(["demo", "simpson", "--seed", 1]) == 0
         out = capsys.readouterr().out
         assert "grouping artifact" in out
+
+    def test_demo_confound_verdict(self, capsys):
+        assert run(["demo", "confound", "--seed", 1]) == 0
+        out = capsys.readouterr().out
+        assert "confounded with age" in out
 
     def test_demo_interview_odds_ratio(self, capsys):
         assert run(["demo", "interview", "--seed", 1]) == 0

@@ -9,8 +9,10 @@ from scipy.special import expit, logsumexp, ndtr
 from quantitize import (
     DataError,
     Observation,
+    fit_formula,
     fit_logistic,
     fit_logistic_random_intercept,
+    gen_confound,
     gen_interview_margins,
     gen_simpson,
     odds_ratio,
@@ -22,7 +24,6 @@ from quantitize.stats import (
     IRLS_TOL,
     MAX_ABS_BETA,
     MAX_FINAL_STEP,
-    _design,
     _MarginalLikelihood,
     design_matrix,
     fit_logistic_arrays,
@@ -391,7 +392,9 @@ class TestMixedModel:
 
 
 def _likelihood(obs):
-    X, y, _ = _design(obs)
+    X, _ = design_matrix({k: [o.covariates[k] for o in obs]
+                          for k in obs[0].covariates}, len(obs))
+    y = np.array([o.response for o in obs], dtype=float)
     groups = [o.group for o in obs]
     return _MarginalLikelihood(X, y, groups, 15), X, y, groups
 
@@ -481,6 +484,25 @@ class TestStackedEvaluation:
                               - model.nll_grad(theta - step)[1]) / (2 * step[j])
             hess = 0.5 * (hess + hess.T)
             assert np.max(np.abs(model.hessian(theta) - hess)) <= 1e-9
+
+
+class TestFitFormula:
+    @pytest.mark.parametrize("generate, text, adapter", [
+        (gen_confound, "response ~ campus + age", fit_logistic),
+        (gen_simpson, "response ~ age + (1|school)", fit_logistic_random_intercept),
+    ])
+    def test_columns_fit_as_the_observation_adapter(self, generate, text, adapter):
+        obs = generate(0)
+        columns = {k: [o.covariates[k] for o in obs] for k in obs[0].covariates}
+        columns.update(response=[o.response for o in obs],
+                       school=[o.group for o in obs])
+        assert (fit_formula(parse_formula(text), columns).to_dict()
+                == adapter(obs).to_dict())
+
+    def test_response_other_than_0_or_1_rejected(self):
+        columns = {"y": [0, 1, 2, 1], "x": [0.0, 1.0, 2.0, 3.0]}
+        with pytest.raises(DataError, match="'y' must be 0 or 1"):
+            fit_formula(parse_formula("y ~ x"), columns)
 
 
 class TestParseFormula:

@@ -10,7 +10,6 @@ from quantitize import (
     gen_simpson,
 )
 from quantitize import Observation
-from quantitize.synth import observations_to_corpus
 
 
 def restrict(observations, keys):
@@ -99,19 +98,3 @@ class TestConfound:
 
     def test_reproducible(self):
         assert gen_confound(8) == gen_confound(8)
-
-
-class TestObservationsToCorpus:
-    def test_labels_follow_responses(self):
-        obs = gen_interview_margins(0)
-        corpus = observations_to_corpus(obs)
-        assert len(corpus.units) == 192
-        positives = sum(
-            u.gold["sentiment"] == "positive" for u in corpus.units
-        )
-        assert positives == sum(o.response for o in obs)
-
-    def test_covariates_land_in_meta(self):
-        corpus = observations_to_corpus(gen_interview_margins(0))
-        u = corpus.units[0]
-        assert "campus" in u.meta and "age" in u.meta
