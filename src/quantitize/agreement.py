@@ -62,13 +62,20 @@ class ConfusionMatrix:
 
     @classmethod
     def from_csv(cls, path: Union[str, Path]) -> "ConfusionMatrix":
-        """A :meth:`to_csv` file; a bad cell or row is a DataError naming it."""
+        """A :meth:`to_csv` file; a repeated label, a bad cell, or a row out
+        of the header's label order is a DataError naming its line."""
         reader = csv.reader(read_lines(path, newline=""))
         labels, counts = tuple(next(reader, [""])[1:]), []
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise DataError(f"{path}, line 1: the header repeats labels {repeated}")
         for row in reader:
             try:
                 if len(row) != len(labels) + 1:
                     raise ValueError(f"{len(row) - 1} counts for {len(labels)} labels")
+                if len(counts) == len(labels) or row[0] != labels[len(counts)]:
+                    raise ValueError(f"row label {row[0]!r} is not gold label "
+                                     f"{len(counts) + 1} of the header's {list(labels)}")
                 counts.append([int(c) for c in row[1:]])
             except ValueError as exc:
                 raise DataError(f"{path}, line {reader.line_num}: {exc}") from None

@@ -110,6 +110,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.n_replicates < 2:
             raise ConfigError("need at least 2 replicates")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not 0 < self.level < 1:
             raise ConfigError("confidence level must be in (0, 1)")
         if self.ci_method not in ("normal_1p96sigma", "percentile"):

@@ -13,7 +13,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import sys
@@ -54,7 +53,7 @@ from .corpus import (
     save_corpus,
 )
 from .errors import ConfigError, DataError, TransportError
-from .jsonio import format_json, read_json, read_lines, read_text, write_json
+from .jsonio import format_json, read_csv_table, read_json, read_text, write_json
 # fit_logistic and fit_logistic_random_intercept are not called here; they
 # stay importable from this module because bench/spans.py patches them here
 from .stats import (  # noqa: F401
@@ -326,22 +325,19 @@ def cmd_bootstrap(args) -> int:
 
 def _read_columns_csv(path: Path, formula) -> dict[str, list]:
     """The columns ``formula`` reads from a CSV file: floats, and strings
-    for the group. A column the header lacks or repeats, a missing or
-    non-numeric cell, or a response other than 0 or 1 is a
-    :class:`DataError`; a cell's error names its line and column."""
-    reader = csv.DictReader(read_lines(path, newline=""))
-    header = reader.fieldnames or []
+    for the group. A column the header lacks, a table that
+    :func:`read_csv_table` rejects, a missing or non-numeric cell, or a
+    response other than 0 or 1 is a :class:`DataError`; a cell's error
+    names its line and column."""
+    header, rows = read_csv_table(path)
     converters = dict.fromkeys([formula.response, *formula.covariates], float)
     if formula.group:
         converters[formula.group] = str
     missing = converters.keys() - set(header)
     if missing:
         raise DataError(f"data file lacks columns {sorted(missing)}")
-    repeated = sorted(name for name in converters if header.count(name) > 1)
-    if repeated:
-        raise DataError(f"data file repeats columns {repeated}")
     columns = {name: [] for name in converters}
-    for row in reader:
+    for line, row in rows:
         for name, convert in converters.items():
             value = row[name]
             try:
@@ -349,10 +345,10 @@ def _read_columns_csv(path: Path, formula) -> dict[str, list]:
             except ValueError:
                 out = None
             if out is None or (convert is float and not math.isfinite(out)):
-                raise DataError(f"{path}, line {reader.line_num}: column "
+                raise DataError(f"{path}, line {line}: column "
                                 f"{name!r} has no usable value {value!r}")
             if name == formula.response and out not in (0.0, 1.0):
-                raise DataError(f"{path}, line {reader.line_num}: column "
+                raise DataError(f"{path}, line {line}: column "
                                 f"{name!r} must be 0 or 1, got {value!r}")
             columns[name].append(out)
     return columns

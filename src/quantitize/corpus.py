@@ -9,7 +9,6 @@ against it at ingestion time.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import re
@@ -24,7 +23,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, DataError
-from .jsonio import read_jsonl, read_lines, read_text, write_jsonl
+from .jsonio import read_csv_table, read_jsonl, read_text, write_jsonl
 
 Scalar = Union[str, int, float, bool]
 
@@ -336,16 +335,13 @@ def ingest(
         if csv_mapping is None:
             raise ConfigError("csv ingestion requires a column mapping")
         m = csv_mapping
-        reader = csv.DictReader(read_lines(path, newline=""))
+        header, rows = read_csv_table(path)
+        if m.text_column not in header:
+            raise ConfigError(f"csv has no column {m.text_column!r}")
         mapped = {m.id_column, m.text_column}
         mapped |= set(m.group_columns.values())
         mapped |= set(m.gold_columns.values())
-        for i, row in enumerate(reader):
-            if m.text_column not in row:
-                raise ConfigError(f"csv has no column {m.text_column!r}")
-            if None in row or None in row.values():  # csv's marks of a ragged row
-                raise DataError(f"{path}, line {reader.line_num}: the row's cells do "
-                                f"not match the header's {len(reader.fieldnames)} columns")
+        for i, (line, row) in enumerate(rows):
             uid = row[m.id_column] if m.id_column else _synth_id(i)
             meta: dict[str, Scalar] = {}
             for col, val in row.items():
@@ -354,7 +350,7 @@ def ingest(
                 try:
                     meta[col] = m.coerce(col, val)
                 except ValueError:
-                    raise DataError(f"{path}, line {reader.line_num}: column {col!r} "
+                    raise DataError(f"{path}, line {line}: column {col!r} "
                                     f"is not {m.meta_columns[col]}: {val!r}") from None
             gold = {v: row[c] for v, c in m.gold_columns.items() if row.get(c)}
             units.append(

@@ -1,4 +1,5 @@
-"""Every JSON document and JSONL file the program writes, and every one it reads.
+"""Every JSON document and JSONL file the program writes, and every one it
+reads, and the one header and row-width rule of its CSV table readers.
 
 Documents are indented by two spaces with sorted keys and end in a newline;
 JSONL files hold one sorted-key object per line with non-ASCII text kept.
@@ -8,6 +9,7 @@ append-only audit log of raw model traffic keeps its own record format.
 
 from __future__ import annotations
 
+import csv
 import json
 import json.decoder
 import json.scanner
@@ -41,6 +43,31 @@ def read_lines(path: Union[str, Path], error=DataError, newline=None) -> Iterato
             yield from fh
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise error(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from None
+
+
+def read_csv_table(path: Union[str, Path]
+                   ) -> tuple[list[str], Iterator[tuple[int, dict[str, str]]]]:
+    """The header of the CSV file ``path`` and its non-blank rows, read as
+    they are consumed: each row's line number and its cells keyed by the
+    header. A header that repeats a column, or a row with more or fewer
+    cells than the header has columns, is a :class:`DataError` naming the
+    file and line."""
+    reader = csv.reader(read_lines(path, newline=""))
+    header = next(reader, [])
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise DataError(f"{path}, line 1: the header repeats columns {repeated}")
+
+    def rows():
+        for cells in filter(None, reader):  # a blank line is an empty list
+            if len(cells) != len(header):
+                lacking = header[len(cells):]
+                raise DataError(f"{path}, line {reader.line_num}: the row has "
+                                f"{len(cells)} cells for the header's {len(header)} "
+                                "columns" + (f", none for {lacking}" if lacking else ""))
+            yield reader.line_num, dict(zip(header, cells))
+
+    return header, rows()
 
 
 def read_text(path: Union[str, Path], error=DataError) -> str:

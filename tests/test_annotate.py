@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import string
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from quantitize import (
     extract_pairs,
     normalize_output,
 )
-from quantitize.annotate import _first_uniforms
 
 SENTIMENT = Variable(
     "sentiment", "categorical", (Level("Positive"), Level("Negative"))
@@ -258,10 +259,12 @@ class TestMockModel:
                       matrix=np.array([[1.1, -0.1], [0.0, 1.0]]),
                       gold={"u1": "Positive"})
 
-    def test_label_for_is_generator_choice(self):
-        # each unit's label is what Generator.choice draws from the unit's
-        # own stream: over matrices with zero entries, rows rounded to two
-        # decimals and rows that sum to 1 only within 1e-9
+    def test_labels_are_the_digest_formula(self):
+        # each unit's label, recomputed from hashlib alone: the uniform is the
+        # top 53 bits of bytes 8-15 of sha256(f"{seed}:{uid}"), placed on the
+        # gold row's normalised cumulative sum; over matrices with zero
+        # entries, rows rounded to two decimals and rows that sum to 1 only
+        # within 1e-9
         rng = np.random.default_rng(2024)
         for trial in range(60):
             k = int(rng.integers(2, 5))
@@ -280,9 +283,35 @@ class TestMockModel:
                              gold=gold, seed=trial)
             for uid in ids:
                 digest = hashlib.sha256(f"{trial}:{uid}".encode()).digest()
-                stream = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-                row = matrix[labels.index(gold[uid])]
-                assert mock._label_for(uid) == str(stream.choice(labels, p=row))
+                u = (int.from_bytes(digest[8:16], "big") >> 11) * 2.0**-53
+                cum = list(accumulate(matrix[labels.index(gold[uid])].tolist()))
+                want = labels[bisect_right([c / cum[-1] for c in cum], u)]
+                assert mock._label_for(uid) == want
+
+    def test_label_shares_match_the_matrix(self):
+        # over 10^4 units each row's label shares lie within 5 binomial SDs
+        # of its probabilities, and a zero-probability label is never drawn
+        labels = ("A", "B", "C", "D")
+        matrix = np.array([[0.7, 0.2, 0.1, 0.0], [0.0, 0.5, 0.5, 0.0],
+                           [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.1, 0.9]])
+        gold = {f"f{i}": labels[i % 4] for i in range(10_000)}
+        mock = MockModel("gold_corruption", labels=labels, matrix=matrix,
+                         gold=gold, seed=3)
+        for g, row in zip(labels, matrix):
+            drawn = [mock._label_for(uid) for uid, lab in gold.items() if lab == g]
+            n = len(drawn)
+            for label, p in zip(labels, row):
+                count = drawn.count(label)
+                if p == 0:
+                    assert count == 0, (g, label)
+                else:
+                    assert abs(count - n * p) <= 5 * math.sqrt(n * p * (1 - p)), \
+                        (g, label, count)
+
+    def test_gold_outside_labels_names_the_unit(self):
+        with pytest.raises(DataError, match="unit 'u1': gold label 'C'"):
+            MockModel("gold_corruption", labels=("A", "B"), matrix=np.eye(2),
+                      gold={"u1": "C"})
 
     def test_gold_required(self):
         corpus = Corpus((Unit(id="a", text="x"),))
@@ -294,28 +323,6 @@ class TestMockModel:
         with pytest.raises(DataError, match="unit 'a': gold label 'Foo' is not "
                                             "a level of 'sentiment'"):
             MockModel.from_corpus(corpus, SENTIMENT, np.eye(2))
-
-    def test_first_uniforms_are_default_rng_random(self):
-        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-        seeds += [int.from_bytes(hashlib.sha256(f"7:u{i}".encode()).digest()[:8], "big")
-                  for i in range(10_000)]
-        got = _first_uniforms(np.array(seeds, dtype=np.uint64))
-        want = [np.random.default_rng(s).random() for s in seeds]
-        assert got.tolist() == want
-
-    def test_labels_cross_draw_blocks(self):
-        # 2049 units span three blocks of the vectorised draw; each label is
-        # still what the unit's own Generator.choice draws
-        labels = ("A", "B", "C")
-        matrix = np.array([[0.5, 0.3, 0.2], [0.1, 0.0, 0.9], [0.25, 0.25, 0.5]])
-        gold = {f"b{i}": labels[i % 3] for i in range(2049)}
-        mock = MockModel("gold_corruption", labels=labels, matrix=matrix,
-                         gold=gold, seed=11)
-        for uid, g in gold.items():
-            digest = hashlib.sha256(f"11:{uid}".encode()).digest()
-            stream = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-            want = str(stream.choice(labels, p=matrix[labels.index(g)]))
-            assert mock._label_for(uid) == want
 
     def test_labels_do_not_depend_on_unit_order(self):
         corpus = make_corpus(1500, seed=4)

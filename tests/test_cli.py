@@ -505,7 +505,15 @@ class TestExitCodes:
         ("gold\\pred,Positive,Negative\nPositive,3,1\nNegative,1\n",
          "bad.csv, line 3: 1 counts for 2 labels"),
         ("", "bad.csv holds no confusion matrix"),
-    ], ids=["non-integer", "ragged", "empty"])
+        # rows out of the header's order would swap the error model's rows
+        ("gold\\pred,Positive,Negative\nNegative,1,4\nPositive,3,1\n",
+         "bad.csv, line 2: row label 'Negative'"),
+        ("gold\\pred,Positive,Negative\nPositive,3,1\nNegative,1,4\nNeutral,2,2\n",
+         "bad.csv, line 4: row label 'Neutral'"),
+        ("gold\\pred,Positive,Positive\nPositive,3,1\nPositive,1,4\n",
+         "bad.csv, line 1: the header repeats labels ['Positive']"),
+    ], ids=["non-integer", "ragged", "empty", "swapped-rows", "extra-row",
+            "repeated-label"])
     def test_bad_confusion_csv_is_3(self, workspace, capsys, text, message):
         run(["annotate", "--config", workspace / "run.yaml"])
         (workspace / "bad.csv").write_text(text, encoding="utf-8")
@@ -554,6 +562,29 @@ class TestExitCodes:
                     "--out", tmp_path / "corpus.jsonl"]) == 3
         assert "rows.csv, line 3" in capsys.readouterr().err
         assert not (tmp_path / "corpus.jsonl").exists()
+
+    def test_repeated_csv_column_is_3(self, tmp_path, capsys):
+        # which copy of a repeated column is the unit's text would be a guess
+        (tmp_path / "rows.csv").write_text("id,text,text\nr0,hi,there\n",
+                                           encoding="utf-8")
+        (tmp_path / "map.yaml").write_text(yaml.safe_dump({"id_column": "id"}),
+                                           encoding="utf-8")
+        assert run(["ingest", "--input", tmp_path / "rows.csv", "--format", "csv",
+                    "--mapping", tmp_path / "map.yaml",
+                    "--out", tmp_path / "corpus.jsonl"]) == 3
+        assert "rows.csv, line 1: the header repeats columns ['text']" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "corpus.jsonl").exists()
+
+    def test_negative_bootstrap_seed_is_2(self, workspace, capsys):
+        _annotate_and_evaluate(workspace)
+        assert run([
+            "bootstrap", "--annotations", workspace / "out" / "annotations.jsonl",
+            "--confusion", workspace / "eval" / "confusion.csv",
+            "--statistic", "proportion:Positive", "--replicates", 10,
+            "--seed", -1, "--out", workspace / "boot" / "boot.json",
+        ]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_gold_outside_scheme_is_3(self, workspace, capsys):
         # a corpus ingested without --scheme can hold a gold label that the
@@ -686,10 +717,10 @@ class TestGoldenStream:
                                     replicates=20, out="logit") == 0
         prop = json.loads((workspace / "prop" / "boot.json").read_text())
         sigma = prop["statistics"]["prop_Positive"]["sigma"]
-        assert repr(sigma) == "0.05581204507093428"
+        assert repr(sigma) == "0.05810066694970033"
         rows = (workspace / "logit" / "replicates.csv").read_text().splitlines()
         assert rows[0] == "replicate,beta_age,p_age"
-        assert rows[4] == "3,-0.054018342088555424,0.5382087756067243"
+        assert rows[4] == "3,-0.09317388396760473,0.29721225910002735"
 
 
 class TestFitAndDemo:
@@ -762,6 +793,19 @@ class TestFitAndDemo:
             "--out", tmp_path / "fit.json",
         ]) == 3
         assert "repeats columns ['x']" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_fit_rejects_long_row(self, tmp_path, capsys):
+        # a cell beyond the header belongs to no column: it is not dropped
+        rows = ["online,campus", "0,0", "1,1,7", "1,0", "0,1"]
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n",
+                                           encoding="utf-8")
+        assert run([
+            "fit", "--data", tmp_path / "data.csv", "--formula", "online ~ campus",
+            "--out", tmp_path / "fit.json",
+        ]) == 3
+        assert ("data.csv, line 3: the row has 3 cells for the header's 2 columns"
+                in capsys.readouterr().err)
         assert not (tmp_path / "fit.json").exists()
 
     def test_demo_simpson_verdict(self, capsys):
