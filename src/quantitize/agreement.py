@@ -7,7 +7,6 @@ F1 with macro averaging, and Spearman's rho for ordinal outputs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -15,7 +14,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import DataError
-from .jsonio import read_lines, write_json
+from .jsonio import read_csv_table, write_csv, write_json
 
 ERROR_LABEL = "ERROR"
 
@@ -54,33 +53,29 @@ class ConfusionMatrix:
         )
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["gold\\pred"] + list(self.labels))
-            for label, row in zip(self.labels, self.counts):
-                w.writerow([label] + [int(c) for c in row])
+        write_csv(path, ["gold\\pred", *self.labels],
+                  ([label, *map(int, row)] for label, row in zip(self.labels, self.counts)))
 
     @classmethod
     def from_csv(cls, path: Union[str, Path]) -> "ConfusionMatrix":
-        """A :meth:`to_csv` file; a repeated label, a bad cell, or a row out
-        of the header's label order is a DataError naming its line."""
-        reader = csv.reader(read_lines(path, newline=""))
-        labels, counts = tuple(next(reader, [""])[1:]), []
-        repeated = sorted({label for label in labels if labels.count(label) > 1})
-        if repeated:
-            raise DataError(f"{path}, line 1: the header repeats labels {repeated}")
-        for row in reader:
+        """A :meth:`to_csv` file; a bad cell, a row out of the header's label
+        order, or a missing row is a DataError naming the file."""
+        header, rows = read_csv_table(path)
+        labels, counts = tuple(header[1:]), []
+        for line, row in rows:
+            label, *cells = row.values()
             try:
-                if len(row) != len(labels) + 1:
-                    raise ValueError(f"{len(row) - 1} counts for {len(labels)} labels")
-                if len(counts) == len(labels) or row[0] != labels[len(counts)]:
-                    raise ValueError(f"row label {row[0]!r} is not gold label "
+                if len(counts) == len(labels) or label != labels[len(counts)]:
+                    raise ValueError(f"row label {label!r} is not gold label "
                                      f"{len(counts) + 1} of the header's {list(labels)}")
-                counts.append([int(c) for c in row[1:]])
+                counts.append([int(c) for c in cells])
             except ValueError as exc:
-                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+                raise DataError(f"{path}, line {line}: {exc}") from None
         if not counts:
             raise DataError(f"{path} holds no confusion matrix")
+        if len(counts) < len(labels):
+            raise DataError(f"{path} has no row for gold labels "
+                            f"{list(labels[len(counts):])}")
         return cls(labels, np.array(counts, dtype=np.int64))
 
 

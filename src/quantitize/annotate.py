@@ -11,7 +11,6 @@ all raw traffic can be appended to a JSONL audit log.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import os
@@ -28,7 +27,7 @@ import numpy as np
 
 from .corpus import STRIP_CHARS, Corpus, CodingScheme, Unit, Variable, approx_tokens
 from .errors import ConfigError, DataError, TransportError
-from .jsonio import read_json, read_jsonl, write_json, write_jsonl
+from .jsonio import append_json_line, read_json, read_jsonl, write_json, write_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -150,9 +149,7 @@ class AuditLog:
     def record(self, entry: dict) -> None:
         if self.path is None:
             return
-        entry = {"ts": run_timestamp(), **entry}
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+        append_json_line(self.path, {"ts": run_timestamp(), **entry})
 
 
 class ChatCompletionClient:

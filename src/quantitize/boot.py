@@ -8,7 +8,6 @@ interest, and the spread of replicate values yields the confidence interval.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ from scipy.special import ndtri
 
 from .agreement import ConfusionMatrix
 from .errors import ConfigError, DataError
-from .jsonio import write_json
+from .jsonio import write_csv, write_json
 
 log = logging.getLogger(__name__)
 
@@ -41,9 +40,12 @@ class ErrorModel:
     dists: np.ndarray  # row i: distribution used for observed label i
 
     def __post_init__(self):
-        dists = np.asarray(self.dists, dtype=float)
-        object.__setattr__(self, "dists", dists)
         k = len(self.labels)
+        try:
+            dists = np.asarray(self.dists, dtype=float)
+        except ValueError as exc:  # ragged rows, or a cell that is no number
+            raise DataError(f"error model needs a {k}x{k} grid: {exc}") from None
+        object.__setattr__(self, "dists", dists)
         if dists.shape != (k, k):
             raise DataError(f"error model needs a {k}x{k} grid, got {dists.shape}")
         if (dists < 0).any():
@@ -152,11 +154,9 @@ class BootstrapResult:
     def replicates_to_csv(self, path: Union[str, Path]) -> None:
         if self.replicates is None:
             raise ConfigError("replicates were not retained")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["replicate"] + list(self.replicate_names))
-            for i, row in enumerate(self.replicates):
-                w.writerow([i] + [repr(float(v)) for v in row])
+        write_csv(path, ["replicate", *self.replicate_names],
+                  ([i, *(repr(float(v)) for v in row)]
+                   for i, row in enumerate(self.replicates)))
 
 
 def bootstrap_ci(

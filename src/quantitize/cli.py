@@ -53,7 +53,7 @@ from .corpus import (
     save_corpus,
 )
 from .errors import ConfigError, DataError, TransportError
-from .jsonio import format_json, read_csv_table, read_json, read_text, write_json
+from .jsonio import format_json, read_csv_table, read_json, read_text, write_json, write_text
 # fit_logistic and fit_logistic_random_intercept are not called here; they
 # stay importable from this module because bench/spans.py patches them here
 from .stats import (  # noqa: F401
@@ -105,7 +105,6 @@ def cmd_ingest(args) -> int:
     corpus = ingest(args.input, args.format, scheme=scheme, csv_mapping=mapping,
                     unitize_strategy=strategy)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_corpus(corpus, out)
     _write_manifest(out.parent, args)
     print(f"ingested {len(corpus)} units -> {out}")
@@ -163,7 +162,6 @@ def cmd_annotate(args) -> int:
     path = Path(args.config).resolve()
     cfg = load_yaml(RunConfig, path, "config")
     out_dir = path.parent / cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     corpus = ingest(path.parent / cfg.corpus, "jsonl")
     scheme = load_scheme(path.parent / cfg.scheme)
     instruction = read_text(path.parent / cfg.template, ConfigError)
@@ -216,7 +214,6 @@ def cmd_evaluate(args) -> int:
     cm = build_confusion(gold, predicted, labels)
     report = agreement_report(cm)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cm.to_csv(out_dir / "confusion.csv")
     report.to_json(out_dir / "report.json")
     _write_manifest(out_dir, args)
@@ -227,7 +224,9 @@ def cmd_evaluate(args) -> int:
 
 def _covariate_columns(units, needed: dict) -> dict:
     """One array per covariate in ``needed`` (name -> converter), aligned
-    with ``units``; a unit's groups take precedence over its metadata."""
+    with ``units``; a unit's groups take precedence over its metadata. A
+    value the converter rejects, or a float that is not finite, is a
+    DataError naming the unit."""
     columns = {}
     for name, convert in needed.items():
         if not any(name in u.groups or name in u.meta for u in units):
@@ -235,11 +234,13 @@ def _covariate_columns(units, needed: dict) -> dict:
         column = []
         for u in units:
             try:
-                column.append(convert(u.groups[name] if name in u.groups
-                                      else u.meta[name]))
+                value = convert(u.groups[name] if name in u.groups else u.meta[name])
+                if convert is float and not math.isfinite(value):
+                    raise ValueError(value)
             except (KeyError, TypeError, ValueError):
                 raise DataError(f"unit {u.id!r} has no usable value for "
                                 f"covariate {name!r}") from None
+            column.append(value)
         columns[name] = np.array(column)
     return columns
 
@@ -312,7 +313,6 @@ def cmd_bootstrap(args) -> int:
     result = bootstrap_ci([r.label for r in records], columns, em, statistic,
                           config, keep_replicates=args.replicates_csv is not None)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     result.to_json(out)
     if args.replicates_csv:
         result.replicates_to_csv(args.replicates_csv)
@@ -359,7 +359,6 @@ def cmd_fit(args) -> int:
     fit = fit_formula(formula, _read_columns_csv(Path(args.data), formula),
                       n_quad=args.quad_nodes)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     fit.to_json(out)
     _write_manifest(out.parent, args)
     print(_fit_table(fit))
@@ -435,9 +434,7 @@ def cmd_report(args) -> int:
         sections.append("```\n")
     text = "\n".join(sections)
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+        write_text(args.out, text)
         print(f"report written to {args.out}")
     else:
         print(text)

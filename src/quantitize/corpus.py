@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, DataError
-from .jsonio import read_csv_table, read_jsonl, read_text, write_jsonl
+from .jsonio import read_csv_table, read_jsonl, read_text, write_jsonl, write_text
 
 Scalar = Union[str, int, float, bool]
 
@@ -190,8 +190,8 @@ def load_scheme(path: Union[str, Path]) -> CodingScheme:
 
 
 def save_scheme(scheme: CodingScheme, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(scheme.to_dict(), fh, sort_keys=False, allow_unicode=True)
+    write_text(path, yaml.safe_dump(scheme.to_dict(), sort_keys=False,
+                                    allow_unicode=True))
 
 
 @dataclass(frozen=True)
@@ -336,11 +336,12 @@ def ingest(
             raise ConfigError("csv ingestion requires a column mapping")
         m = csv_mapping
         header, rows = read_csv_table(path)
-        if m.text_column not in header:
-            raise ConfigError(f"csv has no column {m.text_column!r}")
         mapped = {m.id_column, m.text_column}
         mapped |= set(m.group_columns.values())
         mapped |= set(m.gold_columns.values())
+        missing = sorted(mapped - set(header) - {None})
+        if missing:
+            raise ConfigError(f"csv has no column {', '.join(map(repr, missing))}")
         for i, (line, row) in enumerate(rows):
             uid = row[m.id_column] if m.id_column else _synth_id(i)
             meta: dict[str, Scalar] = {}
@@ -352,7 +353,7 @@ def ingest(
                 except ValueError:
                     raise DataError(f"{path}, line {line}: column {col!r} "
                                     f"is not {m.meta_columns[col]}: {val!r}") from None
-            gold = {v: row[c] for v, c in m.gold_columns.items() if row.get(c)}
+            gold = {v: row[c] for v, c in m.gold_columns.items() if row[c]}
             units.append(
                 Unit(
                     id=str(uid),

@@ -1,5 +1,6 @@
-"""Every JSON document and JSONL file the program writes, and every one it
-reads, and the one header and row-width rule of its CSV table readers.
+"""Every file the package opens: the JSON, JSONL, CSV and text files it
+writes and reads, and the audit log it appends to. Every writer makes the
+directory it writes into.
 
 Documents are indented by two spaces with sorted keys and end in a newline;
 JSONL files hold one sorted-key object per line with non-ASCII text kept.
@@ -14,7 +15,7 @@ import json
 import json.decoder
 import json.scanner
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DataError
 
@@ -24,15 +25,38 @@ def format_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _create(path: Union[str, Path], mode: str = "w", newline=None):
+    """``path`` opened as UTF-8 text for writing, its directory made first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, mode, encoding="utf-8", newline=newline)
+
+
+def write_text(path: Union[str, Path], text: str) -> None:
+    with _create(path) as fh:
+        fh.write(text)
+
+
 def write_json(path: Union[str, Path], doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_json(doc) + "\n")
+    write_text(path, format_json(doc) + "\n")
 
 
 def write_jsonl(path: Union[str, Path], docs: Iterable) -> None:
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         fh.writelines(encode(d) + "\n" for d in docs)
+
+
+def append_json_line(path: Union[str, Path], doc: dict) -> None:
+    """``doc`` as one more log line, keys in their order, non-ASCII kept."""
+    with _create(path, "a") as fh:
+        fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
+
+
+def write_csv(path: Union[str, Path], header: Sequence, rows: Iterable[Sequence]) -> None:
+    with _create(path, newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def read_lines(path: Union[str, Path], error=DataError, newline=None) -> Iterator[str]:

@@ -7,7 +7,6 @@ segmented documents, and open-ended answer matching against accepted sets.
 
 from __future__ import annotations
 
-import csv
 import re
 import string
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .agreement import spearman_rho
 from .errors import DataError
+from .jsonio import read_csv_table
 
 # 4-point relatedness scale: numeric ratings and their verbal labels
 RATING_LABELS = {1: "Distinct", 2: "Linked", 3: "Related", 4: "Same"}
@@ -83,16 +83,20 @@ def rank_eval(scores: Mapping[str, float], gold: Mapping[str, float]) -> float:
 
 
 def load_gold_scores(path: Union[str, Path]) -> dict[str, float]:
-    """Two-column CSV (word, graded score), optional header."""
+    """A CSV table with the header ``word,score``: each word's graded score.
+    A score that is not a number, or a repeated word, is a DataError naming
+    its line."""
+    header, rows = read_csv_table(path)
+    if header != ["word", "score"]:
+        raise DataError(f"{path}, line 1: the header must be word,score, got {header}")
     out = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if len(row) < 2:
-                continue
-            try:
-                out[row[0]] = float(row[1])
-            except ValueError:
-                continue  # header row
+    for line, row in rows:
+        try:
+            if row["word"] in out:
+                raise ValueError(f"word {row['word']!r} repeats")
+            out[row["word"]] = float(row["score"])
+        except ValueError as exc:
+            raise DataError(f"{path}, line {line}: {exc}") from None
     if not out:
         raise DataError(f"no scores found in {path}")
     return out

@@ -139,6 +139,14 @@ class TestAgreementReport:
         agreement_report(cm).to_json(tmp_path / "report.json")
         assert (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("tail", [b"\r\n", b"\n", b"\r\n\r\n"])
+    def test_csv_may_end_in_blank_lines(self, tmp_path, tail):
+        cm = ConfusionMatrix(("A", "B"), np.array([[40, 10], [5, 45]]))
+        p = tmp_path / "cm.csv"
+        cm.to_csv(p)
+        p.write_bytes(p.read_bytes() + tail)
+        assert (ConfusionMatrix.from_csv(p).counts == cm.counts).all()
+
 
 class TestSpearman:
     def test_identical_rankings(self):

@@ -49,6 +49,10 @@ class TestErrorModel:
         with pytest.raises(DataError):
             ErrorModel(("A", "B"), np.array([[0.5, 0.4], [0.0, 1.0]]))
 
+    def test_ragged_rows_are_not_a_grid(self):
+        with pytest.raises(DataError, match="needs a 2x2 grid"):
+            ErrorModel(("A", "B"), [[1.0, 0.0], [1.0]])
+
     def test_unknown_mode_rejected(self):
         cm = ConfusionMatrix(("A", "B"), np.eye(2, dtype=int))
         with pytest.raises(ConfigError):

@@ -503,7 +503,7 @@ class TestExitCodes:
         ("gold\\pred,Positive,Negative\nPositive,3,x\nNegative,1,4\n",
          "bad.csv, line 2: invalid literal for int()"),
         ("gold\\pred,Positive,Negative\nPositive,3,1\nNegative,1\n",
-         "bad.csv, line 3: 1 counts for 2 labels"),
+         "bad.csv, line 3: the row has 2 cells for the header's 3 columns"),
         ("", "bad.csv holds no confusion matrix"),
         # rows out of the header's order would swap the error model's rows
         ("gold\\pred,Positive,Negative\nNegative,1,4\nPositive,3,1\n",
@@ -511,9 +511,11 @@ class TestExitCodes:
         ("gold\\pred,Positive,Negative\nPositive,3,1\nNegative,1,4\nNeutral,2,2\n",
          "bad.csv, line 4: row label 'Neutral'"),
         ("gold\\pred,Positive,Positive\nPositive,3,1\nPositive,1,4\n",
-         "bad.csv, line 1: the header repeats labels ['Positive']"),
+         "bad.csv, line 1: the header repeats columns ['Positive']"),
+        ("gold\\pred,Positive,Negative\nPositive,3,1\n",
+         "bad.csv has no row for gold labels ['Negative']"),
     ], ids=["non-integer", "ragged", "empty", "swapped-rows", "extra-row",
-            "repeated-label"])
+            "repeated-label", "missing-row"])
     def test_bad_confusion_csv_is_3(self, workspace, capsys, text, message):
         run(["annotate", "--config", workspace / "run.yaml"])
         (workspace / "bad.csv").write_text(text, encoding="utf-8")
@@ -574,6 +576,21 @@ class TestExitCodes:
                     "--out", tmp_path / "corpus.jsonl"]) == 3
         assert "rows.csv, line 1: the header repeats columns ['text']" in \
             capsys.readouterr().err
+        assert not (tmp_path / "corpus.jsonl").exists()
+
+    @pytest.mark.parametrize("mapping, column", [
+        ({"id_column": "ident"}, "ident"),
+        ({"group_columns": {"school": "sch"}}, "sch"),
+        ({"gold_columns": {"sentiment": "label"}}, "label"),
+    ], ids=["id", "group", "gold"])
+    def test_mapped_column_missing_from_header_is_2(self, tmp_path, capsys,
+                                                    mapping, column):
+        (tmp_path / "rows.csv").write_text("id,text\nr0,hi\n", encoding="utf-8")
+        (tmp_path / "map.yaml").write_text(yaml.safe_dump(mapping), encoding="utf-8")
+        assert run(["ingest", "--input", tmp_path / "rows.csv", "--format", "csv",
+                    "--mapping", tmp_path / "map.yaml",
+                    "--out", tmp_path / "corpus.jsonl"]) == 2
+        assert f"csv has no column {column!r}" in capsys.readouterr().err
         assert not (tmp_path / "corpus.jsonl").exists()
 
     def test_negative_bootstrap_seed_is_2(self, workspace, capsys):
@@ -657,6 +674,28 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "'u007'" in err and "'year'" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_statistic_covariate_is_3(self, workspace, capsys, value):
+        _annotate_and_evaluate(workspace)
+        code = _bootstrap_with_meta(
+            workspace, "logistic:Positive ~ age",
+            lambda i: {"age": value if i == 3 else 20.0 + i})
+        assert code == 3
+        assert ("unit 'u003' has no usable value for covariate 'age'"
+                in capsys.readouterr().err)
+
+    def test_replicates_csv_directory_is_made(self, workspace):
+        _annotate_and_evaluate(workspace)
+        assert run([
+            "bootstrap", "--annotations", workspace / "out" / "annotations.jsonl",
+            "--confusion", workspace / "eval" / "confusion.csv",
+            "--statistic", "proportion:Positive", "--replicates", 10,
+            "--out", workspace / "boot" / "boot.json",
+            "--replicates-csv", workspace / "new" / "r.csv",
+        ]) == 0
+        rows = (workspace / "new" / "r.csv").read_text().splitlines()
+        assert rows[0] == "replicate,prop_Positive" and len(rows) == 11
 
     def test_non_numeric_statistic_covariate_is_3(self, workspace, capsys):
         _annotate_and_evaluate(workspace)

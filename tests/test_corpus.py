@@ -101,6 +101,13 @@ class TestIngestCsv:
         corpus = ingest(p, "csv", csv_mapping=mapping)
         assert corpus.units[0].meta["title"] == "Some Title"
 
+    def test_empty_gold_cell_is_no_gold(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("id,text,label\nr1,hello,Positive\nr2,world,\n")
+        mapping = CsvMapping(id_column="id", gold_columns={"sentiment": "label"})
+        corpus = ingest(p, "csv", csv_mapping=mapping)
+        assert [u.gold for u in corpus] == [{"sentiment": "Positive"}, None]
+
     def test_mapping_required(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("id,text\nr1,hello\n")

@@ -1,8 +1,10 @@
-"""Every JSON and YAML input is parsed by one reader per format:
-``jsonio.read_json`` and ``jsonio.read_jsonl`` for JSON and JSONL,
-``corpus.load_yaml`` for YAML. The check walks the package's syntax trees,
-so a parser call anywhere else fails it. ``read_jsonl`` decodes its lines
-with a reused scanner, so it is also checked against ``json.loads``."""
+"""Every file the package opens is opened by ``jsonio``, and every input is
+parsed by one reader per format: ``jsonio.read_json`` and
+``jsonio.read_jsonl`` for JSON and JSONL, ``jsonio.read_csv_table`` for CSV,
+``corpus.load_yaml`` for YAML. The checks walk the package's syntax trees,
+so a parser call or a file opened anywhere else fails them. ``read_jsonl``
+decodes its lines with a reused scanner, so it is also checked against
+``json.loads``."""
 
 import ast
 import json
@@ -16,7 +18,8 @@ from quantitize import DataError
 from quantitize.jsonio import read_jsonl, read_lines
 
 PARSERS = {"json.load", "json.loads", "json.JSONDecoder", "json.decoder.JSONDecoder",
-           "yaml.load", "yaml.safe_load", "yaml.full_load", "yaml.unsafe_load"}
+           "yaml.load", "yaml.safe_load", "yaml.full_load", "yaml.unsafe_load",
+           "csv.reader", "csv.DictReader"}
 PARSER_MODULES = ("json.scanner.",)  # every call into them
 PARSER_METHODS = {"raw_decode", "scan_once"}  # on any receiver
 
@@ -80,10 +83,48 @@ def test_parsers_are_called_only_by_the_readers():
     for path in sorted(Path(quantitize.__file__).parent.glob("*.py")):
         found += _parser_calls(path.read_text(encoding="utf-8"), path.stem)
     assert sorted(found) == [("corpus", "load_yaml", "yaml.safe_load"),
+                             ("jsonio", "read_csv_table", "csv.reader"),
                              ("jsonio", "read_json", "json.loads"),
                              ("jsonio", "read_jsonl", "json.JSONDecoder"),
                              ("jsonio", "read_jsonl", "json.loads"),
                              ("jsonio", "read_jsonl", "json.scanner.make_scanner")]
+
+
+OPENERS = {"open", "io.open", "os.open", "os.fdopen", "csv.writer", "csv.DictWriter"}
+PATH_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def _file_calls(source):
+    """Each call in ``source`` that opens a file, reads or writes one whole,
+    or makes a directory, as its dotted name or ``.method``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name, f = _dotted(node.func), node.func
+            if name in OPENERS:
+                found.append(name)
+            elif isinstance(f, ast.Attribute) and f.attr in PATH_METHODS | {"mkdir"}:
+                found.append(f".{f.attr}")
+    return found
+
+
+def test_files_are_opened_only_by_jsonio():
+    found = {}
+    for path in sorted(Path(quantitize.__file__).parent.glob("*.py")):
+        calls = _file_calls(path.read_text(encoding="utf-8"))
+        if calls and path.stem != "jsonio":
+            found[path.stem] = calls
+    assert found == {}
+
+
+def test_the_file_visitor_sees_opens_writes_and_mkdirs():
+    source = ("with open(p) as fh, io.open(p) as g:\n"
+              "    csv.writer(fh).writerow([1])\n"
+              "Path(p).write_text(t)\n"
+              "out.parent.mkdir(parents=True)\n"
+              "read_text(p)\n")  # jsonio's reader, called by name: not a Path read
+    assert sorted(_file_calls(source)) == [".mkdir", ".write_text", "csv.writer",
+                                           "io.open", "open"]
 
 
 def test_the_visitor_sees_decoders_and_scanners():

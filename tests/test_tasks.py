@@ -94,6 +94,23 @@ class TestRankEval:
         p.write_text("word,score\nplane,0.88\ngraft,0.25\n")
         assert load_gold_scores(p) == {"plane": 0.88, "graft": 0.25}
 
+    def test_missing_gold_score_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read .*gold.csv"):
+            load_gold_scores(tmp_path / "gold.csv")
+
+    @pytest.mark.parametrize("text, message", [
+        ("word,score\nplane,0.88\ngraft,high\n",
+         "line 3: could not convert string to float: 'high'"),
+        ("word,score\nplane,0.88\nplane,0.25\n", "line 3: word 'plane' repeats"),
+        ("plane,0.88\ngraft,0.25\n", "line 1: the header must be word,score"),
+    ], ids=["bad-score", "repeated-word", "no-header"])
+    def test_bad_gold_score_row_is_named(self, tmp_path, text, message):
+        p = tmp_path / "gold.csv"
+        p.write_text(text)
+        with pytest.raises(DataError) as exc:
+            load_gold_scores(p)
+        assert f"gold.csv, {message}" in str(exc.value)
+
 
 class TestSemanticEditDistance:
     def test_quarter_split_gives_75(self):
