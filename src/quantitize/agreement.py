@@ -27,11 +27,17 @@ class ConfusionMatrix:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
         k = len(self.labels)
+        try:
+            counts = np.asarray(self.counts, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged rows, or a cell that is no number
+            raise DataError(f"confusion matrix must be {k}x{k}: {exc}") from None
         if counts.shape != (k, k):
             raise DataError(f"confusion matrix must be {k}x{k}, got {counts.shape}")
+        if bad := [c for c in counts.flat if not c.is_integer()]:
+            raise DataError(f"confusion matrix must be {k}x{k} whole counts, got {bad[0]}")
+        counts = counts.astype(np.int64)
+        object.__setattr__(self, "counts", counts)
         if (counts < 0).any():
             raise DataError("confusion matrix entries must be non-negative")
         if counts.sum() == 0:

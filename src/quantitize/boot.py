@@ -11,10 +11,10 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from statistics import NormalDist
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .agreement import ConfusionMatrix
 from .errors import ConfigError, DataError
@@ -123,7 +123,7 @@ class BootstrapConfig:
     def z(self) -> float:
         if abs(self.level - 0.95) < 1e-12:
             return 1.96  # conventional value, not the exact quantile
-        return float(ndtri(0.5 + self.level / 2))
+        return NormalDist().inv_cdf(0.5 + self.level / 2)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .errors import ConfigError, DataError
 from .jsonio import write_json
@@ -34,6 +33,12 @@ MAX_ABS_BETA = 15.0  # separation guard on the logit scale
 MAX_FINAL_STEP = 1e-2  # largest logit change one more Newton step may make
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
+
+
+def expit(x):
+    """The logistic function 1 / (1 + e^-x); 0 where e^-x overflows."""
+    with np.errstate(over="ignore"):
+        return 1 / (1 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,8 @@ def wald_tests(beta, cov):
     se = np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, math.inf * np.sign(beta))
-    return se, z, np.where(np.isfinite(z), 2 * ndtr(-np.abs(z)), 0.0)
+    p = np.vectorize(math.erfc, otypes=[float])(np.abs(z) / math.sqrt(2))
+    return se, z, np.where(np.isfinite(z), p, 0.0)
 
 
 def _wald(names, beta, cov):

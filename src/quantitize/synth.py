@@ -30,11 +30,12 @@ Tuned constants:
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .errors import DataError
-from .stats import Observation
+from .stats import Observation, expit
 
 SIMPSON_INTERCEPTS = (-2.0, 1.5, 1.0)
 SIMPSON_AGE_STEP = 5.0
@@ -56,14 +57,14 @@ GEOMETRIC_P = 0.35  # respondent response-count distribution
 GEOMETRIC_CAP = 8
 
 
-def _systematic_draw(probabilities: np.ndarray, phase: float = 0.5) -> np.ndarray:
+def _systematic_draw(probabilities: np.ndarray) -> np.ndarray:
     """Deterministic 0/1 assignment matching the given probabilities.
 
     Walks the sequence accumulating probability mass and emits a 1 whenever
     the accumulator crosses an integer, so realized counts match expected
     counts up to rounding and the 1s are spread evenly along the sequence.
     """
-    acc = phase
+    acc = 0.5  # so that counts round to the nearest
     out = np.zeros(len(probabilities), dtype=int)
     for i, p in enumerate(probabilities):
         acc += p
@@ -90,7 +91,7 @@ def gen_simpson(seed: int, within_age_effect: float = 0.0) -> list[Observation]:
     for s, b0 in enumerate(SIMPSON_INTERCEPTS):
         mean_age = SIMPSON_BASE_AGE + SIMPSON_AGE_STEP * s
         quantiles = (np.arange(SIMPSON_PER_SCHOOL) + 0.5) / SIMPSON_PER_SCHOOL
-        ages = ndtri(quantiles) * SIMPSON_AGE_SD + mean_age
+        ages = np.vectorize(NormalDist(mean_age, SIMPSON_AGE_SD).inv_cdf)(quantiles)
         p = expit(b0 + within_age_effect * (ages - mean_age))
         responses = _systematic_draw(p)
         for age, resp in zip(ages, responses):

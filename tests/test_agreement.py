@@ -38,6 +38,23 @@ class TestBuildConfusion:
         assert cm.counts.tolist() == [[1, 0], [1, 0]]
 
 
+class TestConfusionMatrix:
+    @pytest.mark.parametrize("counts, message", [
+        ([[1, 0], [1]], "^confusion matrix must be 2x2: .*inhomogeneous"),
+        ([[1, "x"], [1, 2]], "^confusion matrix must be 2x2: .*'x'"),
+        ([[1.5, 0], [0, 2]], "^confusion matrix must be 2x2 whole counts, got 1.5$"),
+        ([[float("nan"), 0], [0, 2]], "^confusion matrix must be 2x2 whole counts, got nan$"),
+    ], ids=["ragged", "no-number", "fraction", "nan"])
+    def test_counts_that_are_no_grid_of_whole_numbers(self, counts, message):
+        with pytest.raises(DataError, match=message):
+            ConfusionMatrix(("A", "B"), counts)
+
+    def test_integral_floats_are_counts(self):
+        cm = ConfusionMatrix(("A", "B"), [[2.0, 0.0], [1.0, 3.0]])
+        assert cm.counts.dtype == np.int64
+        assert cm.counts.tolist() == [[2, 0], [1, 3]]
+
+
 class TestCohensKappa:
     def test_worked_example(self):
         cm = ConfusionMatrix(("A", "B"), np.array([[40, 10], [5, 45]]))

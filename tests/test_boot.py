@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 from quantitize import (
     BootstrapConfig,
@@ -299,6 +300,14 @@ class TestBootstrapCi:
     def test_too_few_replicates_rejected(self):
         with pytest.raises(ConfigError):
             BootstrapConfig(n_replicates=1)
+
+    @pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
+    def test_z_is_the_normal_quantile_of_the_level(self, level):
+        z = BootstrapConfig(level=level).z
+        if level == 0.95:
+            assert z == 1.96  # the conventional value, kept exactly
+        else:
+            assert z == pytest.approx(ndtri(0.5 + level / 2), rel=1e-15, abs=0)
 
     def test_json_round_trip(self, tmp_path):
         result = bootstrap_ci(["A", "B"] * 10, {}, identity_model(),

@@ -76,21 +76,21 @@ def _annotate_and_evaluate(workspace):
     ]) == 0
 
 
-def _bootstrap_with_meta(workspace, statistic, meta, replicates=10, out="boot"):
-    """Bootstrap the workspace's annotations against a copy of its corpus
-    whose unit ``i`` carries ``meta(i)``; returns the exit code. Results go
-    to ``out/boot.json`` and ``out/replicates.csv``."""
+def _bootstrap_argv(workspace, statistic, meta, replicates=10, out="boot"):
+    """Writes a copy of the workspace's corpus whose unit ``i`` carries
+    ``meta(i)``, and returns the arguments that bootstrap the annotations
+    against it. Results go to ``out/boot.json`` and ``out/replicates.csv``."""
     units = tuple(Unit(id=f"u{i:03d}", text=f"passage {i}", meta=meta(i))
                   for i in range(40))
     save_corpus(Corpus(units), workspace / "meta.jsonl")
-    return run([
+    return [
         "bootstrap", "--annotations", workspace / "out" / "annotations.jsonl",
         "--confusion", workspace / "eval" / "confusion.csv",
         "--statistic", statistic, "--corpus", workspace / "meta.jsonl",
         "--replicates", replicates, "--seed", 5,
         "--out", workspace / out / "boot.json",
         "--replicates-csv", workspace / out / "replicates.csv",
-    ])
+    ]
 
 
 def _child_stdout(code, *args):
@@ -106,25 +106,40 @@ def _child_stdout(code, *args):
 
 def test_import_leaves_heavy_modules_unloaded():
     # every CLI process pays for what importing the CLI loads; requests is
-    # loaded only by a run on an HTTP endpoint, and no command needs the rest
-    heavy = ("scipy.stats", "scipy.optimize", "requests")
+    # loaded only by a run on an HTTP endpoint, and scipy by no command
+    heavy = ("scipy", "requests")
     loaded = _child_stdout(
-        f"import sys, quantitize.cli; print([m for m in {heavy!r} if m in sys.modules])")
+        "import sys, quantitize.cli; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {heavy!r}))")
     assert loaded.strip() == "[]"
 
 
-def test_mixed_fit_leaves_scipy_optimize_unloaded(tmp_path):
-    # the random-intercept fit runs its own Newton loop
+def test_commands_run_without_scipy(workspace):
+    # scipy is a dependency of the tests only: with it unimportable, a fixed
+    # and a mixed fit, a demo, and a bootstrap whose level needs a normal
+    # quantile all succeed
     rows = ["g,x,y"] + [f"g{i % 5},{(i % 7) / 3!r},{(i * i + i // 5) % 3 % 2}"
                         for i in range(100)]
-    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (workspace / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _annotate_and_evaluate(workspace)
+    commands = [
+        ["fit", "--data", workspace / "data.csv", "--formula", formula,
+         "--out", workspace / out]
+        for formula, out in (("y ~ x", "fixed.json"), ("y ~ x + (1|g)", "mixed.json"))
+    ] + [
+        ["demo", "simpson", "--seed", 0],
+        _bootstrap_argv(workspace, "logistic:Positive ~ age",
+                        lambda i: {"age": 20.0 + (7 * i) % 13}) + ["--level", 0.9],
+    ]
     out = _child_stdout(
-        "import sys; from quantitize.cli import main; "
-        "code = main(sys.argv[1:]); print(code, 'scipy.optimize' in sys.modules)",
-        "fit", "--data", tmp_path / "data.csv", "--formula", "y ~ x + (1|g)",
-        "--out", tmp_path / "fit.json")
-    assert out.splitlines()[-1] == "0 False"
-    assert json.loads((tmp_path / "fit.json").read_text())["converged"] is True
+        "import json, sys; sys.modules['scipy'] = None; "
+        "from quantitize.cli import main; "
+        "print([main(argv) for argv in json.loads(sys.argv[1])])",
+        json.dumps([list(map(str, argv)) for argv in commands]))
+    assert out.splitlines()[-1] == "[0, 0, 0, 0]"
+    assert json.loads((workspace / "mixed.json").read_text())["converged"] is True
+    boot = json.loads((workspace / "boot" / "boot.json").read_text())
+    assert boot["config"]["level"] == 0.9
 
 
 class TestPipeline:
@@ -668,9 +683,9 @@ class TestExitCodes:
 
     def test_unit_without_statistic_covariate_is_3(self, workspace, capsys):
         _annotate_and_evaluate(workspace)
-        code = _bootstrap_with_meta(
+        code = run(_bootstrap_argv(
             workspace, "yearly_proportions:Positive",
-            lambda i: {} if i == 7 else {"year": 1990 + i % 4})
+            lambda i: {} if i == 7 else {"year": 1990 + i % 4}))
         assert code == 3
         err = capsys.readouterr().err
         assert "'u007'" in err and "'year'" in err
@@ -678,9 +693,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_statistic_covariate_is_3(self, workspace, capsys, value):
         _annotate_and_evaluate(workspace)
-        code = _bootstrap_with_meta(
+        code = run(_bootstrap_argv(
             workspace, "logistic:Positive ~ age",
-            lambda i: {"age": value if i == 3 else 20.0 + i})
+            lambda i: {"age": value if i == 3 else 20.0 + i}))
         assert code == 3
         assert ("unit 'u003' has no usable value for covariate 'age'"
                 in capsys.readouterr().err)
@@ -699,9 +714,9 @@ class TestExitCodes:
 
     def test_non_numeric_statistic_covariate_is_3(self, workspace, capsys):
         _annotate_and_evaluate(workspace)
-        code = _bootstrap_with_meta(
+        code = run(_bootstrap_argv(
             workspace, "logistic:Positive ~ age",
-            lambda i: {"age": "n/a" if i == 12 else 20.0 + i})
+            lambda i: {"age": "n/a" if i == 12 else 20.0 + i}))
         assert code == 3
         err = capsys.readouterr().err
         assert "'u012'" in err and "'age'" in err
@@ -709,9 +724,9 @@ class TestExitCodes:
     def test_logistic_statistic_with_random_term_is_2(self, workspace, capsys):
         # a logistic fit has no random intercept; the term must not be dropped
         _annotate_and_evaluate(workspace)
-        code = _bootstrap_with_meta(
+        code = run(_bootstrap_argv(
             workspace, "logistic:Positive ~ age + (1|school)",
-            lambda i: {"age": 20.0 + i, "school": f"s{i % 3}"})
+            lambda i: {"age": 20.0 + i, "school": f"s{i % 3}"}))
         assert code == 2
         assert "mixed:" in capsys.readouterr().err
 
@@ -723,8 +738,8 @@ class TestManifests:
         _annotate_and_evaluate(workspace)
         evaluate = json.loads((workspace / "eval" / "manifest.json").read_text())
         assert evaluate["out_dir"] == str(workspace / "eval")
-        assert _bootstrap_with_meta(workspace, "yearly_proportions:Positive",
-                                    lambda i: {"year": 1990 + i % 4}) == 0
+        assert run(_bootstrap_argv(workspace, "yearly_proportions:Positive",
+                                   lambda i: {"year": 1990 + i % 4})) == 0
         manifest = json.loads((workspace / "boot" / "manifest.json").read_text())
         assert manifest["corpus"] == str(workspace / "meta.jsonl")
         manifest["out"] = str(workspace / "again" / "boot.json")
@@ -750,16 +765,16 @@ class TestGoldenStream:
         (workspace / "eval" / "confusion.csv").write_text(
             "gold\\pred,Positive,Negative\nPositive,9,1\nNegative,2,8\n",
             encoding="utf-8")
-        assert _bootstrap_with_meta(workspace, "proportion:Positive", meta,
-                                    replicates=200, out="prop") == 0
-        assert _bootstrap_with_meta(workspace, "logistic:Positive ~ age", meta,
-                                    replicates=20, out="logit") == 0
+        assert run(_bootstrap_argv(workspace, "proportion:Positive", meta,
+                                   replicates=200, out="prop")) == 0
+        assert run(_bootstrap_argv(workspace, "logistic:Positive ~ age", meta,
+                                   replicates=20, out="logit")) == 0
         prop = json.loads((workspace / "prop" / "boot.json").read_text())
         sigma = prop["statistics"]["prop_Positive"]["sigma"]
         assert repr(sigma) == "0.05810066694970033"
         rows = (workspace / "logit" / "replicates.csv").read_text().splitlines()
         assert rows[0] == "replicate,beta_age,p_age"
-        assert rows[4] == "3,-0.09317388396760473,0.29721225910002735"
+        assert rows[4] == "3,-0.09317388396760473,0.29721225910002746"
 
 
 class TestFitAndDemo:
