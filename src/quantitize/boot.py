@@ -9,6 +9,7 @@ interest, and the spread of replicate values yields the confidence interval.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import NormalDist
@@ -19,13 +20,15 @@ import numpy as np
 from .agreement import ConfusionMatrix
 from .errors import ConfigError, DataError
 from .jsonio import write_csv, write_json
+from .stats import design_matrix, fit_formula, fit_logistic_stack, parse_formula, wald_tests
 
 log = logging.getLogger(__name__)
 
 # statistic plugin: (labels, covariates) -> named outputs, each of the shape
 # ``labels.shape[:-1]``. ``labels[..., n]`` holds label strings, 1-D for the
 # point estimate and one row per replicate for a chunk; ``covariates`` maps
-# each covariate name to a column aligned with the last axis. Outputs named
+# each covariate name to a column aligned with the last axis, for custom
+# plugins: the stock ones bind their columns when built. Outputs named
 # ``p_*`` or ``prop_*`` are probabilities: their normal CI is clipped to [0, 1].
 StatisticPlugin = Callable[[np.ndarray, Mapping[str, np.ndarray]], dict[str, np.ndarray]]
 
@@ -266,28 +269,104 @@ def proportion_of(label: str) -> StatisticPlugin:
     return plugin
 
 
-def yearly_proportion_of(label: str) -> StatisticPlugin:
-    """Per-year fraction of the given label, one output per ``year`` value."""
-
-    # every replicate of a bootstrap passes the same year column object, so
-    # its years, codes and totals are computed once, for the last column seen
-    cached = {}
+def yearly_proportion_of(label: str, years: Sequence[int]) -> StatisticPlugin:
+    """Per-year fraction of the given label, one output per value in
+    ``years``, the year of each unit."""
+    years = np.asarray(years)
+    order = np.argsort(years)  # the units of each year, side by side
+    values, starts, totals = np.unique(years[order], return_index=True,
+                                       return_counts=True)
 
     def plugin(labels, covariates):
-        column = covariates["year"]
-        if cached.get("column") is not column:
-            years, year_codes = np.unique(column, return_inverse=True)
-            cached["column"] = column
-            cached["codes"] = (years, year_codes,
-                               np.bincount(year_codes, minlength=len(years)))
-        years, year_codes, totals = cached["codes"]
-        rows = (labels == label).reshape(-1, len(year_codes))
-        # one bincount for every row: row i counts into cells i * len(years) on
-        row, unit = np.divmod(np.flatnonzero(rows), len(year_codes))
-        hits = np.bincount(row * len(years) + year_codes[unit],
-                           minlength=len(rows) * len(years))
-        share = hits.reshape(labels.shape[:-1] + (len(years),)) / totals
-        return dict(zip((f"prop_{label}_{year}" for year in years),
-                        np.moveaxis(share, -1, 0)))
+        hits = np.add.reduceat((labels == label)[..., order], starts, axis=-1,
+                               dtype=np.intp)
+        return dict(zip((f"prop_{label}_{year}" for year in values),
+                        np.moveaxis(hits / totals, -1, 0)))
 
     return plugin
+
+
+# --- statistic specs --------------------------------------------------------
+
+
+def _whole(value) -> int:
+    """``value`` as an int if it is one exactly: 1990, 1990.0 or "1990",
+    but not True or 1990.7."""
+    whole = int(value)
+    if isinstance(value, bool) or whole != float(value):
+        raise ValueError(value)
+    return whole
+
+
+def _covariate_columns(units, needed: dict) -> dict:
+    """One array per covariate in ``needed`` (name -> converter), aligned
+    with ``units``; a unit's groups take precedence over its metadata. A
+    value the converter rejects, or a float that is not finite, is a
+    DataError naming the unit."""
+    columns = {}
+    for name, convert in needed.items():
+        if not any(name in u.groups or name in u.meta for u in units):
+            raise ConfigError(f"statistic needs a covariate no unit has: {name!r}")
+        column = []
+        for u in units:
+            try:
+                value = convert(u.groups[name] if name in u.groups else u.meta[name])
+                if convert is float and not math.isfinite(value):
+                    raise ValueError(value)
+            except (KeyError, TypeError, ValueError, OverflowError):
+                raise DataError(f"unit {u.id!r} has no usable value for "
+                                f"covariate {name!r}") from None
+            column.append(value)
+        columns[name] = np.array(column)
+    return columns
+
+
+def parse_statistic(spec: str, labels: Sequence[str], units):
+    """The plugin for a statistic spec and the covariate columns it reads,
+    built from ``units`` (one per label; empty without a corpus). The label
+    the spec counts or models must be one of ``labels``, the error model's."""
+    if ":" not in spec:
+        raise ConfigError(f"statistic spec {spec!r} needs the form kind:arg")
+    kind, arg = spec.split(":", 1)
+    if kind not in ("proportion", "yearly_proportions", "logistic", "mixed"):
+        raise ConfigError(f"unknown statistic kind {kind!r}")
+    formula = parse_formula(arg) if kind in ("logistic", "mixed") else None
+    label = formula.response if formula else arg
+    if label not in labels:
+        raise ConfigError(f"statistic {spec!r} names label {label!r}, which is "
+                          f"not one of the error model's labels {list(labels)}")
+    if kind == "proportion":
+        return proportion_of(label), {}
+    if kind == "yearly_proportions":
+        columns = _covariate_columns(units, {"year": _whole})
+        return yearly_proportion_of(label, columns["year"]), columns
+    mixed = kind == "mixed"
+    if formula.group and not mixed:
+        raise ConfigError("a logistic statistic has no random intercept; "
+                          f"use mixed:{arg} to fit the (1|group) term")
+    if mixed and not formula.group:
+        raise ConfigError("a mixed statistic needs a (1|group) term")
+    needed = dict.fromkeys(formula.covariates, float)
+    if mixed:
+        needed[formula.group] = str
+    columns = _covariate_columns(units, needed)
+    # the design is built once; each logistic replicate only recodes the
+    # response, and each mixed one is a fit on the columns with it
+    X, names = design_matrix({c: columns[c] for c in formula.covariates}, len(units))
+
+    def plugin(labels, covariates):
+        Y = (labels == label).astype(float).reshape(-1, len(X))
+        if mixed:
+            fits = [fit_formula(formula, {**columns, label: y}) for y in Y]
+            beta, p = np.moveaxis([[(c.estimate, c.p_value) for c in
+                                    f.coefficients.values()] for f in fits], -1, 0)
+        else:
+            beta, cov, _, _ = fit_logistic_stack(X, Y, names)
+            p = wald_tests(beta, cov)[2]
+        out, shape = {}, labels.shape[:-1]
+        for i, name in enumerate(names[1:], 1):  # the slopes, not the intercept
+            out[f"beta_{name}"] = beta[:, i].reshape(shape)
+            out[f"p_{name}"] = p[:, i].reshape(shape)
+        return out
+
+    return plugin, columns

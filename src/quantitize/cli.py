@@ -33,13 +33,7 @@ from .annotate import (
     PromptTemplate,
     annotate,
 )
-from .boot import (
-    BootstrapConfig,
-    bootstrap_ci,
-    error_model_from_confusion,
-    proportion_of,
-    yearly_proportion_of,
-)
+from .boot import BootstrapConfig, bootstrap_ci, error_model_from_confusion, parse_statistic
 from .corpus import (
     Corpus,
     CsvMapping,
@@ -57,14 +51,11 @@ from .jsonio import format_json, read_csv_table, read_json, read_text, write_jso
 # fit_logistic and fit_logistic_random_intercept are not called here; they
 # stay importable from this module because bench/spans.py patches them here
 from .stats import (  # noqa: F401
-    design_matrix,
     fit_formula,
     fit_logistic,
-    fit_logistic_stack,
     fit_logistic_random_intercept,
     odds_ratio,
     parse_formula,
-    wald_tests,
 )
 from .synth import gen_confound, gen_interview_margins, gen_simpson
 
@@ -99,6 +90,9 @@ def _parse_strategy(text: str):
 
 
 def cmd_ingest(args) -> int:
+    for option, fmt in (("mapping", "csv"), ("strategy", "text")):
+        if getattr(args, option) and args.format != fmt:
+            raise ConfigError(f"--{option} applies only to {fmt} input")
     scheme = load_scheme(args.scheme) if args.scheme else None
     mapping = load_yaml(CsvMapping, args.mapping, "mapping") if args.mapping else None
     strategy = _parse_strategy(args.strategy) if args.strategy else None
@@ -141,8 +135,21 @@ class RunConfig:
     decoding: typing.Optional[DecodingControls] = None  # None: for_variable's
 
 
+def _refuse_unread(cfg: ClientConfig, client: str, *reads: str) -> None:
+    """A ConfigError naming each client key away from its default that
+    ``client``, which reads only ``reads``, would ignore."""
+    default = ClientConfig()
+    unread = [f.name for f in dataclasses.fields(cfg)
+              if f.name not in ("kind", *reads)
+              and getattr(cfg, f.name) != getattr(default, f.name)]
+    if unread:
+        raise ConfigError(f"{client} does not read client keys {unread}")
+
+
 def _build_client(cfg: ClientConfig, corpus, scheme, variable, seed: int, audit):
     if cfg.kind == "endpoint":
+        _refuse_unread(cfg, "an endpoint client", "endpoint", "model", "auth_env",
+                       "timeout")
         if cfg.endpoint is None or cfg.model is None:
             raise ConfigError("an endpoint client needs 'endpoint' and 'model'")
         return ChatCompletionClient(base_url=cfg.endpoint, model=cfg.model,
@@ -150,7 +157,13 @@ def _build_client(cfg: ClientConfig, corpus, scheme, variable, seed: int, audit)
                                     audit=audit)
     if cfg.kind == "mock":
         if cfg.mode != "gold_corruption":
-            return MockModel(cfg.mode, rules=cfg.rules, refuse_units=cfg.refuse_units)
+            # built first, so that an unknown mode is named before any key
+            mock = MockModel(cfg.mode, rules=cfg.rules, refuse_units=cfg.refuse_units)
+            _refuse_unread(cfg, f"a mock client in {cfg.mode} mode", "mode",
+                           "refuse_units", "rules")
+            return mock
+        _refuse_unread(cfg, "a mock client in gold_corruption mode", "mode",
+                       "refuse_units", "matrix")
         var = scheme.variable(variable)
         matrix = np.eye(len(var.labels)) if cfg.matrix is None else cfg.matrix
         return MockModel.from_corpus(corpus, var, matrix, seed=seed,
@@ -222,76 +235,6 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _covariate_columns(units, needed: dict) -> dict:
-    """One array per covariate in ``needed`` (name -> converter), aligned
-    with ``units``; a unit's groups take precedence over its metadata. A
-    value the converter rejects, or a float that is not finite, is a
-    DataError naming the unit."""
-    columns = {}
-    for name, convert in needed.items():
-        if not any(name in u.groups or name in u.meta for u in units):
-            raise ConfigError(f"statistic needs a covariate no unit has: {name!r}")
-        column = []
-        for u in units:
-            try:
-                value = convert(u.groups[name] if name in u.groups else u.meta[name])
-                if convert is float and not math.isfinite(value):
-                    raise ValueError(value)
-            except (KeyError, TypeError, ValueError):
-                raise DataError(f"unit {u.id!r} has no usable value for "
-                                f"covariate {name!r}") from None
-            column.append(value)
-        columns[name] = np.array(column)
-    return columns
-
-
-def _parse_statistic(spec: str, units):
-    """The plugin for a statistic spec and the covariate columns it reads,
-    built from ``units`` (one per label; empty without a corpus)."""
-    if ":" not in spec:
-        raise ConfigError(f"statistic spec {spec!r} needs the form kind:arg")
-    kind, arg = spec.split(":", 1)
-    if kind == "proportion":
-        return proportion_of(arg), {}
-    if kind == "yearly_proportions":
-        return yearly_proportion_of(arg), _covariate_columns(units, {"year": int})
-    if kind in ("logistic", "mixed"):
-        mixed = kind == "mixed"
-        formula = parse_formula(arg)
-        if formula.group and not mixed:
-            raise ConfigError("a logistic statistic has no random intercept; "
-                              f"use mixed:{arg} to fit the (1|group) term")
-        needed = dict.fromkeys(formula.covariates, float)
-        if formula.group:
-            needed[formula.group] = str
-        elif mixed:
-            raise DataError("a mixed statistic needs a (1|group) term")
-        columns = _covariate_columns(units, needed)
-        # the design is built once; each logistic replicate only recodes the
-        # response, and each mixed one is a fit on the columns with it
-        X, names = design_matrix(
-            {c: columns[c] for c in formula.covariates}, len(units))
-
-        def plugin(labels, covariates):  # covariates: the columns above
-            Y = (labels == formula.response).astype(float).reshape(-1, len(X))
-            if mixed:
-                fits = [fit_formula(formula, {**columns, formula.response: y})
-                        for y in Y]
-                beta, p = np.moveaxis([[(c.estimate, c.p_value) for c in
-                                        f.coefficients.values()] for f in fits], -1, 0)
-            else:
-                beta, cov, _, _ = fit_logistic_stack(X, Y, names)
-                p = wald_tests(beta, cov)[2]
-            out, shape = {}, labels.shape[:-1]
-            for i, name in enumerate(names[1:], 1):  # the slopes, not the intercept
-                out[f"beta_{name}"] = beta[:, i].reshape(shape)
-                out[f"p_{name}"] = p[:, i].reshape(shape)
-            return out
-
-        return plugin, columns
-    raise ConfigError(f"unknown statistic kind {kind!r}")
-
-
 def cmd_bootstrap(args) -> int:
     annset = AnnotationSet.load(args.annotations)
     # refused units are left out of the bootstrapped labels, so their share
@@ -303,7 +246,7 @@ def cmd_bootstrap(args) -> int:
     if not records:
         raise DataError("no scoreable annotations to bootstrap")
     units = [corpus.unit(r.unit_id) for r in records] if corpus else []
-    statistic, columns = _parse_statistic(args.statistic, units)
+    statistic, columns = parse_statistic(args.statistic, em.labels, units)
     config = BootstrapConfig(
         n_replicates=args.replicates,
         seed=args.seed,

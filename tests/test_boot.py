@@ -19,8 +19,7 @@ from quantitize import (
     simulate_replicate,
 )
 from quantitize import boot
-from quantitize.boot import yearly_proportion_of
-from quantitize.cli import _parse_statistic
+from quantitize.boot import parse_statistic, yearly_proportion_of
 
 
 def identity_model(labels=("A", "B")):
@@ -149,7 +148,7 @@ class TestYearlyProportionOf:
         labels, covariates = np.array(labels), {"year": np.array(years)}
         out = {}
         for label in sorted(set(labels.tolist())):
-            stats = yearly_proportion_of(label)(labels, covariates)
+            stats = yearly_proportion_of(label, years)(labels, covariates)
             for year in sorted(set(years)):
                 out.setdefault(year, {})[label] = stats[f"prop_{label}_{year}"]
         return out
@@ -175,16 +174,77 @@ class TestYearlyProportionOf:
         em = ErrorModel(("A", "B"), np.array([[0.8, 0.2], [0.2, 0.8]]))
         years = np.array([1990, 1991] * 10)
         bootstrap_ci(["A", "B", "B", "A"] * 5, {"year": years}, em,
-                     yearly_proportion_of("A"), BootstrapConfig(n_replicates=50))
+                     yearly_proportion_of("A", years),
+                     BootstrapConfig(n_replicates=50))
         assert len(calls) == 1
 
-    def test_new_year_column_is_recounted(self):
-        plugin = yearly_proportion_of("A")
-        labels = np.array(["A", "B", "A", "A"])
-        assert plugin(labels, {"year": np.array([1, 1, 2, 2])}) == {
-            "prop_A_1": 0.5, "prop_A_2": 1.0}
-        assert plugin(labels, {"year": np.array([3, 3, 3, 4])}) == {
-            "prop_A_3": 2 / 3, "prop_A_4": 1.0}
+    def test_shares_are_the_exact_quotients_of_the_counts(self):
+        rng = np.random.default_rng(7)
+        years = rng.integers(1900, 1920, 500)
+        labels = rng.choice(["A", "B", "C"], (6, 500))
+        out = yearly_proportion_of("A", years)(labels, {})
+        assert len(out) == 20
+        for year in np.unique(years):
+            in_year = years == year
+            want = (np.count_nonzero(labels[:, in_year] == "A", axis=1)
+                    / np.count_nonzero(in_year))
+            assert out[f"prop_A_{year}"].tolist() == want.tolist()
+
+
+class TestParseStatistic:
+    @staticmethod
+    def units(n=40):
+        """Units that carry year, age and school both as groups and, with
+        other values, as metadata."""
+        rng = np.random.default_rng(3)
+        ages = rng.normal(40, 9, n)
+        return [Unit(f"u{i}", "text",
+                     groups={"year": str(2001 + i % 2), "age": repr(float(ages[i])),
+                             "school": f"g{i % 3}"},
+                     meta={"year": 1990, "age": 0.0, "school": "m"})
+                for i in range(n)]
+
+    @pytest.mark.parametrize("spec, reads, names", [
+        ("proportion:A", {}, ["prop_A"]),
+        ("yearly_proportions:A", {"year": int}, ["prop_A_2001", "prop_A_2002"]),
+        ("logistic:A ~ age", {"age": float}, ["beta_age", "p_age"]),
+        ("mixed:A ~ age + (1|school)", {"age": float, "school": str},
+         ["beta_age", "p_age"]),
+    ], ids=["proportion", "yearly", "logistic", "mixed"])
+    def test_groups_take_precedence_over_meta(self, spec, reads, names):
+        units = self.units()
+        plugin, columns = parse_statistic(spec, ("A", "B"), units)
+        assert list(columns) == list(reads)
+        for name, convert in reads.items():
+            assert columns[name].tolist() == [convert(u.groups[name]) for u in units]
+        labels = np.random.default_rng(5).choice(["A", "B"], len(units))
+        assert list(plugin(labels, columns)) == names
+
+    @pytest.mark.parametrize("spec, label", [
+        ("proportion:a", "a"),
+        ("yearly_proportions:C", "C"),
+        ("logistic:a ~ age", "a"),
+        ("mixed:C ~ age + (1|school)", "C"),
+    ], ids=["proportion", "yearly", "logistic", "mixed"])
+    def test_label_outside_the_error_model_is_a_config_error(self, spec, label):
+        with pytest.raises(ConfigError) as exc:
+            parse_statistic(spec, ("A", "B"), self.units())
+        assert str(exc.value) == (
+            f"statistic {spec!r} names label {label!r}, which is not one of "
+            "the error model's labels ['A', 'B']")
+
+    @pytest.mark.parametrize("year", [1990, 1990.0, "1990"])
+    def test_whole_years_are_read(self, year):
+        units = [Unit("a", "text", meta={"year": year})]
+        _, columns = parse_statistic("yearly_proportions:A", ("A", "B"), units)
+        assert columns["year"].tolist() == [1990]
+
+    @pytest.mark.parametrize("year", [1990.7, True, float("inf"), None])
+    def test_year_that_is_no_whole_number_is_a_data_error(self, year):
+        units = [Unit("a", "text", meta={"year": year})]
+        with pytest.raises(DataError) as exc:
+            parse_statistic("yearly_proportions:A", ("A", "B"), units)
+        assert str(exc.value) == "unit 'a' has no usable value for covariate 'year'"
 
 
 class TestBootstrapCi:
@@ -337,7 +397,7 @@ class TestChunks:
         written = set()
         for rows in (1, 7, 30):  # 30 replicates: the last chunk of 7 has 2
             monkeypatch.setattr(boot, "CHUNK_CELLS", rows * n)
-            plugin, columns = _parse_statistic(spec, units)
+            plugin, columns = parse_statistic(spec, em.labels, units)
             result = bootstrap_ci(labels, columns, em, plugin,
                                   BootstrapConfig(n_replicates=30, seed=2),
                                   keep_replicates=True)
@@ -352,8 +412,9 @@ class TestChunks:
         obs = gen_confound(0)[::8]
         units = [Unit(f"u{i}", "text", meta=dict(o.covariates))
                  for i, o in enumerate(obs)]
-        plugin, columns = _parse_statistic("logistic:yes ~ campus + age", units)
         em = ErrorModel(("yes", "no"), np.array([[0.8, 0.2], [0.2, 0.8]]))
+        plugin, columns = parse_statistic("logistic:yes ~ campus + age",
+                                          em.labels, units)
         with pytest.raises(DataError) as exc:
             bootstrap_ci(["yes" if o.response else "no" for o in obs], columns,
                          em, plugin, BootstrapConfig(n_replicates=2000, seed=0))

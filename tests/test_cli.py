@@ -730,6 +730,79 @@ class TestExitCodes:
         assert code == 2
         assert "mixed:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, label", [
+        ("proportion:Postive", "Postive"),
+        ("yearly_proportions:positive", "positive"),
+        ("logistic:positive ~ age", "positive"),
+        ("mixed:Postive ~ age + (1|school)", "Postive"),
+    ], ids=["proportion", "yearly", "logistic", "mixed"])
+    def test_statistic_label_outside_the_error_model_is_2(self, workspace,
+                                                          capsys, spec, label):
+        # unchecked, a misspelt label counts as 0 +- 0, or ends in a fit
+        # that blames quasi-separation
+        _annotate_and_evaluate(workspace)
+        code = run(_bootstrap_argv(
+            workspace, spec,
+            lambda i: {"year": 1990 + i % 4, "age": 20.0 + i, "school": f"s{i % 3}"}))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (repr(spec) in err and repr(label) in err
+                and "['Positive', 'Negative']" in err)
+
+    def test_mixed_statistic_without_random_term_is_2(self, workspace, capsys):
+        _annotate_and_evaluate(workspace)
+        code = run(_bootstrap_argv(workspace, "mixed:Positive ~ age",
+                                   lambda i: {"age": 20.0 + i}))
+        assert code == 2
+        assert "(1|group)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, fmt", [
+        ("--mapping", "map.yaml", "jsonl"),
+        ("--mapping", "map.yaml", "text"),
+        ("--strategy", "window:5", "jsonl"),
+        ("--strategy", "window:5", "csv"),
+    ], ids=["mapping-jsonl", "mapping-text", "strategy-jsonl", "strategy-csv"])
+    def test_ingest_option_the_format_ignores_is_2(self, workspace, capsys,
+                                                   option, value, fmt):
+        (workspace / "map.yaml").write_text(yaml.safe_dump({"id_column": "id"}),
+                                            encoding="utf-8")
+        argv = ["ingest", "--input", workspace / "corpus.jsonl", "--format", fmt,
+                option, workspace / value if value.endswith(".yaml") else value,
+                "--out", workspace / "again.jsonl"]
+        if option == "--strategy" and fmt == "csv":
+            argv += ["--mapping", workspace / "map.yaml"]
+        assert run(argv) == 2
+        assert option in capsys.readouterr().err
+        assert not (workspace / "again.jsonl").exists()
+
+    @pytest.mark.parametrize("client, unread", [
+        ({"kind": "mock", "mode": "gold_corruption", "endpoint": "http://x",
+          "timeout": 5, "rules": {"good": "Positive"}},
+         ["endpoint", "timeout", "rules"]),
+        ({"kind": "mock", "mode": "rules", "rules": {"good": "Positive"},
+          "matrix": [[0.9, 0.1], [0.1, 0.9]]}, ["matrix"]),
+        ({"kind": "endpoint", "endpoint": "http://127.0.0.1:9", "model": "m1",
+          "timeout": 0.2, "refuse_units": ["u001"], "mode": "rules"},
+         ["mode", "refuse_units"]),
+    ], ids=["gold-corruption", "rules", "endpoint"])
+    def test_client_key_the_client_never_reads_is_2(self, workspace, capsys,
+                                                    monkeypatch, client, unread):
+        monkeypatch.setenv("QUANTITIZE_API_TOKEN", "tok")
+        cfg = yaml.safe_load((workspace / "run.yaml").read_text())
+        cfg["client"] = client
+        cfg["policy"] = {"max_retries": 0, "backoff": 0.0}
+        (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2
+        err = capsys.readouterr().err
+        assert all(repr(key) in err for key in unread), err
+        assert not (workspace / "out" / "annotations.jsonl").exists()
+
+    def test_client_keys_at_their_defaults_are_accepted(self, workspace):
+        cfg = yaml.safe_load((workspace / "run.yaml").read_text())
+        cfg["client"].update(timeout=60.0, rules={}, auth_env="QUANTITIZE_API_TOKEN")
+        (workspace / "ok.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert run(["annotate", "--config", workspace / "ok.yaml"]) == 0
+
 
 class TestManifests:
     def test_bootstrap_reruns_from_its_manifest(self, workspace):
