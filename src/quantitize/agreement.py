@@ -109,13 +109,15 @@ def build_confusion(
         pairs = [(g, p, str(i)) for i, (g, p) in enumerate(zip(gold, predicted))]
 
     index = {l: i for i, l in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    k = len(labels)
+    cells = []
     for g, p, uid in pairs:
         if g not in index:
             raise DataError(f"unit {uid!r}: gold label {g!r} not in label list")
         if p not in index:
             raise DataError(f"unit {uid!r}: predicted label {p!r} not in label list")
-        counts[index[g], index[p]] += 1
+        cells.append(index[g] * k + index[p])
+    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=k * k).reshape(k, k)
     return ConfusionMatrix(tuple(labels), counts)
 
 

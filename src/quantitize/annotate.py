@@ -18,10 +18,11 @@ import re
 import string
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -303,16 +304,16 @@ class MockModel:
         seed: int = 0,
         refuse_units: Sequence[str] = (),
     ) -> "MockModel":
-        gold = {}
-        for u in corpus:
-            if u.gold is None or variable.name not in u.gold:
+        gold, name, levels = {}, variable.name, variable.labels
+        for uid, labels in zip(corpus.ids, corpus.gold):
+            if labels is None or name not in labels:
                 raise ConfigError(
-                    f"gold_corruption mock requires gold labels; unit {u.id!r} has none"
+                    f"gold_corruption mock requires gold labels; unit {uid!r} has none"
                 )
-            gold[u.id] = u.gold[variable.name]
-            if gold[u.id] not in variable.labels:
-                raise DataError(f"unit {u.id!r}: gold label {gold[u.id]!r} is not a "
-                                f"level of {variable.name!r}")
+            gold[uid] = label = labels[name]
+            if label not in levels:
+                raise DataError(f"unit {uid!r}: gold label {label!r} is not a "
+                                f"level of {name!r}")
         return cls(
             "gold_corruption",
             labels=variable.labels,
@@ -439,42 +440,79 @@ class AnnotationRecord:
         return dict(vars(self))
 
 
-@dataclass(frozen=True)
-class AnnotationSet:
-    records: tuple[AnnotationRecord, ...]
-    manifest: dict
+RECORD_FIELDS = tuple(f.name for f in fields(AnnotationRecord))
 
-    def __post_init__(self):
-        if len({(r.unit_id, r.variable) for r in self.records}) != len(self.records):
+
+class AnnotationSet:
+    """The records of one annotation run with its manifest. The records are
+    held as one column per field of :data:`RECORD_FIELDS`, all of one
+    length: ``unit_ids``, ``variables``, ``raws``, ``labels``, ``statuses``
+    and ``attempts``; the columns are read, never changed. An
+    :class:`AnnotationRecord` is built only when one is asked for: from
+    :attr:`records` or by :meth:`record_for`."""
+
+    def __init__(self, records: Iterable[AnnotationRecord], manifest: dict):
+        records = tuple(records)
+        self._fill([[getattr(r, name) for r in records] for name in RECORD_FIELDS],
+                   manifest)
+
+    @classmethod
+    def from_columns(cls, columns: Iterable[Sequence], manifest: dict) -> "AnnotationSet":
+        """A set of records given as one column per field of
+        :data:`RECORD_FIELDS`; no columns at all is a set of no records."""
+        annset = cls.__new__(cls)
+        annset._fill(columns, manifest)
+        return annset
+
+    def _fill(self, columns, manifest: dict) -> None:
+        self._columns = tuple(columns) or ((),) * len(RECORD_FIELDS)
+        (self.unit_ids, self.variables, self.raws, self.labels, self.statuses,
+         self.attempts) = self._columns
+        self.manifest = manifest
+        # pairs are built only when some unit has more than one record
+        if (len(set(self.unit_ids)) != len(self.unit_ids) and
+                len(set(zip(self.unit_ids, self.variables))) != len(self.unit_ids)):
             raise DataError("duplicate (unit, variable) record")
-        if not self.manifest:
+        if not manifest:
             raise DataError("annotation set requires a manifest")
 
-    def labels(self) -> dict[str, Optional[str]]:
-        return {r.unit_id: r.label for r in self.records}
+    def __len__(self) -> int:
+        return len(self.unit_ids)
+
+    @property
+    def records(self) -> tuple[AnnotationRecord, ...]:
+        return tuple(map(AnnotationRecord, *self._columns))
 
     def record_for(self, unit_id: str) -> AnnotationRecord:
-        for r in self.records:
-            if r.unit_id == unit_id:
-                return r
-        raise DataError(f"no record for unit {unit_id!r}")
+        try:
+            i = self.unit_ids.index(unit_id)
+        except ValueError:
+            raise DataError(f"no record for unit {unit_id!r}") from None
+        return AnnotationRecord(*(column[i] for column in self._columns))
 
     def counts_by_status(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self.records:
-            out[r.status] = out.get(r.status, 0) + 1
-        return out
+        return dict(Counter(self.statuses))
 
     def save(self, path: Union[str, Path], manifest_path: Optional[Union[str, Path]] = None) -> None:
-        write_jsonl(path, (vars(r) for r in self.records))
+        write_jsonl(path, (dict(zip(RECORD_FIELDS, row)) for row in zip(*self._columns)))
         if manifest_path is not None:
             write_json(manifest_path, self.manifest)
 
     @classmethod
     def load(cls, path: Union[str, Path], manifest_path: Optional[Union[str, Path]] = None) -> "AnnotationSet":
-        records = tuple(read_jsonl(path, lambda d, _: AnnotationRecord(**d)))
-        return cls(records, {"source": str(path)} if manifest_path is None
-                   else read_json(manifest_path))
+        columns = [[] for _ in RECORD_FIELDS]
+        appends = list(zip([column.append for column in columns], RECORD_FIELDS))
+        names = set(RECORD_FIELDS)
+
+        def into_columns(obj, _):
+            if obj.keys() != names:
+                AnnotationRecord(**obj)  # a field missing or unknown: the TypeError names it
+            for append, name in appends:
+                append(obj[name])
+
+        read_jsonl(path, into_columns)
+        return cls.from_columns(columns, {"source": str(path)} if manifest_path is None
+                                else read_json(manifest_path))
 
 
 _BATCH_LINE = re.compile(r"^\s*(\d+)[.):]\s*(.*)$")
@@ -509,19 +547,16 @@ def _call_with_retry(client, prompt, controls, unit_ids, policy, sleep=time.slee
         delay *= 2
 
 
-def _record_from_reply(unit_id, variable, reply, attempts):
+def _record_from_reply(unit_id, variable, reply, attempts) -> tuple:
+    """One unit's record, as a row of :data:`RECORD_FIELDS`."""
     if reply.kind == "refusal":
-        return AnnotationRecord(unit_id, variable.name, reply.content, None,
-                                "refused", attempts)
+        return unit_id, variable.name, reply.content, None, "refused", attempts
     if reply.kind == "transport_error":  # retries exhausted: no answer came
-        return AnnotationRecord(unit_id, variable.name, reply.content, None,
-                                "transport_error", attempts)
+        return unit_id, variable.name, reply.content, None, "transport_error", attempts
     label = normalize_output(reply.content, variable)
     if label == UNPARSEABLE:
-        return AnnotationRecord(unit_id, variable.name, reply.content, None,
-                                "unparseable", attempts)
-    return AnnotationRecord(unit_id, variable.name, reply.content, label,
-                            "ok", attempts)
+        return unit_id, variable.name, reply.content, None, "unparseable", attempts
+    return unit_id, variable.name, reply.content, label, "ok", attempts
 
 
 def annotate(
@@ -548,20 +583,20 @@ def annotate(
     if controls is None:
         controls = DecodingControls.for_variable(variable)
 
-    units = list(corpus)
-    batches = [
-        units[i : i + policy.batch_size]
-        for i in range(0, len(units), policy.batch_size)
-    ]
+    # rows, not units: a batch's units are built when it is sent
+    rows = range(len(corpus))
+    batches = [rows[i : i + policy.batch_size]
+               for i in range(0, len(rows), policy.batch_size)]
 
-    def run_single(unit: Unit) -> AnnotationRecord:
+    def run_single(unit: Unit) -> tuple:
         prompt = template.render(unit)
         reply, attempts = _call_with_retry(
             client, prompt, controls, [unit.id], policy, sleep=sleep
         )
         return _record_from_reply(unit.id, variable, reply, attempts)
 
-    def run_batch(batch: list[Unit]) -> list[AnnotationRecord]:
+    def run_batch(rows: range) -> list[tuple]:
+        batch = [corpus[i] for i in rows]
         if len(batch) == 1:
             return [run_single(batch[0])]
         prompt = template.render_batch(batch)
@@ -584,7 +619,6 @@ def annotate(
     else:
         results = [run_batch(b) for b in batches]
 
-    records = tuple(r for batch in results for r in batch)
     manifest = {
         "template": template.instruction,
         "variable": template.variable,
@@ -593,7 +627,8 @@ def annotate(
         "policy": asdict(policy),
         "seed": seed,
         "scheme_version": scheme.version,
-        "n_units": len(units),
+        "n_units": len(rows),
         "timestamp": run_timestamp(),
     }
-    return AnnotationSet(records, manifest)
+    return AnnotationSet.from_columns(zip(*(r for batch in results for r in batch)),
+                                      manifest)

@@ -298,33 +298,44 @@ def _whole(value) -> int:
     return whole
 
 
-def _covariate_columns(units, needed: dict) -> dict:
-    """One array per covariate in ``needed`` (name -> converter), aligned
-    with ``units``; a unit's groups take precedence over its metadata. A
-    value the converter rejects, or a float that is not finite, is a
+def _group(value) -> str:
+    """``value`` as a group name: a string, or a number written as one,
+    but not null or a bool."""
+    if value is None or isinstance(value, bool):
+        raise ValueError(value)
+    return str(value)
+
+
+def _covariate_columns(corpus, rows: Sequence[int], needed: dict) -> dict:
+    """One array per covariate in ``needed`` (name -> converter), read at
+    the corpus ``rows``; a unit's groups take precedence over its metadata.
+    A value the converter rejects, or a float that is not finite, is a
     DataError naming the unit."""
+    groups = [corpus.groups[r] for r in rows]
+    metas = [corpus.meta[r] for r in rows]
     columns = {}
     for name, convert in needed.items():
-        if not any(name in u.groups or name in u.meta for u in units):
+        if not any(name in g or name in m for g, m in zip(groups, metas)):
             raise ConfigError(f"statistic needs a covariate no unit has: {name!r}")
         column = []
-        for u in units:
+        for row, g, m in zip(rows, groups, metas):
             try:
-                value = convert(u.groups[name] if name in u.groups else u.meta[name])
+                value = convert(g[name] if name in g else m[name])
                 if convert is float and not math.isfinite(value):
                     raise ValueError(value)
             except (KeyError, TypeError, ValueError, OverflowError):
-                raise DataError(f"unit {u.id!r} has no usable value for "
+                raise DataError(f"unit {corpus.ids[row]!r} has no usable value for "
                                 f"covariate {name!r}") from None
             column.append(value)
         columns[name] = np.array(column)
     return columns
 
 
-def parse_statistic(spec: str, labels: Sequence[str], units):
-    """The plugin for a statistic spec and the covariate columns it reads,
-    built from ``units`` (one per label; empty without a corpus). The label
-    the spec counts or models must be one of ``labels``, the error model's."""
+def parse_statistic(spec: str, labels: Sequence[str], corpus, rows: Sequence[int]):
+    """The plugin for a statistic spec and the covariate columns it reads
+    from the ``corpus`` at ``rows``, one row per label (None and no rows
+    without a corpus). The label the spec counts or models must be one of
+    ``labels``, the error model's."""
     if ":" not in spec:
         raise ConfigError(f"statistic spec {spec!r} needs the form kind:arg")
     kind, arg = spec.split(":", 1)
@@ -338,7 +349,7 @@ def parse_statistic(spec: str, labels: Sequence[str], units):
     if kind == "proportion":
         return proportion_of(label), {}
     if kind == "yearly_proportions":
-        columns = _covariate_columns(units, {"year": _whole})
+        columns = _covariate_columns(corpus, rows, {"year": _whole})
         return yearly_proportion_of(label, columns["year"]), columns
     mixed = kind == "mixed"
     if formula.group and not mixed:
@@ -348,11 +359,11 @@ def parse_statistic(spec: str, labels: Sequence[str], units):
         raise ConfigError("a mixed statistic needs a (1|group) term")
     needed = dict.fromkeys(formula.covariates, float)
     if mixed:
-        needed[formula.group] = str
-    columns = _covariate_columns(units, needed)
+        needed[formula.group] = _group
+    columns = _covariate_columns(corpus, rows, needed)
     # the design is built once; each logistic replicate only recodes the
     # response, and each mixed one is a fit on the columns with it
-    X, names = design_matrix({c: columns[c] for c in formula.covariates}, len(units))
+    X, names = design_matrix({c: columns[c] for c in formula.covariates}, len(rows))
 
     def plugin(labels, covariates):
         Y = (labels == label).astype(float).reshape(-1, len(X))

@@ -193,7 +193,7 @@ def cmd_annotate(args) -> int:
         for name in ("annotations.jsonl", "manifest.json"):
             (out_dir / name).rename(out_dir / f"{name}.partial")
         raise TransportError("no unit could be annotated; endpoint unusable")
-    print(f"annotated {len(result.records)} units -> {out_dir/'annotations.jsonl'}")
+    print(f"annotated {len(result)} units -> {out_dir/'annotations.jsonl'}")
     if any(failures.values()):
         print("warning: " + ", ".join(f"{n} {s}" for s, n in failures.items()),
               file=sys.stderr)
@@ -201,18 +201,22 @@ def cmd_annotate(args) -> int:
 
 
 def _gold_and_predicted(corpus: Corpus, annset: AnnotationSet, variable: str):
-    gold = {u.id: u.gold[variable] for u in corpus
-            if u.gold is not None and variable in u.gold}
-    predicted = {}
-    for r in annset.records:
+    """The gold and the predicted label of each unit that has both, keyed
+    by unit id in record order, joined through the corpus index."""
+    gold, predicted, index, golds = {}, {}, corpus.index, corpus.gold
+    for uid, var, label, status in zip(annset.unit_ids, annset.variables,
+                                       annset.labels, annset.statuses):
         # a transport failure is no answer of the model's, so not an error of it
-        if (r.variable == variable and r.unit_id in gold
-                and r.status != "transport_error"):
-            predicted[r.unit_id] = r.label if r.status == "ok" else ERROR_LABEL
+        if var != variable or status == "transport_error" or uid not in index:
+            continue
+        labels = golds[index[uid]]
+        if labels is not None and variable in labels:
+            gold[uid] = labels[variable]
+            predicted[uid] = label if status == "ok" else ERROR_LABEL
     if not predicted:
         raise DataError("no overlap between gold units and annotations "
                         "other than transport_error records")
-    return {k: gold[k] for k in predicted}, predicted
+    return gold, predicted
 
 
 def cmd_evaluate(args) -> int:
@@ -242,18 +246,18 @@ def cmd_bootstrap(args) -> int:
     cm = ConfusionMatrix.from_csv(args.confusion).without_label(ERROR_LABEL)
     em = error_model_from_confusion(cm, mode=args.error_mode)
     corpus = ingest(args.corpus, "jsonl") if args.corpus else None
-    records = [r for r in annset.records if r.status == "ok"]
-    if not records:
+    ok = [i for i, status in enumerate(annset.statuses) if status == "ok"]
+    if not ok:
         raise DataError("no scoreable annotations to bootstrap")
-    units = [corpus.unit(r.unit_id) for r in records] if corpus else []
-    statistic, columns = parse_statistic(args.statistic, em.labels, units)
+    rows = corpus.rows(annset.unit_ids[i] for i in ok) if corpus else []
+    statistic, columns = parse_statistic(args.statistic, em.labels, corpus, rows)
     config = BootstrapConfig(
         n_replicates=args.replicates,
         seed=args.seed,
         ci_method=args.ci_method,
         level=args.level,
     )
-    result = bootstrap_ci([r.label for r in records], columns, em, statistic,
+    result = bootstrap_ci([annset.labels[i] for i in ok], columns, em, statistic,
                           config, keep_replicates=args.replicates_csv is not None)
     out = Path(args.out)
     result.to_json(out)

@@ -208,84 +208,147 @@ class Unit:
         if not self.text.strip():
             raise DataError(f"unit {self.id!r} has empty text")
 
-    def to_dict(self) -> dict:
-        d = {"id": self.id, "text": self.text}
-        if self.groups:
-            d["groups"] = self.groups
-        if self.meta:
-            d["meta"] = self.meta
-        if self.gold is not None:
-            d["gold"] = self.gold
-        return d
+
+def _unit_doc(uid, text, groups, meta, gold) -> dict:
+    """A unit as its JSONL object: groups and meta only when not empty,
+    gold only when given."""
+    d = {"id": uid, "text": text}
+    if groups:
+        d["groups"] = groups
+    if meta:
+        d["meta"] = meta
+    if gold is not None:
+        d["gold"] = gold
+    return d
 
 
-@dataclass(frozen=True)
 class Corpus:
-    units: tuple[Unit, ...]
-    _index: dict = field(init=False, repr=False, compare=False)  # id -> unit
+    """An ordered table of units, held as one column per field: ``ids``,
+    ``texts``, ``groups``, ``meta`` and ``gold`` (None for a unit without
+    gold labels), all of one length, and ``index``, each id's row. The
+    columns are read, never changed. A :class:`Unit` is built only when one
+    is asked for: by iterating, from :attr:`units`, by row (``corpus[i]``)
+    or by id (:meth:`unit`)."""
 
-    def __post_init__(self):
-        index = {}
-        for u in self.units:
-            if u.id in index:
-                raise DataError(f"duplicate unit id {u.id!r}")
-            index[u.id] = u
-        object.__setattr__(self, "_index", index)
+    def __init__(self, units: Iterable[Unit]):
+        self._fill(*_unit_columns(units))
+
+    @classmethod
+    def from_columns(cls, ids, texts, groups, meta, gold) -> "Corpus":
+        """A corpus of the given columns, taken as they are: each text must
+        already be non-blank."""
+        corpus = cls.__new__(cls)
+        corpus._fill(ids, texts, groups, meta, gold)
+        return corpus
+
+    def _fill(self, ids, texts, groups, meta, gold) -> None:
+        self.ids, self.texts, self.groups, self.meta, self.gold = (
+            ids, texts, groups, meta, gold)
+        self.index = dict(zip(ids, range(len(ids))))
+        if len(self.index) < len(ids):
+            seen = set()
+            for uid in ids:
+                if uid in seen:
+                    raise DataError(f"duplicate unit id {uid!r}")
+                seen.add(uid)
 
     def __len__(self) -> int:
-        return len(self.units)
+        return len(self.ids)
 
     def __iter__(self):
-        return iter(self.units)
+        return map(Unit, self.ids, self.texts, self.groups, self.meta, self.gold)
+
+    def __getitem__(self, row: int) -> Unit:
+        return Unit(self.ids[row], self.texts[row], self.groups[row], self.meta[row],
+                    self.gold[row])
+
+    @property
+    def units(self) -> tuple[Unit, ...]:
+        return tuple(self)
 
     def unit(self, uid: str) -> Unit:
+        return self[self.rows([uid])[0]]
+
+    def rows(self, ids: Iterable[str]) -> list[int]:
+        """The row of each id in ``ids``; an id of no unit is a DataError."""
+        index = self.index
         try:
-            return self._index[uid]
-        except KeyError:
-            raise DataError(f"no unit with id {uid!r}") from None
+            return [index[uid] for uid in ids]
+        except KeyError as exc:
+            raise DataError(f"no unit with id {exc.args[0]!r}") from None
 
 
-def _validate_gold(unit: Unit, scheme: CodingScheme) -> None:
-    if unit.gold is None:
-        return
-    for var_name, label in unit.gold.items():
-        var = scheme.variable(var_name)
-        if var.kind in ("categorical", "ordinal") and label not in var.labels:
-            raise DataError(
-                f"unit {unit.id!r}: gold label {label!r} is not a level of {var_name!r}"
-            )
+def _unit_columns(units: Iterable[Unit]) -> tuple[list, ...]:
+    """The id, text, groups, meta and gold columns of ``units``."""
+    units = tuple(units)
+    return ([u.id for u in units], [u.text for u in units], [u.groups for u in units],
+            [u.meta for u in units], [u.gold for u in units])
+
+
+def _validate_gold(ids, golds, scheme: CodingScheme) -> None:
+    """Each gold label of a categorical or ordinal variable must be one of
+    its levels; a gold variable the scheme lacks is a ConfigError."""
+    levels = {v.name: v.labels for v in scheme.variables
+              if v.kind in ("categorical", "ordinal")}
+    for uid, gold in zip(ids, golds):
+        for var_name, label in (gold or {}).items():
+            if var_name not in levels:
+                scheme.variable(var_name)  # a ConfigError when it is not there
+            elif label not in levels[var_name]:
+                raise DataError(
+                    f"unit {uid!r}: gold label {label!r} is not a level of {var_name!r}"
+                )
 
 
 def _synth_id(i: int) -> str:
     return f"u{i + 1:06d}"
 
 
-def _str_dict(obj: dict, key: str) -> dict:
+def _str_dict(obj: dict, key: str, refuse=()) -> dict:
     """The JSON object ``obj[key]`` with every value a string: the parsed
-    dict itself when they all are already."""
+    dict itself when they all are already. A value of a type in ``refuse``
+    is a DataError."""
     d = obj[key]
     if type(d) is not dict:
         raise DataError(f"{key} must be a JSON object")
     for v in d.values():
         if type(v) is not str:
-            return {k: str(v) for k, v in d.items()}
-    return d
+            break
+    else:
+        return d
+    for k, v in d.items():
+        if type(v) in refuse:
+            raise DataError(f"{key} value {k!r} must be a string or a number, "
+                            f"got {'null' if v is None else str(v).lower()}")
+    return {k: str(v) for k, v in d.items()}
 
 
-def _unit_from_obj(obj: dict, index: int) -> Unit:
-    uid = obj["id"] if "id" in obj else _synth_id(index)
-    text = str(obj["text"])
-    groups = _str_dict(obj, "groups") if "groups" in obj else {}
-    meta = obj.get("meta", {})
-    if type(meta) is not dict:
-        raise DataError("meta must be a JSON object")
-    return Unit(
-        id=uid if type(uid) is str else str(uid),
-        text=text,
-        groups=groups,
-        meta=meta,
-        gold=_str_dict(obj, "gold") if obj.get("gold") is not None else None,
-    )
+def _read_jsonl_columns(path) -> tuple[list, ...]:
+    """The id, text, groups, meta and gold columns of a JSONL corpus, one
+    unit object per line, decoded straight into them: an id (synthesized
+    when missing, a string otherwise), a non-blank text, groups of strings
+    or numbers, a meta object and an optional gold object."""
+    texts, groups, metas, golds = [], [], [], []
+
+    def build(obj, i):
+        uid = obj["id"] if "id" in obj else _synth_id(i)
+        text = str(obj["text"])
+        group = _str_dict(obj, "groups", (type(None), bool)) if "groups" in obj else {}
+        meta = obj.get("meta", {})
+        if type(meta) is not dict:
+            raise DataError("meta must be a JSON object")
+        if type(uid) is not str:
+            uid = str(uid)
+        gold = _str_dict(obj, "gold") if obj.get("gold") is not None else None
+        if not text.strip():
+            raise DataError(f"unit {uid!r} has empty text")
+        texts.append(text)
+        groups.append(group)
+        metas.append(meta)
+        golds.append(gold)
+        return uid
+
+    return read_jsonl(path, build), texts, groups, metas, golds
 
 
 @dataclass(frozen=True)
@@ -328,9 +391,8 @@ def ingest(
     (UTF-8 plain text, split by ``unitize_strategy``). Ids missing from the
     input are synthesized as ``u000001...`` in file order.
     """
-    units: list[Unit] = []
     if format == "jsonl":
-        units = read_jsonl(path, _unit_from_obj)
+        columns = _read_jsonl_columns(path)
     elif format == "csv":
         if csv_mapping is None:
             raise ConfigError("csv ingestion requires a column mapping")
@@ -342,6 +404,7 @@ def ingest(
         missing = sorted(mapped - set(header) - {None})
         if missing:
             raise ConfigError(f"csv has no column {', '.join(map(repr, missing))}")
+        units = []
         for i, (line, row) in enumerate(rows):
             uid = row[m.id_column] if m.id_column else _synth_id(i)
             meta: dict[str, Scalar] = {}
@@ -363,24 +426,26 @@ def ingest(
                     gold=gold or None,
                 )
             )
+        columns = _unit_columns(units)
     elif format == "text":
         if unitize_strategy is None:
             raise ConfigError("text ingestion requires a unitizing strategy")
-        units = unitize(read_text(path), unitize_strategy)
+        columns = _unit_columns(unitize(read_text(path), unitize_strategy))
     else:
         raise ConfigError(f"unknown ingestion format {format!r}")
 
-    if not units:
+    ids, *_, golds = columns
+    if not ids:
         raise DataError(f"input file {path} yielded an empty corpus")
     if scheme is not None:
-        for u in units:
-            _validate_gold(u, scheme)
-    return Corpus(tuple(units))
+        _validate_gold(ids, golds, scheme)
+    return Corpus.from_columns(*columns)
 
 
 def save_corpus(corpus: Corpus, path: Union[str, Path]) -> None:
     """Write a corpus as JSONL, one unit object per line."""
-    write_jsonl(path, (u.to_dict() for u in corpus.units))
+    write_jsonl(path, map(_unit_doc, corpus.ids, corpus.texts, corpus.groups,
+                          corpus.meta, corpus.gold))
 
 
 # --- unitizing -------------------------------------------------------------

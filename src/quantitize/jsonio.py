@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
-import json.decoder
 import json.scanner
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DataError
+
+JSON_SPACE = " \t\n\r"  # the whitespace JSON allows between tokens
 
 
 def format_json(doc) -> str:
@@ -113,23 +114,24 @@ def read_jsonl(path: Union[str, Path], build) -> list:
     A line is decoded by one scanner with ``json.loads``'s settings, made
     once per file; only a line that it cannot take whole, from its first
     character to JSON whitespace at the end, goes through ``json.loads``,
-    so the objects accepted and every message are ``json.loads``'s."""
+    so the objects accepted and every message are ``json.loads``'s. Lines
+    are read as they are decoded, never the whole file at once."""
     scan = json.scanner.make_scanner(json.JSONDecoder())
-    space = json.decoder.WHITESPACE.match
     out = []
+    append = out.append
     for line_no, line in enumerate(read_lines(path), 1):
         try:
-            if not line.isspace():
-                try:
-                    obj, end = scan(line, 0)
-                    whole = space(line, end).end() == len(line)
-                except (StopIteration, ValueError):
-                    whole = False
-                if not whole:
-                    obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise DataError(f"not a JSON object: {line.strip()[:40]}")
-                out.append(build(obj, len(out)))
+            try:
+                obj, end = scan(line, 0)
+            except (StopIteration, ValueError):
+                end = None
+            if end is None or line[end:].strip(JSON_SPACE):  # not one whole value
+                if line.isspace():
+                    continue
+                obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise DataError(f"not a JSON object: {line.strip()[:40]}")
+            append(build(obj, len(out)))
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}, line {line_no}: not JSON: {exc.msg}") from None
         except KeyError as exc:  # a missing field

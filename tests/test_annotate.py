@@ -196,7 +196,7 @@ class TestMockModel:
             MockModel.from_corpus(corpus, SENTIMENT, matrix, seed=1),
             SCHEME, policy=AnnotatePolicy(batch_size=4),
         )
-        assert single.labels() == batched.labels()
+        assert (single.unit_ids, single.labels) == (batched.unit_ids, batched.labels)
 
     def test_parallel_schedule_is_invariant(self):
         corpus = make_corpus(24, seed=3)
@@ -344,7 +344,7 @@ class TestMockModel:
         b = annotate(corpus, TEMPLATE,
                      MockModel.from_corpus(corpus, SENTIMENT, matrix, seed=seed),
                      SCHEME)
-        assert a.labels() == b.labels()
+        assert (a.unit_ids, a.labels) == (b.unit_ids, b.labels)
 
 
 class _FakeResponse:
@@ -499,8 +499,8 @@ class TestAnnotationSet:
         second = AnnotationRecord("u1", "stance", "x", None, "unparseable", 1)
         other = AnnotationRecord("u2", "sentiment", "", None, "refused", 1)
         records = AnnotationSet((first, second, other), {"x": 1})
-        assert records.record_for("u1") is first
-        assert records.record_for("u2") is other
+        assert records.record_for("u1") == first  # built on demand
+        assert records.record_for("u2") == other
         with pytest.raises(DataError, match="no record for unit 'u3'"):
             records.record_for("u3")
 

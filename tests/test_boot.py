@@ -9,6 +9,7 @@ from quantitize import (
     BootstrapConfig,
     ConfigError,
     ConfusionMatrix,
+    Corpus,
     DataError,
     ErrorModel,
     Unit,
@@ -20,6 +21,11 @@ from quantitize import (
 )
 from quantitize import boot
 from quantitize.boot import parse_statistic, yearly_proportion_of
+
+
+def parse_over(spec, labels, units):
+    """``parse_statistic`` with one label per unit of ``units``, in order."""
+    return parse_statistic(spec, labels, Corpus(units), range(len(units)))
 
 
 def identity_model(labels=("A", "B")):
@@ -213,7 +219,7 @@ class TestParseStatistic:
     ], ids=["proportion", "yearly", "logistic", "mixed"])
     def test_groups_take_precedence_over_meta(self, spec, reads, names):
         units = self.units()
-        plugin, columns = parse_statistic(spec, ("A", "B"), units)
+        plugin, columns = parse_over(spec, ("A", "B"), units)
         assert list(columns) == list(reads)
         for name, convert in reads.items():
             assert columns[name].tolist() == [convert(u.groups[name]) for u in units]
@@ -228,7 +234,7 @@ class TestParseStatistic:
     ], ids=["proportion", "yearly", "logistic", "mixed"])
     def test_label_outside_the_error_model_is_a_config_error(self, spec, label):
         with pytest.raises(ConfigError) as exc:
-            parse_statistic(spec, ("A", "B"), self.units())
+            parse_over(spec, ("A", "B"), self.units())
         assert str(exc.value) == (
             f"statistic {spec!r} names label {label!r}, which is not one of "
             "the error model's labels ['A', 'B']")
@@ -236,15 +242,29 @@ class TestParseStatistic:
     @pytest.mark.parametrize("year", [1990, 1990.0, "1990"])
     def test_whole_years_are_read(self, year):
         units = [Unit("a", "text", meta={"year": year})]
-        _, columns = parse_statistic("yearly_proportions:A", ("A", "B"), units)
+        _, columns = parse_over("yearly_proportions:A", ("A", "B"), units)
         assert columns["year"].tolist() == [1990]
 
     @pytest.mark.parametrize("year", [1990.7, True, float("inf"), None])
     def test_year_that_is_no_whole_number_is_a_data_error(self, year):
         units = [Unit("a", "text", meta={"year": year})]
         with pytest.raises(DataError) as exc:
-            parse_statistic("yearly_proportions:A", ("A", "B"), units)
+            parse_over("yearly_proportions:A", ("A", "B"), units)
         assert str(exc.value) == "unit 'a' has no usable value for covariate 'year'"
+
+    def test_groups_that_are_numbers_are_read_as_strings(self):
+        units = [Unit(f"u{i}", "text", meta={"age": 30.0 + i, "school": school})
+                 for i, school in enumerate([2.5, "g", 7, 2.5])]
+        _, columns = parse_over("mixed:A ~ age + (1|school)", ("A", "B"), units)
+        assert columns["school"].tolist() == ["2.5", "g", "7", "2.5"]
+
+    @pytest.mark.parametrize("school", [None, True, False])
+    def test_group_that_is_null_or_a_bool_is_a_data_error(self, school):
+        units = [Unit("a", "text", meta={"age": 30.0, "school": "g"}),
+                 Unit("b", "text", meta={"age": 40.0, "school": school})]
+        with pytest.raises(DataError) as exc:
+            parse_over("mixed:A ~ age + (1|school)", ("A", "B"), units)
+        assert str(exc.value) == "unit 'b' has no usable value for covariate 'school'"
 
 
 class TestBootstrapCi:
@@ -397,7 +417,7 @@ class TestChunks:
         written = set()
         for rows in (1, 7, 30):  # 30 replicates: the last chunk of 7 has 2
             monkeypatch.setattr(boot, "CHUNK_CELLS", rows * n)
-            plugin, columns = parse_statistic(spec, em.labels, units)
+            plugin, columns = parse_over(spec, em.labels, units)
             result = bootstrap_ci(labels, columns, em, plugin,
                                   BootstrapConfig(n_replicates=30, seed=2),
                                   keep_replicates=True)
@@ -413,8 +433,8 @@ class TestChunks:
         units = [Unit(f"u{i}", "text", meta=dict(o.covariates))
                  for i, o in enumerate(obs)]
         em = ErrorModel(("yes", "no"), np.array([[0.8, 0.2], [0.2, 0.8]]))
-        plugin, columns = parse_statistic("logistic:yes ~ campus + age",
-                                          em.labels, units)
+        plugin, columns = parse_over("logistic:yes ~ campus + age",
+                                     em.labels, units)
         with pytest.raises(DataError) as exc:
             bootstrap_ci(["yes" if o.response else "no" for o in obs], columns,
                          em, plugin, BootstrapConfig(n_replicates=2000, seed=0))

@@ -453,8 +453,12 @@ class TestExitCodes:
          "line 3: groups must be a JSON object"),
         ('{"id": "b", "text": "x", "gold": "Positive"}',
          "line 3: gold must be a JSON object"),
+        ('{"id": "b", "text": "x", "groups": {"school": null}}',
+         "line 3: groups value 'school' must be a string or a number, got null"),
+        ('{"id": "b", "text": "x", "groups": {"src": "s1", "school": true}}',
+         "line 3: groups value 'school' must be a string or a number, got true"),
     ], ids=["truncated", "no-text", "array", "meta-pairs", "meta-string",
-            "groups-list", "gold-string"])
+            "groups-list", "gold-string", "group-null", "group-bool"])
     def test_bad_corpus_line_is_3(self, tmp_path, capsys, line, message):
         (tmp_path / "c.jsonl").write_text(f'{{"id": "a", "text": "x"}}\n\n{line}\n',
                                           encoding="utf-8")

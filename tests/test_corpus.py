@@ -129,7 +129,7 @@ class TestUnit:
     def test_corpus_unit_lookup(self):
         units = tuple(Unit(id=f"u{i}", text=f"t{i}") for i in range(5))
         corpus = Corpus(units)
-        assert corpus.unit("u3") is units[3]
+        assert corpus.unit("u3") == units[3]  # built on demand: equal, not the same
         with pytest.raises(DataError, match="no unit"):
             corpus.unit("u9")
 

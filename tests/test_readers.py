@@ -14,7 +14,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import quantitize
-from quantitize import DataError
+from quantitize import AnnotationRecord, AnnotationSet, Corpus, DataError, Unit, ingest
 from quantitize.jsonio import read_jsonl, read_lines
 
 PARSERS = {"json.load", "json.loads", "json.JSONDecoder", "json.decoder.JSONDecoder",
@@ -201,3 +201,128 @@ def test_read_jsonl_decodes_exactly_as_json_loads(lines, last_newline):
         path = Path(tmp) / "x.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
         assert _outcome(read_jsonl, path) == _outcome(reference_read_jsonl, path)
+
+
+# --- the column readers against one object per line -------------------------
+
+
+def _reference_str_dict(obj, key):
+    d = obj[key]
+    if type(d) is not dict:
+        raise DataError(f"{key} must be a JSON object")
+    return {k: str(v) for k, v in d.items()}
+
+
+def reference_units(path):
+    """A JSONL corpus as ``ingest`` read it into one ``Unit`` per line,
+    before corpora were column tables."""
+    def unit_from_obj(obj, index):
+        uid = obj["id"] if "id" in obj else f"u{index + 1:06d}"
+        text = str(obj["text"])
+        groups = _reference_str_dict(obj, "groups") if "groups" in obj else {}
+        meta = obj.get("meta", {})
+        if type(meta) is not dict:
+            raise DataError("meta must be a JSON object")
+        return Unit(id=uid if type(uid) is str else str(uid), text=text,
+                    groups=groups, meta=meta,
+                    gold=(_reference_str_dict(obj, "gold")
+                          if obj.get("gold") is not None else None))
+
+    units = reference_read_jsonl(path, unit_from_obj)
+    if not units:
+        raise DataError(f"input file {path} yielded an empty corpus")
+    return list(Corpus(units))
+
+
+def _mostly(valid, other):
+    """``valid`` fifteen times in sixteen, else ``other``."""
+    return st.integers(0, 15).flatmap(lambda k: valid if k else other)
+
+
+_ids = _mostly(st.sampled_from(["a", "b", "a b"]) | st.integers(0, 3),
+               st.none() | st.floats(0, 2) | st.just(""))
+_texts = _mostly(st.sampled_from(["x", " padded ", "line\u2028sep", "next\x85line",
+                                  "cr\rinside"]),
+                 st.sampled_from(["", "  ", "\u2028"]) | st.integers(0, 9))
+_groups = _mostly(st.dictionaries(st.sampled_from(["src", "school"]),
+                                  st.sampled_from(["s1", ""]) | st.integers(-2, 2)
+                                  | st.floats(allow_nan=False), max_size=2),
+                  st.sampled_from([["s1"], "s1"]))
+_meta = _mostly(st.dictionaries(st.sampled_from(["year", "title"]), _scalars, max_size=2),
+                st.sampled_from([["year", 1990], "ab", None]))
+_gold = _mostly(st.none() | st.dictionaries(st.just("topic"), st.sampled_from(["A", "B"])
+                                            | st.integers(0, 1)),
+                st.sampled_from([[], "A"]))
+
+
+@st.composite
+def _unit_objects(draw):
+    """A unit object each of whose fields may be missing or malformed."""
+    fields = {"id": _ids, "text": _texts, "groups": _groups, "meta": _meta, "gold": _gold}
+    return {key: draw(values) for key, values in fields.items()
+            if draw(_mostly(st.just(True), st.just(key != "text")))}
+
+
+def _write_lines(path, docs, endings, last_newline):
+    text = "".join(("" if doc is None else json.dumps(doc, ensure_ascii=False)) + end
+                   for doc, end in zip(docs, endings))
+    if not last_newline and text:
+        text = text[: -len(endings[len(docs) - 1])]
+    path.write_text(text, encoding="utf-8", newline="")
+
+
+def _read_outcome(read, path):
+    try:
+        return "ok", read(path)
+    except DataError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_mostly(_unit_objects(), st.none()), max_size=6),  # None: a blank line
+       st.lists(_endings, min_size=6, max_size=6), st.booleans())
+def test_ingest_reads_the_units_one_object_per_line_would(docs, endings, last_newline):
+    # ids missing, repeated or not strings, numeric groups, absent or
+    # malformed meta, groups and gold, empty texts, \r\n endings, blank
+    # lines, a last line without a newline, and U+2028 and U+0085 inside a
+    # line: every unit and every message are what one Unit per line gave
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        _write_lines(path, docs, endings, last_newline)
+        assert (_read_outcome(lambda p: list(ingest(p, "jsonl")), path)
+                == _read_outcome(reference_units, path))
+
+
+_record_fields = ("unit_id", "variable", "raw", "label", "status", "attempts")
+
+
+@st.composite
+def _record_objects(draw):
+    obj = {"unit_id": draw(st.sampled_from(["u1", "u2"])),
+           "variable": draw(st.sampled_from(["topic", "stance"])),
+           "raw": draw(st.text(max_size=3)),
+           "label": draw(st.none() | st.sampled_from(["A", "B"])),
+           "status": draw(st.sampled_from(["ok", "refused", "unparseable"])),
+           "attempts": draw(st.integers(1, 3))}
+    for key in _record_fields:
+        if not draw(st.integers(0, 15)):
+            del obj[key]
+    if not draw(st.integers(0, 15)):
+        obj["extra"] = 1
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_record_objects() | st.none(), max_size=5),
+       st.lists(_endings, min_size=5, max_size=5), st.booleans())
+def test_annotation_load_reads_the_records_one_object_per_line_would(
+        docs, endings, last_newline):
+    def reference(path):
+        records = reference_read_jsonl(path, lambda d, _: AnnotationRecord(**d))
+        return AnnotationSet(records, {"source": str(path)}).records
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.jsonl"
+        _write_lines(path, docs, endings, last_newline)
+        assert (_read_outcome(lambda p: AnnotationSet.load(p).records, path)
+                == _read_outcome(reference, path))
