@@ -4,6 +4,8 @@ The error model holds one probability distribution per label (row-normalized
 confusion counts). Each replicate redraws every unit's label from the
 distribution belonging to its observed label, recomputes the statistic of
 interest, and the spread of replicate values yields the confidence interval.
+A statistic that reads labels only as counts per cell (``CellShares``) is
+recomputed from multinomial draws of those counts instead.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ log = logging.getLogger(__name__)
 # ``p_*`` or ``prop_*`` are probabilities: their normal CI is clipped to [0, 1].
 StatisticPlugin = Callable[[np.ndarray, Mapping[str, np.ndarray]], dict[str, np.ndarray]]
 
-CHUNK_CELLS = 2**14  # labels per chunk of replicates: more costs memory, no time
+CHUNK_CELLS = 2**14  # labels, or counts, drawn per chunk: more costs memory, no time
 
 
 @dataclass(frozen=True)
@@ -172,11 +174,15 @@ def bootstrap_ci(
 ) -> BootstrapResult:
     """Run the simulate-and-recompute loop and summarize the spread.
 
-    Every column in ``covariates`` must have one value per label. Each
-    replicate draws from an RNG seeded by (seed, replicate index), so the
-    result does not depend on order or chunking. The normal CI is centered
-    on the observed-label point estimate with half-width z * sigma; the
-    percentile CI uses empirical replicate quantiles.
+    Every column in ``covariates`` must have one value per label. Replicates
+    are drawn in order from one ``default_rng(seed)``, so chunking changes
+    nothing. A statistic with ``of_counts`` (``CellShares``) takes the count
+    path: multinomial draws of the counts per (cell, observed label). Any
+    other takes the label path: replicate r redraws the n labels from draws
+    r*n to (r+1)*n - 1. For one seed the two paths draw other replicates
+    from the same distribution. The normal CI is centered on the
+    observed-label point estimate with half-width z * sigma; the percentile
+    CI uses empirical replicate quantiles.
     """
     index = {l: i for i, l in enumerate(em.labels)}
     try:
@@ -188,32 +194,47 @@ def bootstrap_ci(
             raise DataError(f"covariate {name!r} has {len(column)} values "
                             f"for {len(codes)} labels")
     label_names = np.array(em.labels)
-    point = statistic(label_names[codes], covariates)
+    of_counts = getattr(statistic, "of_counts", None)
+    if of_counts:
+        cells = np.broadcast_to(statistic.cells, codes.shape)
+        observed = np.zeros((cells.max(initial=0) + 1, len(em.labels)), dtype=np.intp)
+        np.add.at(observed, (cells, codes), 1)  # observed[cell, label]
+        point = of_counts(observed, em.labels)
+        size = max(1, CHUNK_CELLS // (observed.size * len(em.labels)))
+        # numpy's multinomial wants rows that sum to 1 within 1e-12
+        dists = em.dists / em.dists.sum(axis=1, keepdims=True)
+    else:
+        point = statistic(label_names[codes], covariates)
+        size = max(1, CHUNK_CELLS // max(len(codes), 1))
     names = list(point)
     point_row = np.array([point[n] for n in names])
     values = np.empty((config.n_replicates, len(names)))
+    rng = np.random.default_rng(config.seed)
     if em.is_identity:
         # every replicate redraws the observed labels verbatim, so the
         # statistic is constant across replicates by construction
         values[:] = point_row
     else:
-        size = max(1, CHUNK_CELLS // max(len(codes), 1))
         for start in range(0, config.n_replicates, size):
             chunk = range(start, min(start + size, config.n_replicates))
-            sim = simulate_replicate(
-                codes, em, [np.random.default_rng([config.seed, r]) for r in chunk])
-            try:
-                stat = statistic(label_names[sim], covariates)
-            except Exception as err:
-                # one replicate at a time, to name the first one that fails
-                for r, row in zip(chunk, sim):
-                    try:
-                        statistic(label_names[row], covariates)
-                    except Exception as exc:
-                        raise DataError(f"statistic failed on replicate {r}: "
-                                        f"{exc}") from exc
-                raise DataError(f"statistic failed on replicates {chunk.start}-"
-                                f"{chunk.stop - 1} but on none alone: {err}") from err
+            if of_counts:
+                drawn = rng.multinomial(observed, dists,
+                                        size=(len(chunk), *observed.shape))
+                stat = of_counts(drawn.sum(axis=-2), em.labels)
+            else:
+                sim = simulate_replicate(codes, em, [rng] * len(chunk))
+                try:
+                    stat = statistic(label_names[sim], covariates)
+                except Exception as err:
+                    # one replicate at a time, to name the first one that fails
+                    for r, row in zip(chunk, sim):
+                        try:
+                            statistic(label_names[row], covariates)
+                        except Exception as exc:
+                            raise DataError(f"statistic failed on replicate {r}: "
+                                            f"{exc}") from exc
+                    raise DataError(f"statistic failed on replicates {chunk.start}-"
+                                    f"{chunk.stop - 1} but on none alone: {err}") from err
             for j, name in enumerate(names):
                 column = np.asarray(stat[name])
                 if column.shape != (len(chunk),):
@@ -259,31 +280,44 @@ def bootstrap_ci(
 # --- stock statistic plugins ----------------------------------------------
 
 
-def proportion_of(label: str) -> StatisticPlugin:
+class CellShares:
+    """Share of ``label`` among the units of each cell, named ``names[c]``
+    for cell c; ``cells`` holds each unit's cell (0: one cell for all). On
+    label rows it is a plugin like any other; ``bootstrap_ci`` draws its
+    replicates as counts per cell and calls ``of_counts`` on them."""
+
+    def __init__(self, label: str, cells, names: Sequence[str]):
+        self.label = label
+        self.cells = np.asarray(cells, dtype=np.intp)
+        self.names = tuple(names)
+
+    def of_counts(self, counts: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
+        """The outputs from ``counts[..., c, j]``, the number of units of
+        cell c that carry ``labels[j]``."""
+        hits = (counts[..., list(labels).index(self.label)] if self.label in labels
+                else np.zeros(counts.shape[:-1]))
+        return dict(zip(self.names, np.moveaxis(hits / counts.sum(axis=-1), -1, 0)))
+
+    def __call__(self, labels, covariates):
+        hit, m = labels == self.label, len(self.names)
+        cells = np.broadcast_to(self.cells, hit.shape[-1:])
+        # each row's cells numbered apart, so one count covers the chunk
+        index = cells + m * np.arange(math.prod(hit.shape[:-1]))[:, None]
+        hits = np.bincount(index.ravel(), hit.ravel(), len(index) * m)
+        hits = hits.reshape(hit.shape[:-1] + (m,)) / np.bincount(cells, minlength=m)
+        return dict(zip(self.names, np.moveaxis(hits, -1, 0)))
+
+
+def proportion_of(label: str) -> CellShares:
     """Fraction of units carrying the given label."""
-
-    def plugin(labels, covariates):
-        hits = np.count_nonzero(labels == label, axis=-1)
-        return {f"prop_{label}": hits / labels.shape[-1]}
-
-    return plugin
+    return CellShares(label, 0, [f"prop_{label}"])
 
 
-def yearly_proportion_of(label: str, years: Sequence[int]) -> StatisticPlugin:
+def yearly_proportion_of(label: str, years: Sequence[int]) -> CellShares:
     """Per-year fraction of the given label, one output per value in
     ``years``, the year of each unit."""
-    years = np.asarray(years)
-    order = np.argsort(years)  # the units of each year, side by side
-    values, starts, totals = np.unique(years[order], return_index=True,
-                                       return_counts=True)
-
-    def plugin(labels, covariates):
-        hits = np.add.reduceat((labels == label)[..., order], starts, axis=-1,
-                               dtype=np.intp)
-        return dict(zip((f"prop_{label}_{year}" for year in values),
-                        np.moveaxis(hits / totals, -1, 0)))
-
-    return plugin
+    values, cells = np.unique(np.asarray(years), return_inverse=True)
+    return CellShares(label, cells, [f"prop_{label}_{year}" for year in values])
 
 
 # --- statistic specs --------------------------------------------------------

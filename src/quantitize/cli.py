@@ -202,17 +202,23 @@ def cmd_annotate(args) -> int:
 
 def _gold_and_predicted(corpus: Corpus, annset: AnnotationSet, variable: str):
     """The gold and the predicted label of each unit that has both, keyed
-    by unit id in record order, joined through the corpus index."""
-    gold, predicted, index, golds = {}, {}, corpus.index, corpus.gold
+    by unit id in record order; a warning counts records of units not in it."""
+    gold, predicted, missing, index, golds = {}, {}, 0, corpus.index, corpus.gold
     for uid, var, label, status in zip(annset.unit_ids, annset.variables,
                                        annset.labels, annset.statuses):
         # a transport failure is no answer of the model's, so not an error of it
-        if var != variable or status == "transport_error" or uid not in index:
+        if var != variable or status == "transport_error":
+            continue
+        if uid not in index:
+            missing += 1
             continue
         labels = golds[index[uid]]
         if labels is not None and variable in labels:
             gold[uid] = labels[variable]
             predicted[uid] = label if status == "ok" else ERROR_LABEL
+    if missing:
+        print(f"warning: {missing} annotation records name units not in the "
+              "corpus; they are left out", file=sys.stderr)
     if not predicted:
         raise DataError("no overlap between gold units and annotations "
                         "other than transport_error records")

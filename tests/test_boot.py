@@ -400,6 +400,85 @@ class TestBootstrapCi:
         assert data["config"]["n_replicates"] == 10
 
 
+class TestReplicateStreams:
+    DISTS = np.array([[0.7, 0.2, 0.1],
+                      [0.15, 0.8, 0.05],
+                      [0.3, 0.3, 0.4]])
+
+    def test_label_path_replicate_r_starts_at_draw_r_times_n(self, monkeypatch):
+        em = ErrorModel(("A", "B", "C"), self.DISTS)
+        n = 50
+        labels = np.random.default_rng(8).choice(em.labels, n).tolist()
+        rows = []
+
+        def plugin(labels, covariates):  # a custom plugin gets label rows
+            rows.append(labels)
+            return {"n_A": np.count_nonzero(labels == "A", axis=-1)}
+
+        monkeypatch.setattr(boot, "CHUNK_CELLS", 7 * n)
+        bootstrap_ci(labels, {}, em, plugin, BootstrapConfig(n_replicates=30, seed=11))
+        point, *chunks = rows
+        assert point.tolist() == labels
+        assert [len(c) for c in chunks] == [7, 7, 7, 7, 2]
+        codes = np.array([em.labels.index(l) for l in labels])
+        for r, row in enumerate(np.concatenate(chunks)):
+            rng = np.random.default_rng(11)
+            rng.bit_generator.advance(r * n)
+            want = simulate_replicate(codes, em, [rng])[0]
+            assert row.tolist() == [em.labels[c] for c in want]
+
+    def test_count_path_matches_the_analytic_moments(self):
+        # cells of 1, 40 and 400 units; the 40-unit cell has no C
+        em = ErrorModel(("A", "B", "C"), self.DISTS)
+        rng = np.random.default_rng(12)
+        observed = (["C"] + rng.choice(["A", "B"], 40).tolist()
+                    + rng.choice(em.labels, 400).tolist())
+        years = [1] + [2] * 40 + [3] * 400
+        R = 4000
+        result = bootstrap_ci(observed, {}, em, yearly_proportion_of("A", years),
+                              BootstrapConfig(n_replicates=R, seed=5))
+        codes = np.array([em.labels.index(l) for l in observed])
+        for year in (1, 2, 3):
+            p = em.dists[codes[np.array(years) == year], 0]  # P(A) of each unit
+            n, var = len(p), p * (1 - p)
+            mean, sigma = p.mean(), math.sqrt(var.sum()) / n
+            # the fourth central moment of the count, a sum of Bernoullis,
+            # gives the standard error of the replicate sigma
+            mu4 = (var * (1 - 6 * var)).sum() / n**4 + 3 * sigma**4
+            se_sigma = math.sqrt((mu4 - sigma**4) / R) / (2 * sigma)
+            s = result.statistics[f"prop_A_{year}"]
+            assert abs(s.replicate_mean - mean) < 5 * sigma / math.sqrt(R), year
+            assert abs(s.sigma - sigma) < 5 * se_sigma, year
+
+    def test_count_path_draws_in_bounded_chunks(self, monkeypatch):
+        sizes, default_rng = [], np.random.default_rng
+
+        class Recording:  # a generator that records each multinomial size
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def multinomial(self, n, pvals, size):
+                sizes.append(size)
+                return self.rng.multinomial(n, pvals, size)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.2, 0.8]]))
+        bootstrap_ci(["A", "B"] * 50, {}, em, proportion_of("A"),
+                     BootstrapConfig(n_replicates=10_000))
+        assert len(sizes) > 1
+        assert sum(size[0] for size in sizes) == 10_000
+        assert max(math.prod(size) * 2 for size in sizes) <= boot.CHUNK_CELLS
+
+    def test_count_path_takes_a_row_the_error_model_accepts(self):
+        # the row sums to 1 within ErrorModel's 1e-9, not numpy's 1e-12
+        em = ErrorModel(("A", "B", "C"), np.array([[0.3, 0.7 + 6e-10, 0.0],
+                                                   [0.1, 0.8, 0.1],
+                                                   [0.0, 0.5, 0.5]]))
+        result = bootstrap_ci(["A", "B", "C"] * 10, {}, em, proportion_of("B"),
+                              BootstrapConfig(n_replicates=50))
+        assert result.statistics["prop_B"].sigma > 0
+
+
 class TestChunks:
     @pytest.mark.parametrize("spec", ["proportion:A", "yearly_proportions:A",
                                       "logistic:A ~ age"])
@@ -439,7 +518,7 @@ class TestChunks:
             bootstrap_ci(["yes" if o.response else "no" for o in obs], columns,
                          em, plugin, BootstrapConfig(n_replicates=2000, seed=0))
         assert str(exc.value) == (
-            "statistic failed on replicate 94: logistic fit did not converge "
+            "statistic failed on replicate 358: logistic fit did not converge "
             "(quasi-separation): ['(Intercept)']")
 
     def test_scalar_output_for_a_chunk_is_rejected(self):

@@ -19,7 +19,9 @@ TOPICS = ("Politics", "Economy", "Culture")
 N_UNITS = 300
 REFUSED = "p0042"
 
-# taken before corpora and annotations were read into column tables
+# taken before corpora and annotations were read into column tables; the
+# pins of the bootstrap outputs and of summary.md, which quotes them, were
+# re-taken when replicates came to be drawn from one seeded stream
 PINS = {
     "corpus.jsonl":
         "e47d483d0c66e4a1017600ff2cf11fb3860cfcac823cab00520931b9aa65fdc5",
@@ -36,19 +38,19 @@ PINS = {
     "eval/manifest.json":
         "05015084904958ae6590ece18e69970f57129cc2f7fdb4d60f1aab350d2056c7",
     "yearly/boot.json":
-        "51d8ed15613d1667bb206e3d0b7ec972a07dac7d5f18d41f370583d686a6c13f",
+        "f6a16fb3ab1a2870265ea4420b22adcf71f81c5e2914322e42ebf8210ca88c77",
     "yearly/replicates.csv":
-        "1711b1b2c3322339f256192a1da58a7565fa1f9d8a1c1c9f14dfa3c88ccf9d79",
+        "fbf9b1d874eb56df39a93fcaf21aa31442a74b08ca9da42f2c30ede144bab4c0",
     "yearly/manifest.json":
         "d383ccaa916de90f9eb82733c2f55b856a0e9bebca0759c0c1d530c1414104f8",
     "logit/boot.json":
-        "c2ceaa0af4b69340d020e3da389c4d7abbe11cbc090d02fb77139ad4f54c143d",
+        "6ad912d7cf50f73d606e046769bf87d1b661705b871ad3b81e250567d101fa00",
     "logit/replicates.csv":
-        "767ef586a0db90f2b75c16d71b6fe8ca7fe48d0496bcfc4f692916d2a657d2bd",
+        "4cedd2ebbf2e862ab722f32bdb47a8e6ba7ada94222cc4dd27086b5b772fd12d",
     "logit/manifest.json":
         "a4f635084983df4ca78ff295089b7b3a99f4b964fe53016e5345b1dbc627b14e",
     "summary.md":
-        "668d8e3636bcc0e72871ea113f3d7273027c17ca5a23353bb60edf1275105f07",
+        "6ffe6cc5d8e8bfd563b45e97d24bf078beed5ab1a61cd0df4acfef9fe8c573cc",
 }
 
 
