@@ -344,7 +344,10 @@ def _covariate_columns(corpus, rows: Sequence[int], needed: dict) -> dict:
     """One array per covariate in ``needed`` (name -> converter), read at
     the corpus ``rows``; a unit's groups take precedence over its metadata.
     A value the converter rejects, or a float that is not finite, is a
-    DataError naming the unit."""
+    DataError naming the unit; no ``corpus`` at all is a ConfigError."""
+    if corpus is None:
+        raise ConfigError(f"statistic reads covariates {list(needed)} from "
+                          "--corpus, which was not given")
     groups = [corpus.groups[r] for r in rows]
     metas = [corpus.meta[r] for r in rows]
     columns = {}

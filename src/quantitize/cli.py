@@ -51,6 +51,7 @@ from .jsonio import format_json, read_csv_table, read_json, read_text, write_jso
 # fit_logistic and fit_logistic_random_intercept are not called here; they
 # stay importable from this module because bench/spans.py patches them here
 from .stats import (  # noqa: F401
+    N_QUAD,
     fit_formula,
     fit_logistic,
     fit_logistic_random_intercept,
@@ -309,6 +310,9 @@ def _read_columns_csv(path: Path, formula) -> dict[str, list]:
 
 def cmd_fit(args) -> int:
     formula = parse_formula(args.formula)
+    if not formula.mixed and args.quad_nodes != N_QUAD:
+        raise ConfigError("--quad-nodes applies only to a formula with a "
+                          "(1|group) term")
     fit = fit_formula(formula, _read_columns_csv(Path(args.data), formula),
                       n_quad=args.quad_nodes)
     out = Path(args.out)
@@ -447,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV with response/covariates")
     p.add_argument("--formula", required=True,
                    help='e.g. "online ~ campus + age + (1|id)"')
-    p.add_argument("--quad-nodes", type=int, default=15)
+    p.add_argument("--quad-nodes", type=int, default=N_QUAD)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

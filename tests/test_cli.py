@@ -779,6 +779,52 @@ class TestExitCodes:
         assert code == 2
         assert "(1|group)" in capsys.readouterr().err
 
+    def test_malformed_formula_is_2(self, workspace, capsys):
+        rows = ["online,campus"] + [f"{i % 2},{i % 3}" for i in range(12)]
+        (workspace / "data.csv").write_text("\n".join(rows) + "\n",
+                                            encoding="utf-8")
+        assert run(["fit", "--data", workspace / "data.csv", "--formula",
+                    "online ~", "--out", workspace / "fit.json"]) == 2
+        assert "empty term" in capsys.readouterr().err
+        _annotate_and_evaluate(workspace)
+        code = run(_bootstrap_argv(workspace, "logistic:Positive ~ 1",
+                                   lambda i: {"age": 20.0 + i}))
+        assert code == 2
+        assert "unsupported formula term '1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["logistic:Positive ~ year",
+                                      "yearly_proportions:Positive"])
+    def test_statistic_without_corpus_names_the_option_is_2(self, workspace,
+                                                            capsys, spec):
+        _annotate_and_evaluate(workspace)
+        argv = _bootstrap_argv(workspace, spec, lambda i: {"year": 1990 + i % 4})
+        i = argv.index("--corpus")
+        del argv[i:i + 2]
+        assert run(argv) == 2
+        assert ("reads covariates ['year'] from --corpus, which was not given"
+                in capsys.readouterr().err)
+
+    def test_quad_nodes_on_a_fixed_fit_is_2(self, tmp_path, capsys):
+        # no fixed fit reads --quad-nodes, so setting it is refused; left at
+        # its default, it changes nothing
+        rows = ["online,campus"] + [f"{i % 2},{i % 3}" for i in range(12)]
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n",
+                                           encoding="utf-8")
+        argv = ["fit", "--data", tmp_path / "data.csv", "--formula",
+                "online ~ campus"]
+        for nodes in (0, 7):
+            assert run(argv + ["--quad-nodes", nodes,
+                               "--out", tmp_path / "no" / "fit.json"]) == 2
+            assert "--quad-nodes" in capsys.readouterr().err
+        assert not (tmp_path / "no").exists()
+        assert run(argv + ["--out", tmp_path / "a" / "fit.json"]) == 0
+        assert run(argv + ["--quad-nodes", 15,
+                           "--out", tmp_path / "b" / "fit.json"]) == 0
+        for name in ("fit.json", "manifest.json"):
+            a = (tmp_path / "a" / name).read_text()
+            b = (tmp_path / "b" / name).read_text()
+            assert a.replace("/a/", "/b/") == b, name
+
     @pytest.mark.parametrize("option, value, fmt", [
         ("--mapping", "map.yaml", "jsonl"),
         ("--mapping", "map.yaml", "text"),
