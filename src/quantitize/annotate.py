@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 import os
 import re
 import string
@@ -26,8 +25,9 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .boot import ErrorModel
 from .corpus import STRIP_CHARS, Corpus, CodingScheme, Unit, Variable, approx_tokens
-from .errors import ConfigError, DataError, TransportError
+from .errors import ConfigError, DataError
 from .jsonio import append_json_line, read_json, read_jsonl, write_json, write_jsonl
 
 if TYPE_CHECKING:
@@ -242,7 +242,9 @@ class MockModel:
     ``gold_corruption`` mode emits each unit's gold label pushed through a
     confusion-style corruption matrix. Each label is drawn once, at
     construction, from a per-unit uniform hashed from (seed, unit id), so
-    results do not depend on batching, scheduling or unit order.
+    results do not depend on batching, scheduling or unit order. The matrix
+    is checked and the labels drawn by ``boot.ErrorModel``, by the rule the
+    bootstrap's label path redraws with.
     """
 
     def __init__(
@@ -266,33 +268,22 @@ class MockModel:
                 raise ConfigError(
                     "gold_corruption needs labels, a corruption matrix and gold labels"
                 )
-            # row by row, so that ragged rows are a shape error too
-            if len(matrix) != len(labels) or any(
-                    np.shape(row) != (len(labels),) for row in matrix):
-                raise ConfigError("corruption matrix shape does not match labels")
-            matrix = np.asarray(matrix, dtype=float)
-            if (matrix < 0).any():
-                raise ConfigError("corruption matrix entries must be non-negative")
-            if not np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9):
-                raise ConfigError("corruption matrix rows must sum to 1")
-            # each unit's label, drawn once from its own uniform: the top 53
-            # bits of bytes 8-15 of sha256(f"{seed}:{unit id}"), placed on the
-            # gold row's normalised cumulative sum
-            cdf = matrix.cumsum(axis=1)
-            cdf /= cdf[:, -1:]
+            try:
+                model = ErrorModel(tuple(labels), matrix)
+            except DataError as exc:
+                raise ConfigError(f"corruption matrix: {exc}") from None
             index = {label: j for j, label in enumerate(labels)}
             for uid, label in gold.items():
                 if label not in index:
                     raise DataError(f"unit {uid!r}: gold label {label!r} is not one "
                                     f"of the labels {list(labels)}")
             rows = np.array([index[label] for label in gold.values()], dtype=int)
+            # each unit's label, drawn once from its own uniform: the top 53
+            # bits of bytes 8-15 of sha256(f"{seed}:{unit id}")
             words = b"".join(hashlib.sha256(f"{seed}:{uid}".encode()).digest()[8:16]
                              for uid in gold)
             uniforms = (np.frombuffer(words, ">u8") >> np.uint64(11)) * 2.0**-53
-            picks = np.empty(len(gold), dtype=int)
-            for j, row in enumerate(cdf):
-                at = rows == j
-                picks[at] = np.searchsorted(row, uniforms[at], side="right")
+            picks = model.redraw(rows, uniforms)
             self._drawn = dict(zip(gold, (labels[j] for j in picks.tolist())))
 
     @classmethod
@@ -336,23 +327,16 @@ class MockModel:
             return ModelReply.refusal("mock refusal")
         if self.mode == "rules":
             lower = prompt.lower()
-            for keyword, label in self.rules.items():
-                if keyword.lower() in lower:
-                    answer = label
-                    break
-            else:
-                answer = ""
-            if len(unit_ids) > 1:
-                return ModelReply.text(
-                    "\n".join(f"{i + 1}. {answer}" for i in range(len(unit_ids)))
-                )
-            return ModelReply.text(answer)
-        if not unit_ids:
+            answer = next((label for keyword, label in self.rules.items()
+                           if keyword.lower() in lower), "")
+            answers = [answer] * max(len(unit_ids), 1)
+        elif unit_ids:
+            answers = [self._label_for(uid) for uid in unit_ids]
+        else:
             raise ConfigError("gold_corruption mock needs unit ids")
-        if len(unit_ids) == 1:
-            return ModelReply.text(self._label_for(unit_ids[0]))
-        lines = [f"{i + 1}. {self._label_for(uid)}" for i, uid in enumerate(unit_ids)]
-        return ModelReply.text("\n".join(lines))
+        if len(answers) == 1:
+            return ModelReply.text(answers[0])
+        return ModelReply.text("\n".join(f"{i}. {a}" for i, a in enumerate(answers, 1)))
 
 
 # --- output normalization --------------------------------------------------

@@ -39,7 +39,9 @@ CHUNK_CELLS = 2**14  # labels, or counts, drawn per chunk: more costs memory, no
 
 @dataclass(frozen=True)
 class ErrorModel:
-    """Per-label sampling distributions over the label set."""
+    """Per-label sampling distributions over the label set. ``redraw`` draws
+    labels from them for the bootstrap's label path and for the
+    ``gold_corruption`` mock alike."""
 
     labels: tuple[str, ...]
     dists: np.ndarray  # row i: distribution used for observed label i
@@ -61,6 +63,17 @@ class ErrorModel:
     @property
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.dists, np.eye(len(self.labels))))
+
+    def redraw(self, codes: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Label codes (indices into ``labels``) redrawn by inversion: for each
+        uniform ``u[..., i]`` in [0, 1), the number of row ``codes[i]``'s
+        normalised cumulative bounds, all but the last, at or below it, so a
+        zero-probability label is never drawn."""
+        cum = np.cumsum(self.dists, axis=1)
+        drawn = np.zeros(np.shape(u), dtype=np.intp)
+        for bound in (cum / cum[:, -1:]).T[:-1]:
+            drawn += u >= bound[codes]
+        return drawn
 
 
 def error_model_from_confusion(
@@ -97,14 +110,9 @@ def simulate_replicate(
     codes: np.ndarray, em: ErrorModel, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
     """Redraw each unit's label code (an index into ``em.labels``) from the
-    distribution of its observed label, one row per generator in ``rngs``:
-    the number of the label's cumulative bounds, all but the last, below a
-    uniform draw."""
-    u = np.stack([rng.random(len(codes)) for rng in rngs])
-    drawn = np.zeros(u.shape, dtype=np.intp)
-    for bound in np.cumsum(em.dists, axis=1).T[:-1]:
-        drawn += u > bound[codes]
-    return drawn
+    distribution of its observed label through ``em.redraw``, one row per
+    generator in ``rngs``, each row from ``len(codes)`` uniform draws."""
+    return em.redraw(codes, np.stack([rng.random(len(codes)) for rng in rngs]))
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,18 @@ class TestMockModel:
                           DecodingControls(), unit_ids=["u1"])
         assert reply.kind == "text" and reply.content == "Positive"
 
+    def test_rules_mode_answers(self):
+        # one answer for no unit id or one, numbered lines for a batch; the
+        # first keyword found (case aside) wins, and none found answers ""
+        mock = MockModel("rules", rules={"filler": "Positive", "word": "Negative"})
+        controls = DecodingControls()
+        for ids in ((), ("u1",)):
+            assert mock.send("Filler words", controls, ids).content == "Positive"
+            assert mock.send("nothing here", controls, ids).content == ""
+        assert (mock.send("some words", controls, ("u1", "u2", "u3")).content
+                == "1. Negative\n2. Negative\n3. Negative")
+        assert mock.send("none", controls, ("u1", "u2", "u3")).content == "1. \n2. \n3. "
+
     def test_identity_matrix_reproduces_gold(self):
         corpus = make_corpus(30)
         mock = MockModel.from_corpus(corpus, SENTIMENT, np.eye(2))

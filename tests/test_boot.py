@@ -32,6 +32,16 @@ def identity_model(labels=("A", "B")):
     return ErrorModel(tuple(labels), np.eye(len(labels)))
 
 
+class Draws:
+    """A generator whose uniform draws are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u)
+
+    def random(self, n):
+        return self.u[:n]
+
+
 class TestErrorModel:
     def test_row_normalization(self):
         cm = ConfusionMatrix(("A", "B"), np.array([[9, 1], [1, 9]]))
@@ -107,14 +117,23 @@ class TestSimulateReplicate:
         assert len(out) == 21
 
 
+    def test_a_zero_probability_label_is_never_drawn(self):
+        # a draw that sits exactly on a bound takes the label above it
+        em = ErrorModel(("A", "B"), np.array([[0.0, 1.0], [0.0, 1.0]]))
+        assert simulate_replicate(np.array([0]), em, [Draws([0.0])]).tolist() == [[1]]
+        codes = np.arange(4)
+        for u in (0.0, 0.5, 1 - 2.0**-53):
+            sim = simulate_replicate(codes, identity_model("ABCD"), [Draws([u] * 4)])
+            assert sim.tolist() == [codes.tolist()], u
+
     def test_matches_the_three_axis_reference(self):
-        # the redraw counts the cumulative bounds below each draw, clipped to
-        # the last label: the same codes as comparing every bound at once
+        # the redraw counts the normalised cumulative bounds at or below each
+        # draw: the same codes as comparing every bound at once
         def reference(codes, em, rngs):
-            cum = np.cumsum(em.dists, axis=1)[codes]
+            cum = np.cumsum(em.dists, axis=1)
+            cum = (cum / cum[:, -1:])[codes]
             u = np.stack([rng.random(len(codes)) for rng in rngs])
-            drawn = (u[:, :, None] > cum).sum(axis=2)
-            return np.minimum(drawn, len(em.labels) - 1)
+            return (u[:, :, None] >= cum).sum(axis=2)
 
         gen = np.random.default_rng(5)
         for k in (2, 3, 4, 5):
@@ -129,14 +148,8 @@ class TestSimulateReplicate:
             ref = reference(codes, em, [np.random.default_rng(s) for s in seeds])
             assert new.dtype == ref.dtype and (new == ref).all()
 
-        class Draws:  # a generator whose draws are given
-            def __init__(self, u):
-                self.u = np.asarray(u)
-
-            def random(self, n):
-                return self.u[:n]
-
-        # row A ends just below 1, so a draw above its last bound is clipped
+        # row A sums to just below 1, so its bounds are normalised; draws on
+        # a bound of rows B and C take the label above it
         em = ErrorModel(("A", "B", "C"), np.array([[0.25, 0.5, 0.25 - 6e-10],
                                                    [0.0, 0.0, 1.0],
                                                    [0.5, 0.5, 0.0]]))
@@ -144,7 +157,7 @@ class TestSimulateReplicate:
         u = [[0.25, 0.75, 1 - 1e-12, 0.0, 0.0, 0.5, 0.5, 0.999, 0.25]]
         new = simulate_replicate(codes, em, [Draws(row) for row in u])
         ref = reference(codes, em, [Draws(row) for row in u])
-        assert new.tolist() == ref.tolist() == [[0, 1, 2, 0, 0, 2, 0, 1, 0]]
+        assert new.tolist() == ref.tolist() == [[0, 1, 2, 0, 2, 2, 1, 1, 0]]
 
 
 class TestYearlyProportionOf:

@@ -299,7 +299,7 @@ class TestExitCodes:
                 ("client.refuse_units", "u001", "client.refuse_units"),
                 ("client.rules", ["a"], "client.rules"),
                 ("client", endpoint, "client.timeout"),
-                ("client.matrix", [[1.0, 0.0], [1.0]], "matrix shape"),
+                ("client.matrix", [[1.0, 0.0], [1.0]], "needs a 2x2 grid"),
                 ("client.matrix", [[1.1, -0.1], [0.0, 1.0]], "non-negative"),
                 ("client.mode", "bogus", "unknown mock mode")):
             cfg = yaml.safe_load((workspace / "run.yaml").read_text())
