@@ -273,11 +273,12 @@ class MockModel:
             except DataError as exc:
                 raise ConfigError(f"corruption matrix: {exc}") from None
             index = {label: j for j, label in enumerate(labels)}
-            for uid, label in gold.items():
-                if label not in index:
-                    raise DataError(f"unit {uid!r}: gold label {label!r} is not one "
-                                    f"of the labels {list(labels)}")
-            rows = np.array([index[label] for label in gold.values()], dtype=int)
+            try:
+                rows = np.array([index[label] for label in gold.values()], dtype=int)
+            except KeyError:
+                uid, label = next(item for item in gold.items() if item[1] not in index)
+                raise DataError(f"unit {uid!r}: gold label {label!r} is not one "
+                                f"of the labels {list(labels)}") from None
             # each unit's label, drawn once from its own uniform: the top 53
             # bits of bytes 8-15 of sha256(f"{seed}:{unit id}")
             words = b"".join(hashlib.sha256(f"{seed}:{uid}".encode()).digest()[8:16]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import json.encoder
 import json.scanner
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
@@ -42,9 +43,17 @@ def write_json(path: Union[str, Path], doc) -> None:
 
 
 def write_jsonl(path: Union[str, Path], docs: Iterable) -> None:
-    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    """``docs``, one per line. One C encoder serves the whole file, made
+    with the arguments that ``JSONEncoder(ensure_ascii=False,
+    sort_keys=True).encode`` makes a new one with for each document, so
+    every line keeps its bytes; its markers dict still makes a circular
+    document a ``ValueError``."""
+    encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+    encode = json.encoder.c_make_encoder(
+        {}, encoder.default, json.encoder.encode_basestring, None,
+        encoder.key_separator, encoder.item_separator, True, False, True)
     with _create(path) as fh:
-        fh.writelines(encode(d) + "\n" for d in docs)
+        fh.writelines("".join(encode(d, 0)) + "\n" for d in docs)
 
 
 def append_json_line(path: Union[str, Path], doc: dict) -> None:

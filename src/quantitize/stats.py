@@ -15,7 +15,10 @@ standard errors from the inverse observed information (for mixed fits, the
 same central-difference Hessian), two-sided normal p-values. Both fits are
 reached through :func:`fit_formula`, on a formula and one column per name.
 IRLS carries each fit's linear predictor from step to step and sums the
-log-likelihood through :func:`log1p_exp`.
+log-likelihood through :func:`log1p_exp`. A stack of IRLS fits weights a
+contiguous copy of X' along its n columns to form each information matrix,
+and passes BLAS the products and the per-fit call of a fit on its own, so
+each fit in a stack keeps its bits.
 """
 
 from __future__ import annotations
@@ -146,7 +149,15 @@ def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
     """IRLS fits of each 0/1 row of ``Y`` (R x n) on one :func:`design_matrix`
     ``X``: beta, covariance, log-likelihood and iterations, one per row. Each
     row does the arithmetic of a fit on that row alone, bit for bit; a row
-    that fails fails the stack with that fit's :class:`DataError`."""
+    that fails fails the stack with that fit's :class:`DataError`.
+
+    Each row's information matrix multiplies its weights into a copy of X'
+    along n, and BLAS gets that copy's transposed view: the products and
+    the per-row call of ``X.T @ (X * w[:, None])`` alone, so no bit moves.
+    While no row has converged the rows are used in place; after that, the
+    rows still iterating are copied out and written back."""
+    XT = np.ascontiguousarray(X.T)
+    Y = np.ascontiguousarray(Y)  # rows used in place sum as their copies did
     beta = np.zeros((len(Y), X.shape[1]))
     eta = np.zeros(Y.shape)  # each row's linear predictor X beta
     # at beta = 0 every row's log-likelihood is the same sum of log 2
@@ -154,9 +165,11 @@ def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
     n_iter = np.zeros(len(Y), dtype=int)
     active = np.arange(len(Y))  # the rows not yet converged
     for it in range(1, IRLS_MAX_ITER + 1):
-        b, y, ll_old = beta[active], Y[active], ll[active]
-        mu = expit(eta[active])
-        info = np.matmul(X.T, X * (mu * (1 - mu))[..., None])
+        every = len(active) == len(Y)  # then no row is copied out or back
+        b, y, e, ll_old = ((beta, Y, eta, ll) if every else
+                           (beta[active], Y[active], eta[active], ll[active]))
+        mu = expit(e)
+        info = _information(X, XT, mu)
         try:
             step = np.linalg.solve(info, np.matmul(X.T, (y - mu)[..., None]))[..., 0]
         except np.linalg.LinAlgError:
@@ -178,7 +191,10 @@ def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
             raise DataError(
                 f"logistic fit did not converge (quasi-separation): {bad}"
             )
-        beta[active], eta[active], ll[active] = candidate, eta_new, ll_new
+        if every:
+            beta, eta, ll = candidate, eta_new, ll_new
+        else:
+            beta[active], eta[active], ll[active] = candidate, eta_new, ll_new
         done = np.abs(ll_new - ll_old) < IRLS_TOL * (np.abs(ll_old) + IRLS_TOL)
         n_iter[active[done]] = it
         active = active[~done]
@@ -187,13 +203,19 @@ def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
     else:
         raise DataError(f"IRLS did not converge in {IRLS_MAX_ITER} iterations")
     mu = expit(eta)
-    cov = np.linalg.inv(np.matmul(X.T, X * (mu * (1 - mu))[..., None]))
+    cov = np.linalg.inv(_information(X, XT, mu))
     # a separated fit stops when its log-likelihood stops changing, while one
     # more Newton step would still move its logits by about 1, not by ~0
     if (np.abs(X @ (cov @ (X.T @ (Y - mu)[..., None]))) > MAX_FINAL_STEP).any():
         raise DataError("logistic fit did not converge (quasi-separation): "
                         "fitted probabilities reach 0 or 1")
     return beta, cov, ll, n_iter
+
+
+def _information(X, XT, mu):
+    """X' diag(mu (1 - mu)) X for each row of ``mu[R, n]``, with ``XT`` X'
+    laid out contiguously, so that the weights multiply along n."""
+    return np.matmul(X.T, (XT * (mu * (1 - mu))[:, None, :]).transpose(0, 2, 1))
 
 
 def logistic_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -4,18 +4,21 @@ parsed by one reader per format: ``jsonio.read_json`` and
 ``corpus.load_yaml`` for YAML. The checks walk the package's syntax trees,
 so a parser call or a file opened anywhere else fails them. ``read_jsonl``
 decodes its lines with a reused scanner, so it is also checked against
-``json.loads``."""
+``json.loads``, and ``write_jsonl`` encodes with one encoder per file, so
+it is checked against ``JSONEncoder.encode``."""
 
 import ast
 import json
+import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import quantitize
 from quantitize import AnnotationRecord, AnnotationSet, Corpus, DataError, Unit, ingest
-from quantitize.jsonio import read_jsonl, read_lines
+from quantitize.jsonio import read_jsonl, read_lines, write_jsonl
 
 PARSERS = {"json.load", "json.loads", "json.JSONDecoder", "json.decoder.JSONDecoder",
            "yaml.load", "yaml.safe_load", "yaml.full_load", "yaml.unsafe_load",
@@ -201,6 +204,31 @@ def test_read_jsonl_decodes_exactly_as_json_loads(lines, last_newline):
         path = Path(tmp) / "x.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
         assert _outcome(read_jsonl, path) == _outcome(reference_read_jsonl, path)
+
+
+# --- write_jsonl against one encoder per line -------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_values | st.dictionaries(st.text(max_size=3), _values, max_size=3),
+                max_size=4))
+def test_write_jsonl_writes_what_encode_writes(docs):
+    shared = {"é": [1.5, math.nan, -math.inf, "\u2028"], "a": None}
+    docs = docs + [{"x": shared, "y": shared}, [shared], "Schüler"]
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.jsonl"
+        write_jsonl(path, docs)
+        assert path.read_bytes() == "".join(
+            encode(d) + "\n" for d in docs).encode("utf-8")
+
+
+def test_write_jsonl_rejects_a_circular_document():
+    looped = {"a": 1}
+    looped["self"] = [looped]
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(ValueError, match="Circular reference"):
+            write_jsonl(Path(tmp) / "x.jsonl", [{"ok": 1}, looped])
 
 
 # --- the column readers against one object per line -------------------------

@@ -258,6 +258,25 @@ class TestLogisticStack:
             assert stack[3][r] == n_iter
             assert abs(stack[2][r] - ll) <= 1e-14 * abs(ll)
 
+    def test_rows_match_the_one_response_fit_at_the_benchmark_size(self):
+        # boot_logistic's fits: gen_confound's 2000 units on campus and age,
+        # eight replicates of the response with each label flipped at 10%.
+        # Row 0 converges at iteration 5 (its last change is 1.15 times the
+        # tolerance) and the others at 4, so the stack runs with every row
+        # active and then with one
+        obs = gen_confound(0, n=2000)
+        X, names = design_matrix({k: [o.covariates[k] for o in obs]
+                                  for k in ("age", "campus")}, len(obs))
+        y = np.array([o.response for o in obs], dtype=float)
+        Y = np.abs(y - (np.random.default_rng(8).random((8, len(y))) < 0.1))
+        beta, cov, ll, n_iter = fit_logistic_stack(X, Y, names)
+        assert len(set(n_iter)) > 1
+        for r, row in enumerate(Y):
+            expected = reference_irls(X, row, names)
+            assert beta[r].tobytes() == expected[0].tobytes()
+            assert (ll[r], n_iter[r]) == expected[1:3]
+            assert cov[r].tobytes() == expected[3].tobytes()
+
     def test_a_failing_row_fails_the_stack_with_its_own_message(self,
                                                                 monkeypatch):
         x = np.tile([0.0, 1.0], 20)
