@@ -8,17 +8,18 @@ group, for one parameter point or a stack of them: a step-halving Newton
 search finds all group modes at once, and the negative log-likelihood comes
 with its exact gradient in (beta, log sigma), including how the modes and
 quadrature scales move. The fit takes projected Newton steps on central
-differences of that gradient, with log sigma kept in its box. It is accepted
+differences of that gradient, with log sigma kept in its box, and evaluates
+each full step with those differences in one stacked call. It is accepted
 only when the predicted decrease at its final point is negligible, and it
 reports whether the intercept SD ended on its bound. Inference is Wald:
 standard errors from the inverse observed information (for mixed fits, the
 same central-difference Hessian), two-sided normal p-values. Both fits are
-reached through :func:`fit_formula`, on a formula and one column per name.
-IRLS carries each fit's linear predictor from step to step and sums the
-log-likelihood through :func:`log1p_exp`. A stack of IRLS fits weights a
-contiguous copy of X' along its n columns to form each information matrix,
-and passes BLAS the products and the per-fit call of a fit on its own, so
-each fit in a stack keeps its bits.
+reached through :func:`fit_formula`, on a formula and one column per name,
+and sum log(1 + e^t) by :func:`log1p_exp`. IRLS carries each fit's linear
+predictor from step to step. A stack of IRLS fits weights a contiguous copy
+of X' along its n columns to form each information matrix, and passes BLAS
+the products and the per-fit call of a fit on its own, so each fit in a
+stack keeps its bits.
 """
 
 from __future__ import annotations
@@ -235,10 +236,12 @@ def _loglik(y, eta):
 
 
 def log1p_exp(x):
-    """log(1 + e^x) without overflow or cancellation: max(x, 0) +
-    log1p(e^-|x|), which agrees with ``np.logaddexp(0, x)`` to a few ulp at
-    several times its speed."""
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    """log(1 + e^x) without overflow or cancellation: log1p(e^-|x|), formed
+    in one buffer, plus max(x, 0). It agrees with ``np.logaddexp(0, x)`` to a
+    few ulp at several times its speed."""
+    out = np.abs(x)
+    np.log1p(np.exp(np.negative(out, out=out), out=out), out=out)
+    return np.add(out, np.maximum(x, 0.0), out=out)
 
 
 # --- random-intercept model ------------------------------------------------
@@ -274,6 +277,7 @@ class _MarginalLikelihood:
         self.starts = np.flatnonzero(np.r_[True, np.diff(self.group) != 0])
         self.nodes, weights = np.polynomial.hermite.hermgauss(n_quad)
         self.log_w = np.log(weights) + self.nodes**2 + 0.5 * math.log(2.0)
+        self.u_start = self.u_hat = np.zeros(len(self.starts))
 
     def _sum(self, a):
         """Per-group sums over the leading (row) axis."""
@@ -281,14 +285,15 @@ class _MarginalLikelihood:
 
     def _log_posterior(self, eta, u, sigma2):
         t = eta + u[self.group]
-        return self._sum(self.y * t - np.logaddexp(0.0, t)) - 0.5 * u * u / sigma2
+        return self._sum(self.y * t - log1p_exp(t)) - 0.5 * u * u / sigma2
 
     def modes(self, eta, sigma2):
         """Posterior mode of every group's intercept, for each column k of
         ``eta`` and ``sigma2``, by Newton's method. A group whose step lowers
         its log posterior halves that step, so the search cannot run away
-        where the linear predictor is large."""
-        u = np.zeros((len(self.starts), eta.shape[1]))
+        where the linear predictor is large. Every column starts at the
+        modes ``u_start`` of the point a fit last accepted, or at zeros."""
+        u = np.repeat(self.u_start[:, None], eta.shape[1], axis=1)
         h = self._log_posterior(eta, u, sigma2)
         active = np.ones(eta.shape[1], dtype=bool)  # columns still searching
         for _ in range(MODE_MAX_STEPS):
@@ -320,6 +325,7 @@ class _MarginalLikelihood:
 
         # mode, curvature and quadrature scale of each group
         u_hat = self.modes(eta, sigma2)
+        self.u_hat = u_hat[:, 0]  # the first point's, for a fit to start from
         mu = expit(eta + u_hat[group])
         w = mu * (1 - mu)
         v = w * (1 - 2 * mu)
@@ -329,7 +335,7 @@ class _MarginalLikelihood:
         # log integrand at the adaptive nodes, (groups x k x nodes)
         u = u_hat[..., None] + math.sqrt(2.0) * tau[..., None] * self.nodes
         t = eta[..., None] + u[group]
-        cond = self._sum(y[..., None] * t - np.logaddexp(0.0, t))
+        cond = self._sum(y[..., None] * t - log1p_exp(t))
         prior = (-0.5 * u * u / sigma2[:, None]
                  - (0.5 * math.log(2 * math.pi) + log_sigma)[:, None])
         terms = self.log_w + np.log(tau)[..., None] + prior + cond
@@ -362,13 +368,17 @@ class _MarginalLikelihood:
         nll, grad = total[:, 0], total[:, 1:]
         return (float(nll[0]), grad[0]) if np.ndim(theta) == 1 else (nll, grad)
 
-    def hessian(self, theta):
-        """Central differences of the exact gradient, every perturbed
-        gradient in one stacked call; symmetrised."""
-        step = np.diag(1e-5 * np.maximum(1.0, np.abs(theta)))
-        plus, minus = np.split(self.nll_grad(theta + np.vstack([step, -step]))[1], 2)
-        hess = (plus - minus).T / (2 * step.diagonal())
-        return 0.5 * (hess + hess.T)
+    def nll_grad_hess(self, theta):
+        """One stacked call: :meth:`nll_grad` at ``theta`` and its :func:`_hessian`."""
+        h = 1e-5 * np.maximum(1.0, np.abs(theta))
+        nll, grad = self.nll_grad(theta + np.vstack([0 * h, np.diag(h), -np.diag(h)]))
+        return float(nll[0]), grad[0], _hessian(h, grad[1:])
+
+
+def _hessian(h, grads):
+    """Symmetrised central differences of the gradients at theta +- h_j e_j."""
+    hess = (grads[:len(h)] - grads[len(h):]).T / (2 * h)
+    return 0.5 * (hess + hess.T)
 
 
 def _newton_step(grad, hess, log_sigma):
@@ -388,22 +398,23 @@ def _newton_step(grad, hess, log_sigma):
 
 
 def _line_search(model, theta, nll, grad, step):
-    """The point, objective and gradient that a downhill ``step`` reaches:
-    the bound probe or the first halving that meets the Armijo condition,
-    with log sigma clamped to its box; None when no halving does."""
+    """The point, objective, gradient and Hessian (None for a halving) that a
+    downhill ``step`` reaches: the bound probe or the first halving meeting
+    the Armijo condition, log sigma clamped to its box; None if none does."""
     if step[-1] < 0:
         # near sigma = 0 the objective flattens and a Newton step moves log
         # sigma by only about 0.5: try the bound, kept if log sigma stays there
         probe = np.append(theta[:-1] + step[:-1], LOG_SIGMA_BOUNDS[0])
-        nll_new, grad_new = model.nll_grad(probe)
+        nll_new, grad_new, hess = model.nll_grad_hess(probe)
         if nll_new <= nll and grad_new[-1] > 0:
-            return probe, nll_new, grad_new
+            return probe, nll_new, grad_new, hess
     for halvings in range(MAX_HALVINGS):
         candidate = theta + step / 2**halvings
         candidate[-1] = np.clip(candidate[-1], *LOG_SIGMA_BOUNDS)
-        nll_new, grad_new = model.nll_grad(candidate)
+        nll_new, grad_new, hess = (model.nll_grad_hess(candidate) if halvings == 0
+                                   else (*model.nll_grad(candidate), None))
         if nll_new <= nll + 1e-4 * float(grad @ (candidate - theta)):
-            return candidate, nll_new, grad_new
+            return candidate, nll_new, grad_new, hess
     return None
 
 
@@ -415,9 +426,11 @@ def _fit_random_intercept(X, y, names, groups, n_quad, max_iter):
     Gauss-Hermite quadrature (nodes recentred at each group's posterior
     mode); the outer optimization is projected Newton over the fixed effects
     and the log of the intercept SD, on central differences of the exact
-    gradient, and ``max_iter`` caps its iterations. The fit is accepted only
-    when the predicted decrease at the returned point is below
-    ``CONVERGENCE_TOL``; otherwise it raises :class:`DataError`.
+    gradient, and ``max_iter`` caps its iterations. Each accepted point gets
+    its Hessian in one stacked call with its objective, or after it if a
+    halving reached it, and mode searches start at the last one's modes. The
+    fit is accepted only when the predicted decrease at the returned point is
+    below ``CONVERGENCE_TOL``; otherwise it raises :class:`DataError`.
     ``boundary`` on the result says whether log sigma ended on a bound.
     """
     model = _MarginalLikelihood(X, y, groups, n_quad)
@@ -432,16 +445,18 @@ def _fit_random_intercept(X, y, names, groups, n_quad, max_iter):
     theta = np.append(beta0, math.log(0.5))
 
     p = X.shape[1]
-    nll, grad = model.nll_grad(theta)
+    nll, grad, hess = model.nll_grad_hess(theta)
     for n_iter in range(max_iter + 1):  # n_iter: the steps taken so far
-        hess = model.hessian(theta)
+        model.u_start = model.u_hat  # theta's modes: theta led the last call
+        if hess is None:  # a halving reached theta, evaluated alone
+            hess = model.nll_grad_hess(theta)[2]
         step, decrement = _newton_step(grad, hess, theta[p])
         if not -0.5 * float(grad @ step) > NEWTON_TOL or n_iter == max_iter:
             break
         moved = _line_search(model, theta, nll, grad, step)
         if moved is None:
             break
-        theta, nll, grad = moved
+        theta, nll, grad, hess = moved
     if not decrement <= CONVERGENCE_TOL:
         raise DataError(
             f"mixed fit did not converge in {n_iter} Newton iterations: predicted "

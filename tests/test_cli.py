@@ -950,6 +950,22 @@ class TestFitAndDemo:
         assert doc["converged"] is True
         assert "boundary: yes" in capsys.readouterr().out
 
+    def test_mixed_fit_rerun_writes_the_same_bytes(self, tmp_path):
+        # a fit in the same process after another starts from nothing it left
+        rows = ["id,campus,age,online"]
+        rows += [f"{o.group},{o.covariates['campus']!r},{o.covariates['age']!r},"
+                 f"{o.response}" for o in gen_interview_margins(0)]
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n",
+                                           encoding="utf-8")
+        for out in ("a", "b"):
+            assert run([
+                "fit", "--data", tmp_path / "data.csv",
+                "--formula", "online ~ campus + age + (1|id)",
+                "--out", tmp_path / out / "fit.json",
+            ]) == 0
+        assert ((tmp_path / "a" / "fit.json").read_bytes()
+                == (tmp_path / "b" / "fit.json").read_bytes())
+
     @pytest.mark.parametrize("row, column", [
         ("1,abc,3.0", "campus"),   # non-numeric covariate
         ("1,,3.0", "campus"),      # empty cell

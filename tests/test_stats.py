@@ -312,6 +312,13 @@ class TestLog1pExp:
                             rng.uniform(-745, 745, 200_000)])
         got, want = stats.log1p_exp(x), np.logaddexp(0.0, x)
         assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+        # formed in one buffer, a stack of any shape keeps the bits of
+        # max(x, 0) + log1p(e^-|x|) summed from separate temporaries
+        stack = x.reshape(200, 8, 250)
+        before = stack.tobytes()
+        assert (stats.log1p_exp(stack).tobytes()
+                == (np.maximum(stack, 0.0) + np.log1p(np.exp(-np.abs(stack)))).tobytes())
+        assert stack.tobytes() == before
 
     def test_exact_at_zeros_infinities_and_subnormals(self):
         x = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324])
@@ -403,16 +410,46 @@ class TestMixedModel:
     def test_singular_wald_hessian_raises(self, monkeypatch):
         # sigma sits on its bound here, so the convergence test holds log
         # sigma fixed and passes; the Wald covariance needs the full inverse
-        hessian = _MarginalLikelihood.hessian
+        hessian = stats._hessian
 
         def singular(self, theta):
             hess = hessian(self, theta)
             hess[-1, :] = hess[:, -1] = 0.0
             return hess
 
-        monkeypatch.setattr(_MarginalLikelihood, "hessian", singular)
+        monkeypatch.setattr(stats, "_hessian", singular)
         with pytest.raises(DataError, match="singular"):
             fit_logistic_random_intercept(gen_interview_margins(0))
+
+    def test_one_stacked_call_per_accepted_point(self, monkeypatch):
+        # each Newton point arrives with its gradient and Hessian from one
+        # call of 2(p + 1) + 1 rows; the interview rows in the first order
+        # that bench/workloads.py fits reach the optimum in 3 full steps
+        rng = np.random.default_rng(0)
+        rows = gen_interview_margins(0)
+        ids = sorted({o.group for o in rows})
+        relabel = dict(zip(ids, (f"r{i:02d}" for i in rng.permutation(len(ids)))))
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        columns = {"id": [relabel[o.group] for o in rows],
+                   "online": [o.response for o in rows]}
+        columns.update({k: [o.covariates[k] for o in rows] for k in ("campus", "age")})
+        calls = []
+        nll_grad = _MarginalLikelihood.nll_grad
+
+        def counted(self, theta):
+            calls.append(len(np.atleast_2d(theta)))
+            return nll_grad(self, theta)
+
+        monkeypatch.setattr(_MarginalLikelihood, "nll_grad", counted)
+        fit = fit_formula(parse_formula("online ~ campus + age + (1|id)"), columns)
+        assert fit.n_iter == 3
+        assert calls == [2 * (3 + 1) + 1] * 4
+
+    def test_fits_in_one_process_share_no_state(self):
+        # each fit's mode searches start from its own points only
+        first = fit_logistic_random_intercept(gen_simpson(0)).to_dict()
+        fit_logistic_random_intercept(gen_interview_margins(0))
+        assert fit_logistic_random_intercept(gen_simpson(0)).to_dict() == first
 
     def test_simpson_fit_regression_guard(self):
         fit = fit_logistic_random_intercept(gen_simpson(0))
@@ -487,8 +524,12 @@ def _grid_loglik(X, y, groups, theta):
     return total
 
 
+# Simpson points with |X beta| large, where an undamped mode search runs away
+FAR_FROM_OPTIMUM = [(7.8, -0.33, 0.65), (-9.0, 0.1, 1.2)]
+
+
 class TestMarginalLikelihood:
-    @pytest.mark.parametrize("theta", [(7.8, -0.33, 0.65), (-9.0, 0.1, 1.2)])
+    @pytest.mark.parametrize("theta", FAR_FROM_OPTIMUM)
     def test_matches_grid_integral_far_from_optimum(self, theta):
         # |X beta| is large here; an undamped mode search runs away and the
         # objective was off by hundreds to thousands of log-units
@@ -555,7 +596,24 @@ class TestStackedEvaluation:
                 hess[:, j] = (model.nll_grad(theta + step)[1]
                               - model.nll_grad(theta - step)[1]) / (2 * step[j])
             hess = 0.5 * (hess + hess.T)
-            assert np.max(np.abs(model.hessian(theta) - hess)) <= 1e-9
+            assert np.max(np.abs(model.nll_grad_hess(theta)[2] - hess)) <= 1e-9
+
+    @pytest.mark.parametrize("data", ["simpson", "interview"])
+    def test_warm_mode_search_matches_the_cold_one(self, data):
+        # a fit starts each search from the modes of the point it accepted
+        # last; from any other point's modes, the search ends where it does
+        # from zeros
+        obs = gen_simpson(1) if data == "simpson" else gen_interview_margins(0)
+        model, X, _, _ = _likelihood(obs)
+        points = _random_points(X, 5)
+        if data == "simpson":
+            points = np.vstack([points, FAR_FROM_OPTIMUM])
+        eta = np.einsum("np,kp->nk", model.X, points[:, :-1])
+        sigma2 = np.exp(2.0 * points[:, -1])
+        cold = model.modes(eta, sigma2)
+        for start in cold.T:
+            model.u_start = start
+            assert np.max(np.abs(model.modes(eta, sigma2) - cold)) <= 1e-12
 
 
 class TestFitFormula:
