@@ -1,25 +1,26 @@
 """Regression engine for quantified annotations.
 
-Fixed-effects binary logistic regression fit by iteratively reweighted
-least squares, and a random-intercept extension whose marginal likelihood
-is integrated per group with adaptive Gauss-Hermite quadrature. The mixed
+Fixed-effects binary logistic regression fit by iteratively reweighted least
+squares, and a random-intercept extension whose marginal likelihood is
+integrated per group with adaptive Gauss-Hermite quadrature. The mixed
 objective handles every group in one vectorised pass over rows sorted by
 group, for one parameter point or a stack of them: a step-halving Newton
 search finds all group modes at once, and the negative log-likelihood comes
 with its exact gradient in (beta, log sigma), including how the modes and
 quadrature scales move. The fit takes projected Newton steps on central
 differences of that gradient, with log sigma kept in its box, and evaluates
-each full step with those differences in one stacked call. It is accepted
-only when the predicted decrease at its final point is negligible, and it
-reports whether the intercept SD ended on its bound. Inference is Wald:
-standard errors from the inverse observed information (for mixed fits, the
-same central-difference Hessian), two-sided normal p-values. Both fits are
-reached through :func:`fit_formula`, on a formula and one column per name,
-and sum log(1 + e^t) by :func:`log1p_exp`. IRLS carries each fit's linear
-predictor from step to step. A stack of IRLS fits weights a contiguous copy
-of X' along its n columns to form each information matrix, and passes BLAS
-the products and the per-fit call of a fit on its own, so each fit in a
-stack keeps its bits.
+each full step with those differences in one stacked call. It tries the
+sigma bound at the fixed-effects fit only if the score for sigma^2 at 0 is
+negative. It is accepted only when the predicted decrease at its final point
+is negligible, and it reports whether the intercept SD ended on its bound.
+Inference is Wald: standard errors from the inverse observed information
+(for mixed fits, the same central-difference Hessian), two-sided normal
+p-values. Both fits are reached through :func:`fit_formula`, on a formula
+and one column per name, and sum log(1 + e^t) by :func:`log1p_exp`. IRLS
+carries each fit's linear predictor from step to step. A stack of IRLS fits
+weights a contiguous copy of X' along its n columns to form each information
+matrix, and passes BLAS the products and the per-fit call of a fit on its
+own, so each fit in a stack keeps its bits.
 """
 
 from __future__ import annotations
@@ -368,6 +369,13 @@ class _MarginalLikelihood:
         nll, grad = total[:, 0], total[:, 1:]
         return (float(nll[0]), grad[0]) if np.ndim(theta) == 1 else (nll, grad)
 
+    def zero_variance_score(self, beta):
+        """Twice d loglik / d sigma^2 at sigma = 0 and ``beta`` (Lin 1997):
+        over groups, the squared residual sum less the binomial variance."""
+        mu = expit(self.X @ beta)
+        return float(np.sum(self._sum(self.y[:, 0] - mu) ** 2
+                            - self._sum(mu * (1 - mu))))
+
     def nll_grad_hess(self, theta):
         """One stacked call: :meth:`nll_grad` at ``theta`` and its :func:`_hessian`."""
         h = 1e-5 * np.maximum(1.0, np.abs(theta))
@@ -397,17 +405,16 @@ def _newton_step(grad, hess, log_sigma):
     return step, (0.5 * float(g @ (g / lam)) if lam.min() > 0 else math.inf)
 
 
-def _line_search(model, theta, nll, grad, step):
+def _line_search(model, theta, nll, grad, step, bound):
     """The point, objective, gradient and Hessian (None for a halving) that a
-    downhill ``step`` reaches: the bound probe or the first halving meeting
-    the Armijo condition, log sigma clamped to its box; None if none does."""
-    if step[-1] < 0:
+    downhill ``step`` reaches: ``bound``, if given and the step lowers log
+    sigma, or the first Armijo halving, log sigma clamped; None if none does."""
+    if step[-1] < 0 and bound is not None:
         # near sigma = 0 the objective flattens and a Newton step moves log
         # sigma by only about 0.5: try the bound, kept if log sigma stays there
-        probe = np.append(theta[:-1] + step[:-1], LOG_SIGMA_BOUNDS[0])
-        nll_new, grad_new, hess = model.nll_grad_hess(probe)
+        nll_new, grad_new, hess = model.nll_grad_hess(bound)
         if nll_new <= nll and grad_new[-1] > 0:
-            return probe, nll_new, grad_new, hess
+            return bound, nll_new, grad_new, hess
     for halvings in range(MAX_HALVINGS):
         candidate = theta + step / 2**halvings
         candidate[-1] = np.clip(candidate[-1], *LOG_SIGMA_BOUNDS)
@@ -426,7 +433,9 @@ def _fit_random_intercept(X, y, names, groups, n_quad, max_iter):
     Gauss-Hermite quadrature (nodes recentred at each group's posterior
     mode); the outer optimization is projected Newton over the fixed effects
     and the log of the intercept SD, on central differences of the exact
-    gradient, and ``max_iter`` caps its iterations. Each accepted point gets
+    gradient, and ``max_iter`` caps its iterations. If the zero-variance
+    score at the fixed-effects fit beta0 is negative, a step lowering log
+    sigma first tries (beta0, lower bound). Each accepted point gets
     its Hessian in one stacked call with its objective, or after it if a
     halving reached it, and mode searches start at the last one's modes. The
     fit is accepted only when the predicted decrease at the returned point is
@@ -437,11 +446,14 @@ def _fit_random_intercept(X, y, names, groups, n_quad, max_iter):
     if len(model.starts) < 2:
         raise DataError("random-intercept variance needs at least 2 groups")
 
-    # warm start from the fixed-effects fit; fall back to zeros on separation
+    # warm start from the fixed fit (sigma = 0); zeros, and no bound, on separation
     try:
         beta0 = fit_logistic_stack(X, y[None], names)[0][0]
     except DataError:
-        beta0 = np.zeros(X.shape[1])
+        beta0, bound = np.zeros(X.shape[1]), None
+    else:
+        bound = (np.append(beta0, LOG_SIGMA_BOUNDS[0])
+                 if model.zero_variance_score(beta0) < 0 else None)
     theta = np.append(beta0, math.log(0.5))
 
     p = X.shape[1]
@@ -453,7 +465,7 @@ def _fit_random_intercept(X, y, names, groups, n_quad, max_iter):
         step, decrement = _newton_step(grad, hess, theta[p])
         if not -0.5 * float(grad @ step) > NEWTON_TOL or n_iter == max_iter:
             break
-        moved = _line_search(model, theta, nll, grad, step)
+        moved = _line_search(model, theta, nll, grad, step, bound)
         if moved is None:
             break
         theta, nll, grad, hess = moved

@@ -7,6 +7,7 @@ segmented documents, and open-ended answer matching against accepted sets.
 
 from __future__ import annotations
 
+import math
 import re
 import string
 from dataclasses import dataclass
@@ -84,8 +85,8 @@ def rank_eval(scores: Mapping[str, float], gold: Mapping[str, float]) -> float:
 
 def load_gold_scores(path: Union[str, Path]) -> dict[str, float]:
     """A CSV table with the header ``word,score``: each word's graded score.
-    A score that is not a number, or a repeated word, is a DataError naming
-    its line."""
+    A score that is not a finite number, or a repeated word, is a DataError
+    naming its line."""
     header, rows = read_csv_table(path)
     if header != ["word", "score"]:
         raise DataError(f"{path}, line 1: the header must be word,score, got {header}")
@@ -95,6 +96,8 @@ def load_gold_scores(path: Union[str, Path]) -> dict[str, float]:
             if row["word"] in out:
                 raise ValueError(f"word {row['word']!r} repeats")
             out[row["word"]] = float(row["score"])
+            if not math.isfinite(out[row["word"]]):
+                raise ValueError(f"score {row['score']!r} is not a finite number")
         except ValueError as exc:
             raise DataError(f"{path}, line {line}: {exc}") from None
     if not out:

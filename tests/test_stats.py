@@ -424,7 +424,8 @@ class TestMixedModel:
     def test_one_stacked_call_per_accepted_point(self, monkeypatch):
         # each Newton point arrives with its gradient and Hessian from one
         # call of 2(p + 1) + 1 rows; the interview rows in the first order
-        # that bench/workloads.py fits reach the optimum in 3 full steps
+        # that bench/workloads.py fits reach the optimum in 1 step, to the
+        # sigma bound at the fixed-effects fit
         rng = np.random.default_rng(0)
         rows = gen_interview_margins(0)
         ids = sorted({o.group for o in rows})
@@ -442,8 +443,49 @@ class TestMixedModel:
 
         monkeypatch.setattr(_MarginalLikelihood, "nll_grad", counted)
         fit = fit_formula(parse_formula("online ~ campus + age + (1|id)"), columns)
-        assert fit.n_iter == 3
-        assert calls == [2 * (3 + 1) + 1] * 4
+        assert fit.n_iter == 1
+        assert calls == [2 * (3 + 1) + 1] * 2
+
+    def test_no_bound_probe_where_the_score_rules_it_out(self, monkeypatch):
+        # Simpson's zero-variance score is positive, so sigma = 0 cannot be
+        # the optimum: no call evaluates the bound, and each of the 5
+        # accepted points costs one call of 2(p + 1) + 1 rows
+        centres = []
+        nll_grad = _MarginalLikelihood.nll_grad
+
+        def counted(self, theta):
+            centres.append(np.atleast_2d(theta)[0])
+            assert len(np.atleast_2d(theta)) == 2 * (2 + 1) + 1
+            return nll_grad(self, theta)
+
+        monkeypatch.setattr(_MarginalLikelihood, "nll_grad", counted)
+        fit_logistic_random_intercept(gen_simpson(0))
+        assert len(centres) == 5
+        assert all(theta[-1] > stats.LOG_SIGMA_BOUNDS[0] for theta in centres)
+
+    @pytest.mark.parametrize("data, seeds, on_bound", [
+        ("interview", range(20), [0, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14, 16]),
+        ("simpson", range(30), []),
+    ])
+    def test_boundary_fits_are_the_fixed_fit(self, data, seeds, on_bound):
+        # the seeds of test_newton_fits_are_optimal: a fit ends on the sigma
+        # bound exactly where the zero-variance score is negative, and then
+        # returns the fixed-effects coefficients
+        gen = gen_simpson if data == "simpson" else gen_interview_margins
+        for seed in seeds:
+            obs = gen(seed)
+            model, X, y, _ = _likelihood(obs)
+            fixed = fit_logistic([Observation(o.response, o.covariates) for o in obs])
+            beta0 = np.array([c.estimate for c in fixed.coefficients.values()])
+            score = model.zero_variance_score(beta0)
+            if seed not in on_bound:
+                assert score > 0, seed
+                continue
+            assert score < 0, seed
+            mixed = fit_logistic_random_intercept(obs)
+            assert mixed.boundary, seed
+            assert np.abs([c.estimate for c in mixed.coefficients.values()]
+                          - beta0).max() <= 1e-12, seed
 
     def test_fits_in_one_process_share_no_state(self):
         # each fit's mode searches start from its own points only
@@ -567,6 +609,24 @@ def _random_points(X, seed):
         np.append(rng.normal(scale=0.3, size=X.shape[1]) / np.abs(X).max(axis=0),
                   log_sigma)
         for log_sigma in (-6.0, math.log(0.7), 1.5) for _ in range(2)])
+
+
+class TestZeroVarianceScore:
+    @pytest.mark.parametrize("data, seed", [
+        ("interview", 0), ("interview", 1), ("interview", 12), ("interview", 16),
+        ("simpson", 0),
+    ])
+    @pytest.mark.parametrize("log_sigma", [-6.0, -8.0])
+    def test_matches_the_log_sigma_gradient_near_zero(self, data, seed, log_sigma):
+        # the score is 2 d loglik / d sigma^2 at sigma = 0, so near 0 the
+        # objective's derivative in log sigma is -sigma^2 times it; these
+        # seeds give both signs and the smallest |score| of the interview set
+        gen = gen_simpson if data == "simpson" else gen_interview_margins
+        model, X, y, _ = _likelihood(gen(seed))
+        beta0 = fit_logistic_stack(X, y[None], ["x"] * X.shape[1])[0][0]
+        score = model.zero_variance_score(beta0)
+        _, grad = model.nll_grad(np.append(beta0, log_sigma))
+        assert grad[-1] == pytest.approx(-math.exp(2 * log_sigma) * score, rel=1e-3)
 
 
 class TestStackedEvaluation:

@@ -111,6 +111,15 @@ class TestRankEval:
             load_gold_scores(p)
         assert f"gold.csv, {message}" in str(exc.value)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_gold_score_is_named(self, tmp_path, score):
+        # float() reads these, and rank_eval would fail later naming no file
+        p = tmp_path / "gold.csv"
+        p.write_text(f"word,score\nplane,0.88\ngraft,{score}\n")
+        with pytest.raises(DataError) as exc:
+            load_gold_scores(p)
+        assert f"gold.csv, line 3: score {score!r} is not a finite number" in str(exc.value)
+
 
 class TestSemanticEditDistance:
     def test_quarter_split_gives_75(self):
