@@ -170,6 +170,8 @@ class ChatCompletionClient:
         audit: Optional[AuditLog] = None,
         session: Optional[requests.Session] = None,
     ):
+        if not timeout > 0:
+            raise ConfigError(f"timeout must be positive, got {timeout}")
         # requests is imported here and in send, not at module level, so
         # that runs on the mock annotator never load it
         import requests
@@ -406,10 +408,10 @@ class AnnotatePolicy:
     max_in_flight: int = 1
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.max_in_flight < 1:
-            raise ConfigError("max_in_flight must be >= 1")
+        for key, floor in (("max_retries", 0), ("backoff", 0), ("batch_size", 1),
+                           ("max_in_flight", 1)):
+            if not getattr(self, key) >= floor:  # NaN too
+                raise ConfigError(f"{key} must be >= {floor}")
 
 
 @dataclass(frozen=True)

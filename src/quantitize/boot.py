@@ -22,7 +22,8 @@ import numpy as np
 from .agreement import ConfusionMatrix
 from .errors import ConfigError, DataError
 from .jsonio import write_csv, write_json
-from .stats import design_matrix, fit_formula, fit_logistic_stack, parse_formula, wald_tests
+from .stats import (design_matrix, fit_logistic_stack, fit_random_intercept, parse_formula,
+                    wald_tests)
 
 log = logging.getLogger(__name__)
 
@@ -107,12 +108,12 @@ def error_model_from_confusion(
 
 
 def simulate_replicate(
-    codes: np.ndarray, em: ErrorModel, rngs: Sequence[np.random.Generator]
+    codes: np.ndarray, em: ErrorModel, rng: np.random.Generator, n_rows: int
 ) -> np.ndarray:
     """Redraw each unit's label code (an index into ``em.labels``) from the
-    distribution of its observed label through ``em.redraw``, one row per
-    generator in ``rngs``, each row from ``len(codes)`` uniform draws."""
-    return em.redraw(codes, np.stack([rng.random(len(codes)) for rng in rngs]))
+    distribution of its observed label through ``em.redraw``, in ``n_rows``
+    rows from one ``rng.random((n_rows, len(codes)))`` draw."""
+    return em.redraw(codes, rng.random((n_rows, len(codes))))
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ def bootstrap_ci(
                                         size=(len(chunk), *observed.shape))
                 stat = of_counts(drawn.sum(axis=-2), em.labels)
             else:
-                sim = simulate_replicate(codes, em, [rng] * len(chunk))
+                sim = simulate_replicate(codes, em, rng, len(chunk))
                 try:
                     stat = statistic(label_names[sim], covariates)
                 except Exception as err:
@@ -406,19 +407,18 @@ def parse_statistic(spec: str, labels: Sequence[str], corpus, rows: Sequence[int
     if mixed:
         needed[formula.group] = _group
     columns = _covariate_columns(corpus, rows, needed)
-    # the design is built once; each logistic replicate only recodes the
-    # response, and each mixed one is a fit on the columns with it
+    # the design is built once; each replicate only recodes the response
     X, names = design_matrix({c: columns[c] for c in formula.covariates}, len(rows))
 
     def plugin(labels, covariates):
         Y = (labels == label).astype(float).reshape(-1, len(X))
         if mixed:
-            fits = [fit_formula(formula, {**columns, label: y}) for y in Y]
-            beta, p = np.moveaxis([[(c.estimate, c.p_value) for c in
-                                    f.coefficients.values()] for f in fits], -1, 0)
+            fits = [fit_random_intercept(X, y, names, columns[formula.group]) for y in Y]
+            beta = np.array([theta[:-1] for theta, *_ in fits])  # log sigma is last
+            cov = np.array([c[:-1, :-1] for _, c, *_ in fits])
         else:
             beta, cov, _, _ = fit_logistic_stack(X, Y, names)
-            p = wald_tests(beta, cov)[2]
+        p = wald_tests(beta, cov)[2]
         out, shape = {}, labels.shape[:-1]
         for i, name in enumerate(names[1:], 1):  # the slopes, not the intercept
             out[f"beta_{name}"] = beta[:, i].reshape(shape)

@@ -474,12 +474,23 @@ class Window:
     def __post_init__(self):
         if self.size <= 0:
             raise ConfigError("window size must be positive")
+        _check_merge_below(self.merge_below)
 
 
 @dataclass(frozen=True)
 class Scene:
     marker: str  # regex matched at line start, e.g. r"INT\.|EXT\."
     merge_below: int = 0
+
+    def __post_init__(self):
+        if not self.marker:  # it would match at every line start
+            raise ConfigError("scene strategy needs a marker")
+        _check_merge_below(self.merge_below)
+
+
+def _check_merge_below(merge_below: int) -> None:
+    if merge_below < 0:
+        raise ConfigError(f"merge_below must be >= 0, got {merge_below}")
 
 
 UnitizeStrategy = Union[Paragraph, SentenceSplit, Window, Scene]

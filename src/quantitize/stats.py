@@ -1,26 +1,21 @@
 """Regression engine for quantified annotations.
 
-Fixed-effects binary logistic regression fit by iteratively reweighted least
-squares, and a random-intercept extension whose marginal likelihood is
-integrated per group with adaptive Gauss-Hermite quadrature. The mixed
-objective handles every group in one vectorised pass over rows sorted by
-group, for one parameter point or a stack of them: a step-halving Newton
-search finds all group modes at once, and the negative log-likelihood comes
-with its exact gradient in (beta, log sigma), including how the modes and
-quadrature scales move. The fit takes projected Newton steps on central
-differences of that gradient, with log sigma kept in its box, and evaluates
-each full step with those differences in one stacked call. It tries the
-sigma bound at the fixed-effects fit only if the score for sigma^2 at 0 is
-negative. It is accepted only when the predicted decrease at its final point
-is negligible, and it reports whether the intercept SD ended on its bound.
-Inference is Wald: standard errors from the inverse observed information
-(for mixed fits, the same central-difference Hessian), two-sided normal
-p-values. Both fits are reached through :func:`fit_formula`, on a formula
-and one column per name, and sum log(1 + e^t) by :func:`log1p_exp`. IRLS
-carries each fit's linear predictor from step to step. A stack of IRLS fits
-weights a contiguous copy of X' along its n columns to form each information
-matrix, and passes BLAS the products and the per-fit call of a fit on its
-own, so each fit in a stack keeps its bits.
+Two engines take a :func:`design_matrix` and return arrays: logistic
+regression by iteratively reweighted least squares, for a stack of
+responses at once (:func:`fit_logistic_stack`), and a random-intercept
+extension whose marginal likelihood is integrated per group with adaptive
+Gauss-Hermite quadrature (:func:`fit_random_intercept`). :func:`fit_formula`,
+on a formula and one column per name, is the one place that builds a
+:class:`FitResult` from them. The mixed objective handles every group in
+one vectorised pass over rows sorted by group, for one parameter point or a
+stack of them, with its exact gradient in (beta, log sigma). The mixed fit
+takes projected Newton steps on central differences of that gradient, log
+sigma kept in its box, and scores every point it tries together with those
+differences in one stacked call; it reports whether the intercept SD ended
+on its bound. Inference is Wald: standard errors from the inverse observed
+information, two-sided normal p-values. Both engines sum log(1 + e^t) by
+:func:`log1p_exp`, and each IRLS fit in a stack keeps the bits of a fit on
+its own.
 """
 
 from __future__ import annotations
@@ -40,6 +35,7 @@ MAX_ABS_BETA = 15.0  # separation guard on the logit scale
 MAX_FINAL_STEP = 1e-2  # largest logit change one more Newton step may make
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
+NEWTON_MAX_ITER = 200  # of the random-intercept fit
 
 
 def expit(x):
@@ -126,25 +122,6 @@ def wald_tests(beta, cov):
         z = np.where(se > 0, beta / se, math.inf * np.sign(beta))
     p = np.vectorize(math.erfc, otypes=[float])(np.abs(z) / math.sqrt(2))
     return se, z, np.where(np.isfinite(z), p, 0.0)
-
-
-def _wald(names, beta, cov):
-    se, z, p = wald_tests(beta, cov)
-    return {name: Coefficient(float(beta[i]), float(se[i]), float(z[i]), float(p[i]))
-            for i, name in enumerate(names)}
-
-
-def fit_logistic_arrays(X: np.ndarray, y: np.ndarray, names: list[str]) -> FitResult:
-    """Binary logistic regression via IRLS on a :func:`design_matrix` and a
-    0/1 response."""
-    beta, cov, ll, n_iter = fit_logistic_stack(X, y[None], names)
-    return FitResult(
-        coefficients=_wald(names, beta[0], cov[0]),
-        log_likelihood=float(ll[0]),
-        converged=True,
-        n_iter=int(n_iter[0]),
-        n_obs=len(y),
-    )
 
 
 def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
@@ -406,9 +383,10 @@ def _newton_step(grad, hess, log_sigma):
 
 
 def _line_search(model, theta, nll, grad, step, bound):
-    """The point, objective, gradient and Hessian (None for a halving) that a
-    downhill ``step`` reaches: ``bound``, if given and the step lowers log
-    sigma, or the first Armijo halving, log sigma clamped; None if none does."""
+    """The point, objective, gradient and Hessian that a downhill ``step``
+    reaches: ``bound``, if given and the step lowers log sigma, or the first
+    Armijo halving, log sigma clamped; None if none does. Every candidate is
+    scored by one stacked :meth:`~_MarginalLikelihood.nll_grad_hess` call."""
     if step[-1] < 0 and bound is not None:
         # near sigma = 0 the objective flattens and a Newton step moves log
         # sigma by only about 0.5: try the bound, kept if log sigma stays there
@@ -418,29 +396,24 @@ def _line_search(model, theta, nll, grad, step, bound):
     for halvings in range(MAX_HALVINGS):
         candidate = theta + step / 2**halvings
         candidate[-1] = np.clip(candidate[-1], *LOG_SIGMA_BOUNDS)
-        nll_new, grad_new, hess = (model.nll_grad_hess(candidate) if halvings == 0
-                                   else (*model.nll_grad(candidate), None))
+        nll_new, grad_new, hess = model.nll_grad_hess(candidate)
         if nll_new <= nll + 1e-4 * float(grad @ (candidate - theta)):
             return candidate, nll_new, grad_new, hess
     return None
 
 
-def _fit_random_intercept(X, y, names, groups, n_quad, max_iter):
+def fit_random_intercept(X, y, names, groups, n_quad=N_QUAD):
     """Mixed logistic regression with one normal random intercept per group,
-    on a :func:`design_matrix`, a 0/1 response and one group id per row.
+    on a :func:`design_matrix` ``X`` with column ``names``, a 0/1 response
+    and one group id per row: theta = (beta, log sigma), its covariance (the
+    inverse observed information), the log-likelihood and the Newton steps.
 
-    The marginal likelihood integrates the intercept out with adaptive
-    Gauss-Hermite quadrature (nodes recentred at each group's posterior
-    mode); the outer optimization is projected Newton over the fixed effects
-    and the log of the intercept SD, on central differences of the exact
-    gradient, and ``max_iter`` caps its iterations. If the zero-variance
-    score at the fixed-effects fit beta0 is negative, a step lowering log
-    sigma first tries (beta0, lower bound). Each accepted point gets
-    its Hessian in one stacked call with its objective, or after it if a
-    halving reached it, and mode searches start at the last one's modes. The
-    fit is accepted only when the predicted decrease at the returned point is
-    below ``CONVERGENCE_TOL``; otherwise it raises :class:`DataError`.
-    ``boundary`` on the result says whether log sigma ended on a bound.
+    Projected Newton over theta, at most ``NEWTON_MAX_ITER`` steps, starts at
+    the fixed-effects fit beta0. If the zero-variance score at beta0 is
+    negative, a step lowering log sigma first tries (beta0, lower bound).
+    Mode searches start at the last accepted point's modes. The fit is
+    accepted only when the predicted decrease at the returned point is below
+    ``CONVERGENCE_TOL``; otherwise it raises :class:`DataError`.
     """
     model = _MarginalLikelihood(X, y, groups, n_quad)
     if len(model.starts) < 2:
@@ -456,14 +429,11 @@ def _fit_random_intercept(X, y, names, groups, n_quad, max_iter):
                  if model.zero_variance_score(beta0) < 0 else None)
     theta = np.append(beta0, math.log(0.5))
 
-    p = X.shape[1]
     nll, grad, hess = model.nll_grad_hess(theta)
-    for n_iter in range(max_iter + 1):  # n_iter: the steps taken so far
+    for n_iter in range(NEWTON_MAX_ITER + 1):  # n_iter: the steps taken so far
         model.u_start = model.u_hat  # theta's modes: theta led the last call
-        if hess is None:  # a halving reached theta, evaluated alone
-            hess = model.nll_grad_hess(theta)[2]
-        step, decrement = _newton_step(grad, hess, theta[p])
-        if not -0.5 * float(grad @ step) > NEWTON_TOL or n_iter == max_iter:
+        step, decrement = _newton_step(grad, hess, theta[-1])
+        if not -0.5 * float(grad @ step) > NEWTON_TOL or n_iter == NEWTON_MAX_ITER:
             break
         moved = _line_search(model, theta, nll, grad, step, bound)
         if moved is None:
@@ -478,16 +448,7 @@ def _fit_random_intercept(X, y, names, groups, n_quad, max_iter):
     except np.linalg.LinAlgError:
         raise DataError("mixed fit: the observed information is singular, so "
                         "there are no Wald standard errors") from None
-    return FitResult(
-        coefficients=_wald(names, theta[:p], cov[:p, :p]),
-        log_likelihood=-nll,
-        converged=True,
-        n_iter=n_iter,
-        n_obs=len(y),
-        sigma_u=math.exp(theta[p]),
-        n_quad=n_quad,
-        boundary=bool(not LOG_SIGMA_BOUNDS[0] < theta[p] < LOG_SIGMA_BOUNDS[1]),
-    )
+    return theta, cov, -nll, n_iter
 
 
 # --- formulas --------------------------------------------------------------
@@ -536,18 +497,29 @@ def parse_formula(text: str) -> Formula:
     return Formula(response, tuple(covariates), group)
 
 
-def fit_formula(formula: Formula, columns: Mapping[str, Sequence], n_quad: int = N_QUAD,
-                max_iter: int = 200) -> FitResult:
+def fit_formula(formula: Formula, columns: Mapping[str, Sequence],
+                n_quad: int = N_QUAD) -> FitResult:
     """Fit ``formula`` on ``columns``, one sequence of row values per name it
-    reads: by IRLS, or with a ``(1|group)`` term by the random-intercept fit
-    (``n_quad`` quadrature nodes, at most ``max_iter`` Newton steps)."""
+    reads: by IRLS (:func:`fit_logistic_stack`), or with a ``(1|group)`` term
+    by :func:`fit_random_intercept` on ``n_quad`` quadrature nodes, with
+    ``boundary`` saying whether log sigma ended on a bound."""
     y = np.asarray(columns[formula.response], dtype=float)
     if not np.isin(y, (0.0, 1.0)).all():
         raise DataError(f"response {formula.response!r} must be 0 or 1")
     X, names = design_matrix({c: columns[c] for c in formula.covariates}, len(y))
-    if not formula.mixed:
-        return fit_logistic_arrays(X, y, names)
-    return _fit_random_intercept(X, y, names, columns[formula.group], n_quad, max_iter)
+    mixed = {}
+    if formula.mixed:
+        theta, cov, ll, n_iter = fit_random_intercept(X, y, names, columns[formula.group],
+                                                      n_quad)
+        beta, cov, log_sigma = theta[:-1], cov[:-1, :-1], theta[-1]
+        mixed = dict(sigma_u=math.exp(log_sigma), n_quad=n_quad,
+                     boundary=not LOG_SIGMA_BOUNDS[0] < log_sigma < LOG_SIGMA_BOUNDS[1])
+    else:
+        beta, cov, ll, n_iter = (a[0] for a in fit_logistic_stack(X, y[None], names))
+    wald = zip(beta, *wald_tests(beta, cov))  # estimate, standard error, z, p
+    return FitResult({name: Coefficient(*map(float, w)) for name, w in zip(names, wald)},
+                     log_likelihood=float(ll), converged=True, n_iter=int(n_iter),
+                     n_obs=len(y), **mixed)
 
 
 def _observation_columns(observations: Sequence[Observation], mixed: bool):
@@ -571,8 +543,7 @@ def fit_logistic(observations: Sequence[Observation]) -> FitResult:
 
 
 def fit_logistic_random_intercept(observations: Sequence[Observation],
-                                  n_quad: int = N_QUAD, max_iter: int = 200) -> FitResult:
+                                  n_quad: int = N_QUAD) -> FitResult:
     """:func:`fit_formula` of the response on every covariate and a random
     intercept per group."""
-    return fit_formula(*_observation_columns(observations, mixed=True),
-                       n_quad=n_quad, max_iter=max_iter)
+    return fit_formula(*_observation_columns(observations, mixed=True), n_quad=n_quad)

@@ -390,11 +390,29 @@ def ok_response(content):
     )
 
 
+class TestAnnotatePolicy:
+    @pytest.mark.parametrize("key, value, floor", [
+        ("max_retries", -3, 0), ("backoff", -1.0, 0), ("batch_size", 0, 1),
+        ("max_in_flight", 0, 1)])
+    def test_value_below_its_floor_is_a_config_error(self, key, value, floor):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= {floor}$"):
+            AnnotatePolicy(**{key: value})
+
+    def test_no_retries_and_no_backoff_are_allowed(self):
+        AnnotatePolicy(max_retries=0, backoff=0.0)
+
+
 class TestChatCompletionClient:
     def test_missing_token_is_config_error(self, monkeypatch):
         monkeypatch.delenv("QUANTITIZE_API_TOKEN", raising=False)
         with pytest.raises(ConfigError, match="QUANTITIZE_API_TOKEN"):
             ChatCompletionClient("https://api.example", "m1")
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_timeout_that_is_not_positive_is_config_error(self, monkeypatch, timeout):
+        monkeypatch.setenv("QUANTITIZE_API_TOKEN", "tok")
+        with pytest.raises(ConfigError, match=f"^timeout must be positive, got {timeout}$"):
+            ChatCompletionClient("https://api.example", "m1", timeout=timeout)
 
     def test_wire_format(self, monkeypatch):
         monkeypatch.setenv("QUANTITIZE_API_TOKEN", "tok")

@@ -15,7 +15,10 @@ from quantitize import (
     Unit,
     bootstrap_ci,
     error_model_from_confusion,
+    fit_formula,
     gen_confound,
+    gen_simpson,
+    parse_formula,
     proportion_of,
     simulate_replicate,
 )
@@ -30,16 +33,6 @@ def parse_over(spec, labels, units):
 
 def identity_model(labels=("A", "B")):
     return ErrorModel(tuple(labels), np.eye(len(labels)))
-
-
-class Draws:
-    """A generator whose uniform draws are given."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u)
-
-    def random(self, n):
-        return self.u[:n]
 
 
 class TestErrorModel:
@@ -79,13 +72,13 @@ class TestSimulateReplicate:
     def test_identity_returns_input(self):
         codes = np.array([0, 1, 0, 0, 1])
         out = simulate_replicate(codes, identity_model(),
-                                 [np.random.default_rng(0)])[0]
+                                 np.random.default_rng(0), 1)[0]
         assert out.tolist() == codes.tolist()
 
     def test_point_mass_maps_everything(self):
         em = ErrorModel(("A", "B"), np.array([[0.0, 1.0], [0.0, 1.0]]))
         out = simulate_replicate(np.array([0, 1, 0]), em,
-                                 [np.random.default_rng(0)])[0]
+                                 np.random.default_rng(0), 1)[0]
         assert out.tolist() == [1, 1, 1]
 
     def test_flip_rate_within_three_sigma(self):
@@ -93,7 +86,7 @@ class TestSimulateReplicate:
         em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
         n = 10000
         out = simulate_replicate(np.zeros(n, dtype=np.intp), em,
-                                 [np.random.default_rng(42)])[0]
+                                 np.random.default_rng(42), 1)[0]
         flips = np.count_nonzero(out == 1)
         sd = math.sqrt(n * 0.9 * 0.1)
         assert abs(flips - n * 0.1) < 3 * sd
@@ -112,7 +105,7 @@ class TestSimulateReplicate:
                                   [1.0, 0.0, 0.0],
                                   [0.0, 0.5, 0.5]]))
         out = simulate_replicate(np.tile([0, 1, 2], 7), em,
-                                 [np.random.default_rng(seed)])[0]
+                                 np.random.default_rng(seed), 1)[0]
         assert set(out.tolist()) <= {0, 1, 2}
         assert len(out) == 21
 
@@ -120,19 +113,18 @@ class TestSimulateReplicate:
     def test_a_zero_probability_label_is_never_drawn(self):
         # a draw that sits exactly on a bound takes the label above it
         em = ErrorModel(("A", "B"), np.array([[0.0, 1.0], [0.0, 1.0]]))
-        assert simulate_replicate(np.array([0]), em, [Draws([0.0])]).tolist() == [[1]]
+        assert em.redraw(np.array([0]), np.array([[0.0]])).tolist() == [[1]]
         codes = np.arange(4)
         for u in (0.0, 0.5, 1 - 2.0**-53):
-            sim = simulate_replicate(codes, identity_model("ABCD"), [Draws([u] * 4)])
+            sim = identity_model("ABCD").redraw(codes, np.full((1, 4), u))
             assert sim.tolist() == [codes.tolist()], u
 
     def test_matches_the_three_axis_reference(self):
         # the redraw counts the normalised cumulative bounds at or below each
         # draw: the same codes as comparing every bound at once
-        def reference(codes, em, rngs):
+        def reference(codes, em, u):
             cum = np.cumsum(em.dists, axis=1)
             cum = (cum / cum[:, -1:])[codes]
-            u = np.stack([rng.random(len(codes)) for rng in rngs])
             return (u[:, :, None] >= cum).sum(axis=2)
 
         gen = np.random.default_rng(5)
@@ -142,10 +134,8 @@ class TestSimulateReplicate:
             dists /= dists.sum(axis=1, keepdims=True)
             em = ErrorModel(tuple("ABCDE"[:k]), dists)
             codes = gen.integers(0, k, 500)
-            seeds = [[k, r] for r in range(3)]
-            new = simulate_replicate(codes, em,
-                                     [np.random.default_rng(s) for s in seeds])
-            ref = reference(codes, em, [np.random.default_rng(s) for s in seeds])
+            new = simulate_replicate(codes, em, np.random.default_rng(k), 3)
+            ref = reference(codes, em, np.random.default_rng(k).random((3, 500)))
             assert new.dtype == ref.dtype and (new == ref).all()
 
         # row A sums to just below 1, so its bounds are normalised; draws on
@@ -154,10 +144,22 @@ class TestSimulateReplicate:
                                                    [0.0, 0.0, 1.0],
                                                    [0.5, 0.5, 0.0]]))
         codes = np.array([0, 0, 0, 0, 1, 1, 2, 2, 2])
-        u = [[0.25, 0.75, 1 - 1e-12, 0.0, 0.0, 0.5, 0.5, 0.999, 0.25]]
-        new = simulate_replicate(codes, em, [Draws(row) for row in u])
-        ref = reference(codes, em, [Draws(row) for row in u])
+        u = np.array([[0.25, 0.75, 1 - 1e-12, 0.0, 0.0, 0.5, 0.5, 0.999, 0.25]])
+        new = em.redraw(codes, u)
+        ref = reference(codes, em, u)
         assert new.tolist() == ref.tolist() == [[0, 1, 2, 0, 2, 2, 1, 1, 0]]
+
+    @pytest.mark.parametrize("rows, n", [(8, 2000), (3, 7), (1, 5), (16, 1000)])
+    def test_one_draw_is_the_rows_drawn_one_at_a_time(self, rows, n):
+        # rng.random((rows, n)) takes the doubles of rows calls of
+        # rng.random(n), in order, and leaves the generator where they do
+        em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.2, 0.8]]))
+        codes = np.arange(n) % 2
+        rng, one_at_a_time = np.random.default_rng(rows), np.random.default_rng(rows)
+        sim = simulate_replicate(codes, em, rng, rows)
+        want = em.redraw(codes, np.stack([one_at_a_time.random(n) for _ in range(rows)]))
+        assert sim.shape == (rows, n) and (sim == want).all()
+        assert rng.random() == one_at_a_time.random()
 
 
 class TestYearlyProportionOf:
@@ -437,7 +439,7 @@ class TestReplicateStreams:
         for r, row in enumerate(np.concatenate(chunks)):
             rng = np.random.default_rng(11)
             rng.bit_generator.advance(r * n)
-            want = simulate_replicate(codes, em, [rng])[0]
+            want = simulate_replicate(codes, em, rng, 1)[0]
             assert row.tolist() == [em.labels[c] for c in want]
 
     def test_count_path_matches_the_analytic_moments(self):
@@ -518,6 +520,23 @@ class TestChunks:
             written.add((tmp_path / "boot.json").read_bytes()
                         + (tmp_path / "replicates.csv").read_bytes())
         assert len(written) == 1
+
+    def test_mixed_replicates_are_the_fits_of_their_labels(self):
+        # the plugin fits each row on the design it built once; that is the
+        # fit of fit_formula on the row's labels, bit for bit. Replicate 224
+        # of seed 0 halves a Newton step
+        obs = gen_simpson(0)
+        units = [Unit(f"u{i}", "text", groups={"school": o.group},
+                      meta={"age": o.covariates["age"]}) for i, o in enumerate(obs)]
+        em = ErrorModel(("no", "yes"), np.array([[0.9, 0.1], [0.1, 0.9]]))
+        spec = "yes ~ age + (1|school)"
+        plugin, columns = parse_over(f"mixed:{spec}", em.labels, units)
+        codes = np.array([o.response for o in obs])
+        sim = simulate_replicate(codes, em, np.random.default_rng(0), 225)[[0, 1, 224]]
+        stat = plugin(np.array(em.labels)[sim], columns)
+        for r, row in enumerate(sim):
+            c = fit_formula(parse_formula(spec), {**columns, "yes": row}).coef("age")
+            assert (stat["beta_age"][r], stat["p_age"][r]) == (c.estimate, c.p_value)
 
     def test_separating_replicate_is_named_exactly(self):
         # a chunk whose stacked fit fails is re-run one replicate at a time

@@ -116,30 +116,37 @@ def test_import_leaves_heavy_modules_unloaded():
 
 def test_commands_run_without_scipy(workspace):
     # scipy is a dependency of the tests only: with it unimportable, a fixed
-    # and a mixed fit, a demo, and a bootstrap whose level needs a normal
-    # quantile all succeed
+    # and a mixed fit, a demo, a bootstrap whose level needs a normal
+    # quantile and a mixed bootstrap all succeed
     rows = ["g,x,y"] + [f"g{i % 5},{(i % 7) / 3!r},{(i * i + i // 5) % 3 % 2}"
                         for i in range(100)]
     (workspace / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     _annotate_and_evaluate(workspace)
+
+    def meta(i):
+        return {"age": 20.0 + (7 * i) % 13, "school": f"s{i % 4}"}
+
     commands = [
         ["fit", "--data", workspace / "data.csv", "--formula", formula,
          "--out", workspace / out]
         for formula, out in (("y ~ x", "fixed.json"), ("y ~ x + (1|g)", "mixed.json"))
     ] + [
         ["demo", "simpson", "--seed", 0],
-        _bootstrap_argv(workspace, "logistic:Positive ~ age",
-                        lambda i: {"age": 20.0 + (7 * i) % 13}) + ["--level", 0.9],
+        _bootstrap_argv(workspace, "logistic:Positive ~ age", meta) + ["--level", 0.9],
+        _bootstrap_argv(workspace, "mixed:Positive ~ age + (1|school)", meta,
+                        out="boot_mixed"),
     ]
     out = _child_stdout(
         "import json, sys; sys.modules['scipy'] = None; "
         "from quantitize.cli import main; "
         "print([main(argv) for argv in json.loads(sys.argv[1])])",
         json.dumps([list(map(str, argv)) for argv in commands]))
-    assert out.splitlines()[-1] == "[0, 0, 0, 0]"
+    assert out.splitlines()[-1] == "[0, 0, 0, 0, 0]"
     assert json.loads((workspace / "mixed.json").read_text())["converged"] is True
     boot = json.loads((workspace / "boot" / "boot.json").read_text())
     assert boot["config"]["level"] == 0.9
+    mixed = json.loads((workspace / "boot_mixed" / "boot.json").read_text())
+    assert list(mixed["statistics"]) == ["beta_age", "p_age"]
 
 
 class TestPipeline:
@@ -355,6 +362,33 @@ class TestExitCodes:
                 "--out", tmp_path / "fit.json",
             ]) == 2, nodes
             assert "quadrature nodes" in capsys.readouterr().err, nodes
+
+    def test_strategy_parameter_out_of_range_is_2(self, tmp_path, capsys):
+        (tmp_path / "doc.txt").write_text("INT. a\nb\nEXT. c\nd\ne\n", encoding="utf-8")
+        for strategy, named in (("scene:", "marker"), ("window:5:-3", "merge_below"),
+                                ("scene:INT:-1", "merge_below")):
+            assert run([
+                "ingest", "--input", tmp_path / "doc.txt", "--format", "text",
+                "--strategy", strategy, "--out", tmp_path / "corpus.jsonl",
+            ]) == 2, strategy
+            assert named in capsys.readouterr().err, strategy
+
+    def test_retry_policy_or_timeout_out_of_range_is_2(self, workspace, monkeypatch,
+                                                      capsys):
+        # each used to be accepted, and a negative backoff or a timeout of 0
+        # ended the run with a traceback at its first send
+        monkeypatch.setenv("QUANTITIZE_API_TOKEN", "tok")
+        endpoint = {"kind": "endpoint", "endpoint": "http://127.0.0.1:9", "model": "m1"}
+        for section, value, named in (
+                ("policy", {"backoff": -1}, "backoff must be >= 0"),
+                ("policy", {"max_retries": -3}, "max_retries must be >= 0"),
+                ("client", {**endpoint, "timeout": 0}, "timeout must be positive"),
+                ("client", {**endpoint, "timeout": -1}, "timeout must be positive")):
+            cfg = yaml.safe_load((workspace / "run.yaml").read_text())
+            cfg[section] = value
+            (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+            assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2, value
+            assert named in capsys.readouterr().err, value
 
     def test_unknown_client_key_is_2(self, workspace, capsys):
         # concurrency is policy.max_in_flight; the client section has none

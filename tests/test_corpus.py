@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from quantitize import (
     CodingScheme,
+    ConfigError,
     Corpus,
     CsvMapping,
     DataError,
@@ -158,6 +159,17 @@ class TestUnitize:
         units = unitize(text, Scene(marker=r"INT\.|EXT\.", merge_below=20))
         assert len(units) == 2
         assert "EXT. tiny" in units[1].text
+
+    @pytest.mark.parametrize("strategy, message", [
+        (lambda: Scene(marker=""), "scene strategy needs a marker"),
+        (lambda: Scene(marker="INT", merge_below=-1), "merge_below must be >= 0, got -1"),
+        (lambda: Window(size=5, merge_below=-3), "merge_below must be >= 0, got -3"),
+    ], ids=["empty-marker", "scene-merge", "window-merge"])
+    def test_unusable_parameter_is_config_error(self, strategy, message):
+        # an empty marker matched at every line start, and a negative floor
+        # meant no merging
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            strategy()
 
     def test_sentences(self):
         units = unitize("One. Two! Three?", SentenceSplit())

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit, logsumexp
 
+import quantitize
 from quantitize import (
     ConfigError,
     DataError,
@@ -26,12 +29,19 @@ from quantitize.stats import (
     MAX_ABS_BETA,
     MAX_FINAL_STEP,
     _MarginalLikelihood,
+    Formula,
     design_matrix,
-    fit_logistic_arrays,
     fit_logistic_stack,
     logistic_loglik,
     logistic_score,
 )
+
+
+def fit_logistic_arrays(X, y, names):
+    """:func:`fit_formula`'s fixed fit of the 0/1 ``y`` on the columns of a
+    :func:`design_matrix` ``X`` named ``names``."""
+    columns = dict(zip(names[1:], X[:, 1:].T))
+    return fit_formula(Formula("(y)", tuple(names[1:])), {**columns, "(y)": y})
 
 
 def two_by_two(n00, n01, n10, n11):
@@ -396,16 +406,18 @@ class TestMixedModel:
         assert fit.boundary is None
         assert "boundary" not in fit.to_dict()
 
-    def test_unconverged_fit_raises(self):
+    def test_unconverged_fit_raises(self, monkeypatch):
         # two Newton steps end short of the optimum (predicted decrease about
         # 2e-3); the fit must not come back labelled converged
+        monkeypatch.setattr(stats, "NEWTON_MAX_ITER", 2)
         with pytest.raises(DataError, match="did not converge"):
-            fit_logistic_random_intercept(gen_simpson(0), max_iter=2)
+            fit_logistic_random_intercept(gen_simpson(0))
 
-    def test_unconverged_fit_names_its_newton_iterations(self):
+    def test_unconverged_fit_names_its_newton_iterations(self, monkeypatch):
+        monkeypatch.setattr(stats, "NEWTON_MAX_ITER", 2)
         with pytest.raises(DataError, match=r"did not converge in 2 Newton "
                                             r"iterations: predicted decrease \S+ at"):
-            fit_logistic_random_intercept(gen_simpson(0), max_iter=2)
+            fit_logistic_random_intercept(gen_simpson(0))
 
     def test_singular_wald_hessian_raises(self, monkeypatch):
         # sigma sits on its bound here, so the convergence test holds log
@@ -445,6 +457,24 @@ class TestMixedModel:
         fit = fit_formula(parse_formula("online ~ campus + age + (1|id)"), columns)
         assert fit.n_iter == 1
         assert calls == [2 * (3 + 1) + 1] * 2
+
+    @pytest.mark.parametrize("seed", [2, 19])
+    def test_a_halved_step_is_one_stacked_call(self, seed, monkeypatch):
+        # of the fits of gen_simpson(0-29) and gen_interview_margins(0-19),
+        # these two halve a Newton step; the halved point is scored like any
+        # other, with its 2(p + 1) difference neighbours in one call
+        calls = []
+        nll_grad = _MarginalLikelihood.nll_grad
+
+        def counted(self, theta):
+            calls.append(len(np.atleast_2d(theta)))
+            return nll_grad(self, theta)
+
+        monkeypatch.setattr(_MarginalLikelihood, "nll_grad", counted)
+        fit = fit_logistic_random_intercept(gen_interview_margins(seed))
+        assert fit.boundary is False  # no bound probe, so a call was a halving
+        assert len(calls) > fit.n_iter + 1
+        assert calls == [2 * (3 + 1) + 1] * len(calls)
 
     def test_no_bound_probe_where_the_score_rules_it_out(self, monkeypatch):
         # Simpson's zero-variance score is positive, so sigma = 0 cannot be
@@ -693,6 +723,50 @@ class TestFitFormula:
         columns = {"y": [0, 1, 2, 1], "x": [0.0, 1.0, 2.0, 3.0]}
         with pytest.raises(DataError, match="'y' must be 0 or 1"):
             fit_formula(parse_formula("y ~ x"), columns)
+
+
+class FitResultCalls(ast.NodeVisitor):
+    """The innermost enclosing function (None at module level) of each call
+    of ``FitResult``, by name or as an attribute."""
+
+    def __init__(self):
+        self.functions, self.found = [None], []
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        f = node.func
+        if getattr(f, "id", None) == "FitResult" or getattr(f, "attr", None) == "FitResult":
+            self.found.append(self.functions[-1])
+        self.generic_visit(node)
+
+
+def _fit_result_calls(source):
+    calls = FitResultCalls()
+    calls.visit(ast.parse(source))
+    return calls.found
+
+
+def test_only_fit_formula_builds_a_fit_result():
+    found = []
+    for path in sorted(Path(quantitize.__file__).parent.glob("*.py")):
+        found += [(path.stem, where)
+                  for where in _fit_result_calls(path.read_text(encoding="utf-8"))]
+    assert found == [("stats", "fit_formula")]
+
+
+def test_the_fit_result_visitor_sees_every_call():
+    source = ("r = FitResult({}, 0.0, True, 1, 2)\n"
+              "def f():\n"
+              "    def g():\n"
+              "        return stats.FitResult(**d)\n"
+              "    return FitResult\n")  # a reference, not a call
+    assert _fit_result_calls(source) == [None, "g"]
 
 
 class TestParseFormula:
