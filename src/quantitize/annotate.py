@@ -228,13 +228,15 @@ class ChatCompletionClient:
                 f"endpoint rejected the request ({resp.status_code}): {resp.text[:500]}"
             )
         try:
-            doc = resp.json()
-            message = doc["choices"][0]["message"]
-        except (ValueError, KeyError, IndexError):
+            message = resp.json()["choices"][0]["message"]
+        except (ValueError, LookupError, TypeError):  # TypeError: a body of another shape
+            message = None
+        if not isinstance(message, dict):
             return ModelReply.transport_error("malformed_response")
         if message.get("refusal"):
             return ModelReply.refusal(str(message["refusal"]))
-        return ModelReply.text(str(message.get("content", "")))
+        content = message.get("content")
+        return ModelReply.text("" if content is None else str(content))
 
 
 class MockModel:

@@ -37,13 +37,10 @@ from .boot import BootstrapConfig, bootstrap_ci, error_model_from_confusion, par
 from .corpus import (
     Corpus,
     CsvMapping,
-    Paragraph,
-    Scene,
-    SentenceSplit,
-    Window,
     ingest,
     load_scheme,
     load_yaml,
+    parse_strategy,
     save_corpus,
 )
 from .errors import ConfigError, DataError, TransportError
@@ -72,31 +69,13 @@ def _write_manifest(out_dir: Path, args) -> None:
     write_json(out_dir / "manifest.json", {"version": __version__, **manifest})
 
 
-def _parse_strategy(text: str):
-    kind, *params = text.split(":")
-    if kind == "paragraph":
-        return Paragraph()
-    if kind == "sentence":
-        return SentenceSplit()
-    if kind not in ("window", "scene"):
-        raise ConfigError(f"unknown unitize strategy {kind!r}")
-    if not params:
-        raise ConfigError(r"strategy needs a parameter: window:100, scene:INT\.|EXT\.")
-    try:
-        merge = int(params[1]) if len(params) > 1 else 0
-        return (Window(size=int(params[0]), merge_below=merge) if kind == "window"
-                else Scene(marker=params[0], merge_below=merge))
-    except ValueError:
-        raise ConfigError(f"strategy {text!r}: sizes must be integers") from None
-
-
 def cmd_ingest(args) -> int:
     for option, fmt in (("mapping", "csv"), ("strategy", "text")):
         if getattr(args, option) and args.format != fmt:
             raise ConfigError(f"--{option} applies only to {fmt} input")
     scheme = load_scheme(args.scheme) if args.scheme else None
     mapping = load_yaml(CsvMapping, args.mapping, "mapping") if args.mapping else None
-    strategy = _parse_strategy(args.strategy) if args.strategy else None
+    strategy = parse_strategy(args.strategy) if args.strategy else None
     corpus = ingest(args.input, args.format, scheme=scheme, csv_mapping=mapping,
                     unitize_strategy=strategy)
     out = Path(args.out)

@@ -458,12 +458,18 @@ def approx_tokens(text: str) -> int:
 
 @dataclass(frozen=True)
 class Paragraph:
-    pass
+    merge_below = 0  # a class attribute, not a field: no merging
+
+    def split(self, text: str) -> list[str]:
+        return re.split(r"\n\s*\n", text)
 
 
 @dataclass(frozen=True)
 class SentenceSplit:
-    pass
+    merge_below = 0
+
+    def split(self, text: str) -> list[str]:
+        return re.split(r"(?<=[.!?])\s+", text)
 
 
 @dataclass(frozen=True)
@@ -476,6 +482,9 @@ class Window:
             raise ConfigError("window size must be positive")
         _check_merge_below(self.merge_below)
 
+    def split(self, text: str) -> list[str]:
+        return _window_chunks(text, max_chars=self.size * 4)
+
 
 @dataclass(frozen=True)
 class Scene:
@@ -485,7 +494,14 @@ class Scene:
     def __post_init__(self):
         if not self.marker:  # it would match at every line start
             raise ConfigError("scene strategy needs a marker")
+        try:
+            object.__setattr__(self, "_pattern", re.compile(rf"(?m)^(?={self.marker})"))
+        except re.error as exc:
+            raise ConfigError(f"scene strategy marker {self.marker!r}: {exc}") from None
         _check_merge_below(self.merge_below)
+
+    def split(self, text: str) -> list[str]:
+        return self._pattern.split(text)
 
 
 def _check_merge_below(merge_below: int) -> None:
@@ -496,13 +512,29 @@ def _check_merge_below(merge_below: int) -> None:
 UnitizeStrategy = Union[Paragraph, SentenceSplit, Window, Scene]
 
 
+def parse_strategy(spec: str) -> UnitizeStrategy:
+    """The strategy of a spec ``paragraph``, ``sentence``,
+    ``window:SIZE[:MERGE_BELOW]`` or ``scene:MARKER[:MERGE_BELOW]``. The kind
+    ends at the first colon, and a trailing ``:N`` (an integer) is always
+    MERGE_BELOW, so a marker keeps its own colons. Any other spec is a
+    ConfigError."""
+    if spec in ("paragraph", "sentence"):
+        return Paragraph() if spec == "paragraph" else SentenceSplit()
+    kind, colon, param = spec.partition(":")
+    param, merge_below = re.fullmatch(r"(.*?)(?::(-?\d+))?", param, re.S).groups("0")
+    if colon and kind == "scene":
+        return Scene(marker=param, merge_below=int(merge_below))
+    if colon and kind == "window" and re.fullmatch(r"-?\d+", param):
+        return Window(size=int(param), merge_below=int(merge_below))
+    raise ConfigError(f"strategy {spec!r} is none of paragraph, sentence, "
+                      "window:SIZE[:MERGE_BELOW] and scene:MARKER[:MERGE_BELOW]")
+
+
 def _merge_short(segments: list[str], merge_below: int) -> list[str]:
     """Merge segments under the token floor into their successor.
 
     The last segment, if still short, merges backward instead.
     """
-    if merge_below <= 0:
-        return [s for s in segments if s]
     out: list[str] = []
     carry = ""
     for seg in segments:
@@ -541,29 +573,12 @@ def _window_chunks(text: str, max_chars: int) -> list[str]:
 
 
 def unitize(text: str, strategy: UnitizeStrategy) -> list[Unit]:
-    """Split raw text into units; concatenating unit texts restores the input
-    up to the whitespace consumed at split points."""
-    if not text.strip():
-        return []
-    if isinstance(strategy, Paragraph):
-        segments = re.split(r"\n\s*\n", text)
-        segments = [s for s in segments if s.strip()]
-    elif isinstance(strategy, SentenceSplit):
-        segments = re.split(r"(?<=[.!?])\s+", text)
-        segments = [s for s in segments if s.strip()]
-    elif isinstance(strategy, Window):
-        segments = _window_chunks(text, max_chars=strategy.size * 4)
-        segments = _merge_short(segments, strategy.merge_below)
-    elif isinstance(strategy, Scene):
-        try:
-            pattern = re.compile(rf"(?m)^(?={strategy.marker})")
-        except re.error as exc:
-            raise ConfigError(f"scene strategy marker {strategy.marker!r}: {exc}")
-        segments = [s for s in pattern.split(text) if s.strip()]
-        segments = _merge_short(segments, strategy.merge_below)
-    else:
-        raise ConfigError(f"unknown unitize strategy {strategy!r}")
-    return [Unit(id=_synth_id(i), text=seg) for i, seg in enumerate(segments)]
+    """Units ``u000001...`` of the segments of ``strategy.split`` that are not
+    blank, each under ``strategy.merge_below`` tokens merged into the next;
+    joined, they restore the input up to the whitespace of splits and blanks."""
+    segments = [s for s in strategy.split(text) if s.strip()]
+    return [Unit(id=_synth_id(i), text=seg)
+            for i, seg in enumerate(_merge_short(segments, strategy.merge_below))]
 
 
 def sample_units(

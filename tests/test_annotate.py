@@ -461,6 +461,26 @@ class TestChatCompletionClient:
         reply = client.send("x", DecodingControls())
         assert reply.kind == "refusal" and reply.content == "cannot help"
 
+    @pytest.mark.parametrize("payload", [
+        {"choices": None}, [{"choices": [{"message": {"content": "Positive"}}]}],
+        {"choices": [{"message": "Positive"}]}, {"choices": ["Positive"]}, "Positive",
+    ], ids=["null-choices", "array-body", "string-message", "string-choice",
+            "string-body"])
+    def test_body_of_the_wrong_shape_is_malformed(self, monkeypatch, payload):
+        monkeypatch.setenv("QUANTITIZE_API_TOKEN", "tok")
+        client = ChatCompletionClient("https://api.example", "m1",
+                                      session=_FakeSession([_FakeResponse(200, payload)]))
+        reply = client.send("x", DecodingControls())
+        assert (reply.kind, reply.content) == ("transport_error", "malformed_response")
+
+    def test_null_content_is_empty_text(self, monkeypatch):
+        # not the text "None", which a level named None would accept
+        monkeypatch.setenv("QUANTITIZE_API_TOKEN", "tok")
+        client = ChatCompletionClient("https://api.example", "m1", session=_FakeSession(
+            [_FakeResponse(200, {"choices": [{"message": {"content": None}}]})]))
+        reply = client.send("x", DecodingControls())
+        assert (reply.kind, reply.content) == ("text", "")
+
     def test_retry_backoff_then_success(self, monkeypatch):
         monkeypatch.setenv("QUANTITIZE_API_TOKEN", "tok")
         corpus = Corpus((Unit(id="a", text="some text"),))

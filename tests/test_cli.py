@@ -263,6 +263,29 @@ class TestIngest:
         joined = "".join(json.loads(l)["text"] for l in lines)
         assert joined == "word " * 50
 
+    def test_text_with_page_break_and_window_strategy(self, tmp_path):
+        # the break's 46 newlines outrun a 40-character window: the chunk
+        # that is only newlines is dropped, not made a unit
+        (tmp_path / "doc.txt").write_text("word " * 12 + "\n" * 46 + "word " * 12,
+                                          encoding="utf-8")
+        assert run([
+            "ingest", "--input", tmp_path / "doc.txt", "--format", "text",
+            "--strategy", "window:10", "--out", tmp_path / "corpus.jsonl",
+        ]) == 0
+        texts = [json.loads(l)["text"]
+                 for l in (tmp_path / "corpus.jsonl").read_text().splitlines()]
+        assert all(t.strip() for t in texts)
+        assert "".join(texts).split() == ["word"] * 24
+
+    def test_text_with_scene_marker_that_has_a_colon(self, tmp_path):
+        (tmp_path / "doc.txt").write_text("INT. a\nb\nEXT. c\nd\n", encoding="utf-8")
+        assert run([
+            "ingest", "--input", tmp_path / "doc.txt", "--format", "text",
+            "--strategy", r"scene:(?:INT|EXT)\.", "--out", tmp_path / "corpus.jsonl",
+        ]) == 0
+        lines = (tmp_path / "corpus.jsonl").read_text().splitlines()
+        assert [json.loads(l)["text"] for l in lines] == ["INT. a\nb\n", "EXT. c\nd\n"]
+
 
 class TestExitCodes:
     def test_unknown_config_key_is_2(self, workspace, capsys):
@@ -346,7 +369,8 @@ class TestExitCodes:
 
     def test_unusable_argument_value_is_2(self, tmp_path, capsys):
         (tmp_path / "doc.txt").write_text("word " * 50, encoding="utf-8")
-        for strategy in ("window:abc", "window:10:x", "scene:("):
+        for strategy in ("window:abc", "window:10:x", "scene:(", "window:5:0:9",
+                         "paragraph:7", "sentence:", "window", "lines"):
             assert run([
                 "ingest", "--input", tmp_path / "doc.txt", "--format", "text",
                 "--strategy", strategy, "--out", tmp_path / "corpus.jsonl",

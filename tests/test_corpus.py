@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quantitize import (
     CodingScheme,
@@ -164,10 +164,12 @@ class TestUnitize:
         (lambda: Scene(marker=""), "scene strategy needs a marker"),
         (lambda: Scene(marker="INT", merge_below=-1), "merge_below must be >= 0, got -1"),
         (lambda: Window(size=5, merge_below=-3), "merge_below must be >= 0, got -3"),
-    ], ids=["empty-marker", "scene-merge", "window-merge"])
+        (lambda: Scene(marker="("),
+         r"scene strategy marker '\(': missing \), unterminated subpattern at position 5"),
+    ], ids=["empty-marker", "scene-merge", "window-merge", "bad-marker"])
     def test_unusable_parameter_is_config_error(self, strategy, message):
-        # an empty marker matched at every line start, and a negative floor
-        # meant no merging
+        # an empty marker matched at every line start, a negative floor
+        # meant no merging, and a bad marker failed only at the first split
         with pytest.raises(ConfigError, match=f"^{message}$"):
             strategy()
 
@@ -177,6 +179,23 @@ class TestUnitize:
 
     def test_empty_text_gives_empty_list(self):
         assert unitize("   ", Paragraph()) == []
+
+    # OCR'd pages: a page break is a long run of whitespace
+    @given(st.lists(st.one_of(st.text(alphabet="abINTEX.!? \n", max_size=30),
+                              st.text(alphabet=" \n\t", min_size=45, max_size=50)),
+                    max_size=8).map("".join),
+           st.one_of(st.just(Paragraph()), st.just(SentenceSplit()),
+                     st.builds(Window, size=st.integers(1, 15),
+                               merge_below=st.integers(0, 6)),
+                     st.builds(Scene, marker=st.sampled_from([r"INT\.|EXT\.",
+                                                              r"(?:INT|EXT)\.", "a"]),
+                               merge_below=st.integers(0, 6))))
+    @example("INT. ", Window(1, 0))
+    def test_units_are_numbered_and_keep_every_visible_character(self, text, strategy):
+        units = unitize(text, strategy)
+        assert all(u.text.strip() for u in units)
+        assert [u.id for u in units] == [f"u{i:06d}" for i in range(1, len(units) + 1)]
+        assert "".join("".join(u.text.split()) for u in units) == "".join(text.split())
 
     @given(st.lists(st.text(alphabet="abc ", min_size=1).filter(str.strip),
                     min_size=1, max_size=6))
