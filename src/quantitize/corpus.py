@@ -498,6 +498,9 @@ class Scene:
             object.__setattr__(self, "_pattern", re.compile(rf"(?m)^(?={self.marker})"))
         except re.error as exc:
             raise ConfigError(f"scene strategy marker {self.marker!r}: {exc}") from None
+        if re.match(self.marker, ""):  # so would any marker matching no text
+            raise ConfigError(f"scene strategy marker {self.marker!r} matches the "
+                              "empty string, so every line would start a scene")
         _check_merge_below(self.merge_below)
 
     def split(self, text: str) -> list[str]:

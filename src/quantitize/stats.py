@@ -7,19 +7,19 @@ extension whose marginal likelihood is integrated per group with adaptive
 Gauss-Hermite quadrature (:func:`fit_random_intercept`). :func:`fit_formula`,
 on a formula and one column per name, is the one place that builds a
 :class:`FitResult` from them. The mixed objective handles every group in
-one vectorised pass over rows sorted by group, for one parameter point or a
-stack of them, with its exact gradient in (beta, log sigma). The mixed fit
-takes projected Newton steps on central differences of that gradient, log
-sigma kept in its box, and scores every point it tries together with those
-differences in one stacked call; it reports whether the intercept SD ended
-on its bound. Inference is Wald: standard errors from the inverse observed
-information, two-sided normal p-values. Both engines sum log(1 + e^t) by
-:func:`log1p_exp`, and each IRLS fit in a stack keeps the bits of a fit on
-its own.
+one vectorised pass over rows sorted by group, and that pass also yields
+its exact gradient and Hessian in (beta, log sigma). The mixed fit takes
+projected Newton steps on that Hessian, log sigma kept in its box, and
+scores each point it tries by one such pass; it reports whether the
+intercept SD ended on its bound. Inference is Wald: standard errors from
+the inverse observed information, two-sided normal p-values. Both engines
+sum log(1 + e^t) by :func:`log1p_exp`, and each IRLS fit in a stack keeps
+the bits of a fit on its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import asdict, dataclass, field
@@ -232,6 +232,18 @@ MAX_HALVINGS = 60  # of a group's mode step and of a Newton step
 NEWTON_TOL = 1e-10  # predicted decrease at which the Newton loop stops
 CONVERGENCE_TOL = 1e-8  # largest accepted predicted decrease 1/2 g'H^-1 g
 N_QUAD = 15  # quadrature nodes per group, unless a fit is given another count
+MAX_QUAD = 100  # most quadrature nodes a fit may ask for
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_hermite(n_quad):
+    """The nodes x_q of the ``n_quad``-point Gauss-Hermite rule and the log
+    weights, log w_q + x_q^2 + log(2)/2, that integrate against a normal
+    density on the nodes sqrt(2) x_q; read-only, since every fit shares them."""
+    nodes, weights = np.polynomial.hermite.hermgauss(n_quad)
+    log_w = np.log(weights) + nodes**2 + 0.5 * math.log(2.0)
+    nodes.flags.writeable = log_w.flags.writeable = False
+    return nodes, log_w
 
 
 class _MarginalLikelihood:
@@ -239,22 +251,23 @@ class _MarginalLikelihood:
     logistic model, over rows sorted by group once.
 
     Every per-group quantity is a ``np.add.reduceat`` over the sorted rows,
-    so one call handles all groups at once. :meth:`nll_grad` returns the
-    negative log-likelihood and its exact gradient in (beta, log sigma),
-    including how each group's mode and quadrature scale move with them.
+    so one call handles all groups at once. :meth:`nll_grad_hess` returns the
+    negative log-likelihood with its exact gradient and Hessian in (beta, log
+    sigma), including how each group's mode and quadrature scale move with
+    them (the implicit derivatives of the mode equation).
     """
 
     def __init__(self, X, y, groups, n_quad):
-        if n_quad < 1:
-            raise ConfigError(f"need 1 or more quadrature nodes, got {n_quad}")
+        if not 1 <= n_quad <= MAX_QUAD:
+            raise ConfigError(f"need 1 to {MAX_QUAD} quadrature nodes, got {n_quad}")
         _, group_index = np.unique(np.asarray(groups), return_inverse=True)
         order = np.argsort(group_index, kind="stable")
         self.X = X[order]
-        self.y = y[order, None]  # a column, against (rows x k) predictors
+        self.XX = self.X[:, :, None] * self.X[:, None, :]  # each row's x x'
+        self.y = y[order]
         self.group = group_index[order]
         self.starts = np.flatnonzero(np.r_[True, np.diff(self.group) != 0])
-        self.nodes, weights = np.polynomial.hermite.hermgauss(n_quad)
-        self.log_w = np.log(weights) + self.nodes**2 + 0.5 * math.log(2.0)
+        self.nodes, self.log_w = _gauss_hermite(n_quad)
         self.u_start = self.u_hat = np.zeros(len(self.starts))
 
     def _sum(self, a):
@@ -266,17 +279,16 @@ class _MarginalLikelihood:
         return self._sum(self.y * t - log1p_exp(t)) - 0.5 * u * u / sigma2
 
     def modes(self, eta, sigma2):
-        """Posterior mode of every group's intercept, for each column k of
-        ``eta`` and ``sigma2``, by Newton's method. A group whose step lowers
-        its log posterior halves that step, so the search cannot run away
-        where the linear predictor is large. Every column starts at the
-        modes ``u_start`` of the point a fit last accepted, or at zeros."""
-        u = np.repeat(self.u_start[:, None], eta.shape[1], axis=1)
+        """Posterior mode of every group's intercept at the linear predictor
+        ``eta`` and variance ``sigma2``, by Newton's method. A group whose
+        step lowers its log posterior halves that step, so the search cannot
+        run away where the linear predictor is large. The search starts at
+        the modes ``u_start`` of the point a fit last accepted, or at zeros."""
+        u = self.u_start
         h = self._log_posterior(eta, u, sigma2)
-        active = np.ones(eta.shape[1], dtype=bool)  # columns still searching
         for _ in range(MODE_MAX_STEPS):
             mu = expit(eta + u[self.group])
-            step = active * (self._sum(self.y - mu) - u / sigma2) / (
+            step = (self._sum(self.y - mu) - u / sigma2) / (
                 self._sum(mu * (1 - mu)) + 1.0 / sigma2)
             for _ in range(MAX_HALVINGS):
                 h_new = self._log_posterior(eta, u + step, sigma2)
@@ -286,84 +298,122 @@ class _MarginalLikelihood:
                 step = np.where(worse, 0.5 * step, step)
             u = u + step
             h = h_new
-            active &= np.max(np.abs(step), axis=0) >= MODE_TOL
-            if not active.any():
+            if np.max(np.abs(step)) < MODE_TOL:
                 break
         return u
 
     def nll_grad(self, theta):
-        """Negative log-likelihood and its gradient at ``theta`` = (beta, log
-        sigma), or at each row of a stack ``theta[k, p + 1]``: then arrays
-        over rows are (rows x k) and over nodes (rows x k x nodes)."""
+        """The negative log-likelihood and gradient of :meth:`nll_grad_hess`."""
+        return self.nll_grad_hess(theta)[:2]
+
+    def nll_grad_hess(self, theta):
+        """Negative log-likelihood, gradient and Hessian at ``theta`` = (beta,
+        log sigma), from one pass over the rows. Each group's log likelihood
+        is the log-sum-exp over its nodes q of T_q, the log integrand at
+        u_q = u_hat + sqrt(2) tau x_q; its Hessian is sum_q pi_q d2T_q plus
+        the pi-weighted covariance of dT_q, pi the posterior node weights."""
         X, y, group = self.X, self.y, self.group
-        stack = np.atleast_2d(theta)
-        beta, log_sigma = stack[:, :-1], stack[:, -1]
-        sigma2 = np.exp(2.0 * log_sigma)
-        eta = np.einsum("np,kp->nk", X, beta)  # the same sums for any k
+        beta, log_sigma = theta[:-1], theta[-1]
+        sigma2 = math.exp(2.0 * log_sigma)
+        eta = X @ beta
 
         # mode, curvature and quadrature scale of each group
-        u_hat = self.modes(eta, sigma2)
-        self.u_hat = u_hat[:, 0]  # the first point's, for a fit to start from
+        u_hat = self.u_hat = self.modes(eta, sigma2)  # for a fit to start from
         mu = expit(eta + u_hat[group])
         w = mu * (1 - mu)
-        v = w * (1 - 2 * mu)
+        v = w * (1 - 2 * mu)  # dw / du
         curv = self._sum(w) + 1.0 / sigma2
         tau = 1.0 / np.sqrt(curv)
 
-        # log integrand at the adaptive nodes, (groups x k x nodes)
-        u = u_hat[..., None] + math.sqrt(2.0) * tau[..., None] * self.nodes
-        t = eta[..., None] + u[group]
-        cond = self._sum(y[..., None] * t - log1p_exp(t))
-        prior = (-0.5 * u * u / sigma2[:, None]
-                 - (0.5 * math.log(2 * math.pi) + log_sigma)[:, None])
-        terms = self.log_w + np.log(tau)[..., None] + prior + cond
+        # log integrand at the adaptive nodes, (groups x nodes)
+        r = math.sqrt(2.0) * tau[:, None] * self.nodes  # offsets from the mode
+        u = u_hat[:, None] + r
+        t = eta[:, None] + u[group]
+        cond = self._sum(y[:, None] * t - log1p_exp(t))
+        prior = -0.5 * u * u / sigma2 - (0.5 * math.log(2 * math.pi) + log_sigma)
+        terms = self.log_w + np.log(tau)[:, None] + prior + cond
         peak = terms.max(axis=-1, keepdims=True)
         pi = np.exp(terms - peak)
         mass = pi.sum(axis=-1, keepdims=True)
-        group_ll = peak[..., 0] + np.log(mass[..., 0])
+        group_ll = peak[:, 0] + np.log(mass[:, 0])
         pi /= mass  # posterior weight of each node
 
-        # derivatives at fixed nodes u, per group
-        resid = y[..., None] - expit(t)
-        d_u = self._sum(resid) - u / sigma2[:, None]
-        grad_beta = self._sum(np.sum(pi[group] * resid, axis=-1)[..., None] * X[:, None])
-        grad_log_sigma = np.sum(pi * (u * u / sigma2[:, None] - 1.0), axis=-1)
+        # F = cond + prior at fixed nodes, per group and node: its derivatives
+        # in u and in theta (F_t), and in both (F_tu); F_beta,beta is added
+        # at the end, summed over the groups
+        mu_q = expit(t)
+        w_q = mu_q * (1 - mu_q)
+        F_u = self._sum(y[:, None] - mu_q) - u / sigma2
+        F_uu = -self._sum(w_q) - 1.0 / sigma2
+        F_t = np.dstack([self._sum((y[:, None] - mu_q)[..., None] * X[:, None]),
+                         u * u / sigma2 - 1.0])
+        F_tu = np.dstack([-self._sum(w_q[..., None] * X[:, None]), 2.0 * u / sigma2])
 
-        # the nodes move with the mode and the scale: implicit derivatives of
-        # the mode equation, then of log tau = -log(curv) / 2
-        du_beta = -self._sum(w[..., None] * X[:, None]) / curv[..., None]
-        du_log_sigma = 2.0 * u_hat / (sigma2 * curv)
-        sum_v = self._sum(v)
-        dlogtau_beta = -0.5 * (self._sum(v[..., None] * X[:, None])
-                               + sum_v[..., None] * du_beta) / curv[..., None]
-        dlogtau_log_sigma = -0.5 * (sum_v * du_log_sigma - 2.0 / sigma2) / curv
-        a = np.sum(pi * d_u, axis=-1)
-        c = 1.0 + math.sqrt(2.0) * tau * np.sum(pi * d_u * self.nodes, axis=-1)
-        grad_beta += c[..., None] * dlogtau_beta + a[..., None] * du_beta
-        grad_log_sigma += c * dlogtau_log_sigma + a * du_log_sigma
-        # one sum over the groups, in an order that does not depend on k
-        total = -np.dstack([group_ll, grad_beta, grad_log_sigma]).sum(axis=0)
-        nll, grad = total[:, 0], total[:, 1:]
-        return (float(nll[0]), grad[0]) if np.ndim(theta) == 1 else (nll, grad)
+        # the mode equation F_u(u_hat, theta) = 0 differentiated once (U) and
+        # twice (U2), and log tau = -log(curv) / 2 likewise (L, L2), where
+        # curv moves with theta at a fixed mode by G, and sum v by W
+        w6 = w * (1 - 6 * w)  # dv / du
+        sum_v, sum_w6, zeros = self._sum(v), self._sum(w6), np.zeros(len(curv))
+        vxx, w6xx = (self._sum(a[:, None, None] * self.XX) for a in (v, w6))
+        U = np.column_stack([-self._sum(w[:, None] * X), 2.0 * u_hat / sigma2])
+        U /= curv[:, None]
+        G = np.column_stack([self._sum(v[:, None] * X), zeros - 2.0 / sigma2])
+        W = np.column_stack([self._sum(w6[:, None] * X), zeros])
+        L = -0.5 * (sum_v[:, None] * U + G) / curv[:, None]
+        UU, LL = _outer(U, U), _outer(L, L)
+        U2 = (_theta_block(-vxx, -4.0 * u_hat / sigma2) - sum_v[:, None, None] * UU
+              - _sym(_outer(U, G))) / curv[:, None, None]
+        curv2 = (sum_w6[:, None, None] * UU + _sym(_outer(U, W))
+                 + sum_v[:, None, None] * U2 + _theta_block(w6xx, 4.0 / sigma2))
+        L2 = 2.0 * LL - 0.5 * curv2 / curv[:, None, None]
+
+        # the nodes move, du_q = U + r_q L, and T_q = log tau + F(u_q) + const:
+        # d2T_q = L2 + F_tt + sym(F_tu du') + F_uu du du' + F_u d2u_q, where
+        # d2u_q = U2 + r_q (L2 + L L')
+        du = U[:, None] + r[..., None] * L[:, None]
+        dT = L[:, None] + F_t + F_u[..., None] * du
+        grad = np.sum(pi[..., None] * dT, axis=1)
+        a, c = np.sum(pi * F_u, axis=-1), np.sum(pi * F_u * r, axis=-1)
+        cross = _weighted_outer(pi, F_tu + 0.5 * F_uu[..., None] * du, du)
+        dev = dT - grad[:, None]
+        hess = ((1.0 + c)[:, None, None] * L2 + c[:, None, None] * LL
+                + a[:, None, None] * U2 + _sym(cross)
+                + _weighted_outer(pi, dev, dev)).sum(axis=0)
+        hess[-1, -1] -= np.sum(pi * 2.0 * u * u / sigma2)  # F_tt at log sigma
+        omega = np.sum(pi[group] * w_q, axis=-1)  # each row's pi-weighted w
+        hess[:-1, :-1] -= X.T @ (X * omega[:, None])
+        return -float(group_ll.sum()), -grad.sum(axis=0), -hess
 
     def zero_variance_score(self, beta):
         """Twice d loglik / d sigma^2 at sigma = 0 and ``beta`` (Lin 1997):
         over groups, the squared residual sum less the binomial variance."""
         mu = expit(self.X @ beta)
-        return float(np.sum(self._sum(self.y[:, 0] - mu) ** 2
-                            - self._sum(mu * (1 - mu))))
-
-    def nll_grad_hess(self, theta):
-        """One stacked call: :meth:`nll_grad` at ``theta`` and its :func:`_hessian`."""
-        h = 1e-5 * np.maximum(1.0, np.abs(theta))
-        nll, grad = self.nll_grad(theta + np.vstack([0 * h, np.diag(h), -np.diag(h)]))
-        return float(nll[0]), grad[0], _hessian(h, grad[1:])
+        return float(np.sum(self._sum(self.y - mu) ** 2 - self._sum(mu * (1 - mu))))
 
 
-def _hessian(h, grads):
-    """Symmetrised central differences of the gradients at theta +- h_j e_j."""
-    hess = (grads[:len(h)] - grads[len(h):]).T / (2 * h)
-    return 0.5 * (hess + hess.T)
+def _outer(a, b):
+    """a_g b_g' for each group g of ``a`` and ``b`` (groups x theta)."""
+    return a[:, :, None] * b[:, None, :]
+
+
+def _sym(m):
+    """m + m' for each group's matrix."""
+    return m + m.transpose(0, 2, 1)
+
+
+def _weighted_outer(pi, a, b):
+    """sum_q pi_q a_q b_q' for each group, of ``a`` and ``b`` (groups x nodes
+    x theta)."""
+    return np.matmul((pi[..., None] * a).transpose(0, 2, 1), b)
+
+
+def _theta_block(bb, ss):
+    """(groups x theta x theta) with the beta block ``bb``, the log sigma
+    diagonal entry ``ss`` and zeros between them."""
+    out = np.zeros((len(bb), bb.shape[1] + 1, bb.shape[1] + 1))
+    out[:, :-1, :-1] = bb
+    out[:, -1, -1] = ss
+    return out
 
 
 def _newton_step(grad, hess, log_sigma):
@@ -386,7 +436,8 @@ def _line_search(model, theta, nll, grad, step, bound):
     """The point, objective, gradient and Hessian that a downhill ``step``
     reaches: ``bound``, if given and the step lowers log sigma, or the first
     Armijo halving, log sigma clamped; None if none does. Every candidate is
-    scored by one stacked :meth:`~_MarginalLikelihood.nll_grad_hess` call."""
+    scored by one :meth:`~_MarginalLikelihood.nll_grad_hess` call at that
+    point alone."""
     if step[-1] < 0 and bound is not None:
         # near sigma = 0 the objective flattens and a Newton step moves log
         # sigma by only about 0.5: try the bound, kept if log sigma stays there
@@ -408,9 +459,11 @@ def fit_random_intercept(X, y, names, groups, n_quad=N_QUAD):
     and one group id per row: theta = (beta, log sigma), its covariance (the
     inverse observed information), the log-likelihood and the Newton steps.
 
-    Projected Newton over theta, at most ``NEWTON_MAX_ITER`` steps, starts at
-    the fixed-effects fit beta0. If the zero-variance score at beta0 is
-    negative, a step lowering log sigma first tries (beta0, lower bound).
+    Projected Newton over theta on the exact Hessian, at most
+    ``NEWTON_MAX_ITER`` steps, starts at the fixed-effects fit beta0; the
+    covariance inverts that Hessian at the returned point. If the
+    zero-variance score at beta0 is negative, a step lowering log sigma
+    first tries (beta0, lower bound).
     Mode searches start at the last accepted point's modes. The fit is
     accepted only when the predicted decrease at the returned point is below
     ``CONVERGENCE_TOL``; otherwise it raises :class:`DataError`.

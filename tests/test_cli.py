@@ -369,8 +369,8 @@ class TestExitCodes:
 
     def test_unusable_argument_value_is_2(self, tmp_path, capsys):
         (tmp_path / "doc.txt").write_text("word " * 50, encoding="utf-8")
-        for strategy in ("window:abc", "window:10:x", "scene:(", "window:5:0:9",
-                         "paragraph:7", "sentence:", "window", "lines"):
+        for strategy in ("window:abc", "window:10:x", "scene:(", "scene:a?",
+                         "window:5:0:9", "paragraph:7", "sentence:", "window", "lines"):
             assert run([
                 "ingest", "--input", tmp_path / "doc.txt", "--format", "text",
                 "--strategy", strategy, "--out", tmp_path / "corpus.jsonl",
@@ -379,7 +379,7 @@ class TestExitCodes:
         rows = ["id,online"] + [f"g{i % 3},{i % 2}" for i in range(12)]
         (tmp_path / "data.csv").write_text("\n".join(rows) + "\n",
                                            encoding="utf-8")
-        for nodes in (0, -1):
+        for nodes in (0, -1, 101, 400):
             assert run([
                 "fit", "--data", tmp_path / "data.csv",
                 "--formula", "online ~ (1|id)", "--quad-nodes", nodes,

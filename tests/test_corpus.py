@@ -166,10 +166,13 @@ class TestUnitize:
         (lambda: Window(size=5, merge_below=-3), "merge_below must be >= 0, got -3"),
         (lambda: Scene(marker="("),
          r"scene strategy marker '\(': missing \), unterminated subpattern at position 5"),
-    ], ids=["empty-marker", "scene-merge", "window-merge", "bad-marker"])
+        (lambda: Scene(marker="a?"), "scene strategy marker 'a\\?' matches the empty "
+                                     "string, so every line would start a scene"),
+    ], ids=["empty-marker", "scene-merge", "window-merge", "bad-marker", "empty-match"])
     def test_unusable_parameter_is_config_error(self, strategy, message):
-        # an empty marker matched at every line start, a negative floor
-        # meant no merging, and a bad marker failed only at the first split
+        # an empty marker, or one matching the empty string, matched at every
+        # line start, a negative floor meant no merging, and a bad marker
+        # failed only at the first split
         with pytest.raises(ConfigError, match=f"^{message}$"):
             strategy()
 

@@ -422,20 +422,20 @@ class TestMixedModel:
     def test_singular_wald_hessian_raises(self, monkeypatch):
         # sigma sits on its bound here, so the convergence test holds log
         # sigma fixed and passes; the Wald covariance needs the full inverse
-        hessian = stats._hessian
+        nll_grad_hess = _MarginalLikelihood.nll_grad_hess
 
         def singular(self, theta):
-            hess = hessian(self, theta)
+            nll, grad, hess = nll_grad_hess(self, theta)
             hess[-1, :] = hess[:, -1] = 0.0
-            return hess
+            return nll, grad, hess
 
-        monkeypatch.setattr(stats, "_hessian", singular)
+        monkeypatch.setattr(_MarginalLikelihood, "nll_grad_hess", singular)
         with pytest.raises(DataError, match="singular"):
             fit_logistic_random_intercept(gen_interview_margins(0))
 
     def test_one_stacked_call_per_accepted_point(self, monkeypatch):
         # each Newton point arrives with its gradient and Hessian from one
-        # call of 2(p + 1) + 1 rows; the interview rows in the first order
+        # call at that point alone; the interview rows in the first order
         # that bench/workloads.py fits reach the optimum in 1 step, to the
         # sigma bound at the fixed-effects fit
         rng = np.random.default_rng(0)
@@ -447,48 +447,48 @@ class TestMixedModel:
                    "online": [o.response for o in rows]}
         columns.update({k: [o.covariates[k] for o in rows] for k in ("campus", "age")})
         calls = []
-        nll_grad = _MarginalLikelihood.nll_grad
+        nll_grad_hess = _MarginalLikelihood.nll_grad_hess
 
         def counted(self, theta):
-            calls.append(len(np.atleast_2d(theta)))
-            return nll_grad(self, theta)
+            calls.append(np.shape(theta))
+            return nll_grad_hess(self, theta)
 
-        monkeypatch.setattr(_MarginalLikelihood, "nll_grad", counted)
+        monkeypatch.setattr(_MarginalLikelihood, "nll_grad_hess", counted)
         fit = fit_formula(parse_formula("online ~ campus + age + (1|id)"), columns)
         assert fit.n_iter == 1
-        assert calls == [2 * (3 + 1) + 1] * 2
+        assert calls == [(3 + 1,)] * 2
 
     @pytest.mark.parametrize("seed", [2, 19])
     def test_a_halved_step_is_one_stacked_call(self, seed, monkeypatch):
         # of the fits of gen_simpson(0-29) and gen_interview_margins(0-19),
         # these two halve a Newton step; the halved point is scored like any
-        # other, with its 2(p + 1) difference neighbours in one call
+        # other, with its gradient and Hessian in one call at that point
         calls = []
-        nll_grad = _MarginalLikelihood.nll_grad
+        nll_grad_hess = _MarginalLikelihood.nll_grad_hess
 
         def counted(self, theta):
-            calls.append(len(np.atleast_2d(theta)))
-            return nll_grad(self, theta)
+            calls.append(np.shape(theta))
+            return nll_grad_hess(self, theta)
 
-        monkeypatch.setattr(_MarginalLikelihood, "nll_grad", counted)
+        monkeypatch.setattr(_MarginalLikelihood, "nll_grad_hess", counted)
         fit = fit_logistic_random_intercept(gen_interview_margins(seed))
         assert fit.boundary is False  # no bound probe, so a call was a halving
         assert len(calls) > fit.n_iter + 1
-        assert calls == [2 * (3 + 1) + 1] * len(calls)
+        assert calls == [(3 + 1,)] * len(calls)
 
     def test_no_bound_probe_where_the_score_rules_it_out(self, monkeypatch):
         # Simpson's zero-variance score is positive, so sigma = 0 cannot be
         # the optimum: no call evaluates the bound, and each of the 5
-        # accepted points costs one call of 2(p + 1) + 1 rows
+        # accepted points costs one call at that point alone
         centres = []
-        nll_grad = _MarginalLikelihood.nll_grad
+        nll_grad_hess = _MarginalLikelihood.nll_grad_hess
 
         def counted(self, theta):
-            centres.append(np.atleast_2d(theta)[0])
-            assert len(np.atleast_2d(theta)) == 2 * (2 + 1) + 1
-            return nll_grad(self, theta)
+            centres.append(theta)
+            assert np.shape(theta) == (2 + 1,)
+            return nll_grad_hess(self, theta)
 
-        monkeypatch.setattr(_MarginalLikelihood, "nll_grad", counted)
+        monkeypatch.setattr(_MarginalLikelihood, "nll_grad_hess", counted)
         fit_logistic_random_intercept(gen_simpson(0))
         assert len(centres) == 5
         assert all(theta[-1] > stats.LOG_SIGMA_BOUNDS[0] for theta in centres)
@@ -567,17 +567,18 @@ class TestMixedModel:
                               math.log(fit.sigma_u))
             steps = 1e-3 * np.eye(len(theta))
             probes = theta + np.concatenate([steps, -steps])
-            nll, _ = model.nll_grad(probes[(low <= probes[:, -1]) & (probes[:, -1] <= high)])
-            assert np.max(-nll) <= fit.log_likelihood, seed
+            nll = [model.nll_grad(probe)[0]
+                   for probe in probes[(low <= probes[:, -1]) & (probes[:, -1] <= high)]]
+            assert np.max(-np.array(nll)) <= fit.log_likelihood, seed
         assert bound == on_bound
 
 
-def _likelihood(obs):
+def _likelihood(obs, n_quad=15):
     X, _ = design_matrix({k: [o.covariates[k] for o in obs]
                           for k in obs[0].covariates}, len(obs))
     y = np.array([o.response for o in obs], dtype=float)
     groups = [o.group for o in obs]
-    return _MarginalLikelihood(X, y, groups, 15), X, y, groups
+    return _MarginalLikelihood(X, y, groups, n_quad), X, y, groups
 
 
 def _grid_loglik(X, y, groups, theta):
@@ -598,6 +599,15 @@ def _grid_loglik(X, y, groups, theta):
 
 # Simpson points with |X beta| large, where an undamped mode search runs away
 FAR_FROM_OPTIMUM = [(7.8, -0.33, 0.65), (-9.0, 0.1, 1.2)]
+
+
+def _random_points(X, seed):
+    """Two points for each log sigma, with |X beta| of order 1."""
+    rng = np.random.default_rng(seed)
+    return np.array([
+        np.append(rng.normal(scale=0.3, size=X.shape[1]) / np.abs(X).max(axis=0),
+                  log_sigma)
+        for log_sigma in (-6.0, math.log(0.7), 1.5) for _ in range(2)])
 
 
 class TestMarginalLikelihood:
@@ -631,14 +641,51 @@ class TestMarginalLikelihood:
                        - 8 * nll(theta - e) + nll(theta - 2 * e)) / (12 * e[j])
             assert abs(grad[j] - numeric) <= 1e-6 * abs(numeric)
 
+    @pytest.mark.parametrize("data", ["simpson", "interview"])
+    @pytest.mark.parametrize("n_quad", [1, 3, 15])
+    def test_hessian_matches_central_differences_of_the_gradient(self, data, n_quad):
+        # the exact Hessian against symmetrised one-coordinate central
+        # differences of the exact gradient; one node is the Laplace case
+        obs = gen_simpson(1) if data == "simpson" else gen_interview_margins(0)
+        model, X, _, _ = _likelihood(obs, n_quad)
+        for theta in _random_points(X, 4):
+            n = len(theta)
+            hess = np.empty((n, n))
+            for j in range(n):
+                step = np.zeros(n)
+                step[j] = 1e-5 * max(1.0, abs(theta[j]))
+                hess[:, j] = (model.nll_grad(theta + step)[1]
+                              - model.nll_grad(theta - step)[1]) / (2 * step[j])
+            hess = 0.5 * (hess + hess.T)
+            exact = model.nll_grad_hess(theta)[2]
+            assert np.max(np.abs(exact - hess)) <= 1e-6 * max(1.0, np.max(np.abs(exact)))
 
-def _random_points(X, seed):
-    """Two points for each log sigma, with |X beta| of order 1."""
-    rng = np.random.default_rng(seed)
-    return np.array([
-        np.append(rng.normal(scale=0.3, size=X.shape[1]) / np.abs(X).max(axis=0),
-                  log_sigma)
-        for log_sigma in (-6.0, math.log(0.7), 1.5) for _ in range(2)])
+    @pytest.mark.parametrize("data", ["simpson", "interview"])
+    def test_warm_mode_search_matches_the_cold_one(self, data):
+        # a fit starts each search from the modes of the point it accepted
+        # last; from any other point's modes, the search ends where it does
+        # from zeros
+        obs = gen_simpson(1) if data == "simpson" else gen_interview_margins(0)
+        model, X, _, _ = _likelihood(obs)
+        points = _random_points(X, 5)
+        if data == "simpson":
+            points = np.vstack([points, FAR_FROM_OPTIMUM])
+        etas = [model.X @ theta[:-1] for theta in points]
+        sigma2s = np.exp(2.0 * points[:, -1])
+        cold = [model.modes(eta, sigma2) for eta, sigma2 in zip(etas, sigma2s)]
+        for start in cold:
+            model.u_start = start
+            for eta, sigma2, u in zip(etas, sigma2s, cold):
+                assert np.max(np.abs(model.modes(eta, sigma2) - u)) <= 1e-12
+
+    def test_quadrature_rules_are_shared_read_only(self):
+        # every model on the same node count gets the one cached rule, which
+        # no fit can write into
+        first, second = _likelihood(gen_simpson(0))[0], _likelihood(gen_simpson(1))[0]
+        assert first.nodes is second.nodes and first.log_w is second.log_w
+        assert not first.nodes.flags.writeable and not first.log_w.flags.writeable
+        with pytest.raises(ValueError):
+            first.nodes[0] = 0.0
 
 
 class TestZeroVarianceScore:
@@ -657,53 +704,6 @@ class TestZeroVarianceScore:
         score = model.zero_variance_score(beta0)
         _, grad = model.nll_grad(np.append(beta0, log_sigma))
         assert grad[-1] == pytest.approx(-math.exp(2 * log_sigma) * score, rel=1e-3)
-
-
-class TestStackedEvaluation:
-    @pytest.mark.parametrize("data", ["simpson", "interview"])
-    def test_each_row_matches_its_one_point_call(self, data):
-        obs = gen_simpson(1) if data == "simpson" else gen_interview_margins(0)
-        model, X, _, _ = _likelihood(obs)
-        stack = _random_points(X, 3)
-        nll, grad = model.nll_grad(stack)
-        assert nll.shape == (len(stack),) and grad.shape == stack.shape
-        for k, theta in enumerate(stack):
-            one_nll, one_grad = model.nll_grad(theta)
-            assert isinstance(one_nll, float) and one_grad.shape == theta.shape
-            assert abs(nll[k] - one_nll) <= 1e-12 * abs(one_nll)
-            assert np.max(np.abs(grad[k] - one_grad)) <= 1e-12 * np.max(np.abs(one_grad))
-
-    @pytest.mark.parametrize("data", ["simpson", "interview"])
-    def test_hessian_matches_one_coordinate_at_a_time(self, data):
-        obs = gen_simpson(1) if data == "simpson" else gen_interview_margins(0)
-        model, X, _, _ = _likelihood(obs)
-        for theta in _random_points(X, 4):
-            n = len(theta)
-            hess = np.empty((n, n))
-            for j in range(n):
-                step = np.zeros(n)
-                step[j] = 1e-5 * max(1.0, abs(theta[j]))
-                hess[:, j] = (model.nll_grad(theta + step)[1]
-                              - model.nll_grad(theta - step)[1]) / (2 * step[j])
-            hess = 0.5 * (hess + hess.T)
-            assert np.max(np.abs(model.nll_grad_hess(theta)[2] - hess)) <= 1e-9
-
-    @pytest.mark.parametrize("data", ["simpson", "interview"])
-    def test_warm_mode_search_matches_the_cold_one(self, data):
-        # a fit starts each search from the modes of the point it accepted
-        # last; from any other point's modes, the search ends where it does
-        # from zeros
-        obs = gen_simpson(1) if data == "simpson" else gen_interview_margins(0)
-        model, X, _, _ = _likelihood(obs)
-        points = _random_points(X, 5)
-        if data == "simpson":
-            points = np.vstack([points, FAR_FROM_OPTIMUM])
-        eta = np.einsum("np,kp->nk", model.X, points[:, :-1])
-        sigma2 = np.exp(2.0 * points[:, -1])
-        cold = model.modes(eta, sigma2)
-        for start in cold.T:
-            model.u_start = start
-            assert np.max(np.abs(model.modes(eta, sigma2) - cold)) <= 1e-12
 
 
 class TestFitFormula:
