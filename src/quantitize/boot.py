@@ -5,7 +5,11 @@ confusion counts). Each replicate redraws every unit's label from the
 distribution belonging to its observed label, recomputes the statistic of
 interest, and the spread of replicate values yields the confidence interval.
 A statistic that reads labels only as counts per cell (``CellShares``) is
-recomputed from multinomial draws of those counts instead.
+recomputed from multinomial draws of those counts instead. ``bootstrap_ci``
+hands a statistic its replicates in one of three forms: counts per cell to
+``of_counts`` (the proportions), label codes to ``of_codes`` (the stock
+``logistic:`` and ``mixed:`` plugins, ``Regression``), and label strings to
+the plugin itself (any custom plugin).
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ log = logging.getLogger(__name__)
 
 # statistic plugin: (labels, covariates) -> named outputs, each of the shape
 # ``labels.shape[:-1]``. ``labels[..., n]`` holds label strings, 1-D for the
-# point estimate and one row per replicate for a chunk; ``covariates`` maps
+# point estimate and one row per replicate for a chunk (label codes, for a
+# plugin's optional ``of_codes(codes, labels)``); ``covariates`` maps
 # each covariate name to a column aligned with the last axis, for custom
 # plugins: the stock ones bind their columns when built. Outputs named
 # ``p_*`` or ``prop_*`` are probabilities: their normal CI is clipped to [0, 1].
@@ -188,7 +193,9 @@ def bootstrap_ci(
     nothing. A statistic with ``of_counts`` (``CellShares``) takes the count
     path: multinomial draws of the counts per (cell, observed label). Any
     other takes the label path: replicate r redraws the n labels from draws
-    r*n to (r+1)*n - 1. For one seed the two paths draw other replicates
+    r*n to (r+1)*n - 1. On it a statistic with ``of_codes`` (``Regression``)
+    gets the label codes, indices into ``em.labels``, and any other the
+    label strings. For one seed the count and label paths draw other replicates
     from the same distribution. The normal CI is centered on the
     observed-label point estimate with half-width z * sigma; the percentile
     CI uses empirical replicate quantiles.
@@ -204,6 +211,13 @@ def bootstrap_ci(
                             f"for {len(codes)} labels")
     label_names = np.array(em.labels)
     of_counts = getattr(statistic, "of_counts", None)
+    of_codes = getattr(statistic, "of_codes", None)
+
+    def evaluate(sim):  # the statistic on label codes, one row or a chunk
+        if of_codes:
+            return of_codes(sim, em.labels)
+        return statistic(label_names[sim], covariates)
+
     if of_counts:
         cells = np.broadcast_to(statistic.cells, codes.shape)
         observed = np.zeros((cells.max(initial=0) + 1, len(em.labels)), dtype=np.intp)
@@ -213,7 +227,7 @@ def bootstrap_ci(
         # numpy's multinomial wants rows that sum to 1 within 1e-12
         dists = em.dists / em.dists.sum(axis=1, keepdims=True)
     else:
-        point = statistic(label_names[codes], covariates)
+        point = evaluate(codes)
         size = max(1, CHUNK_CELLS // max(len(codes), 1))
     names = list(point)
     point_row = np.array([point[n] for n in names])
@@ -233,12 +247,12 @@ def bootstrap_ci(
             else:
                 sim = simulate_replicate(codes, em, rng, len(chunk))
                 try:
-                    stat = statistic(label_names[sim], covariates)
+                    stat = evaluate(sim)
                 except Exception as err:
                     # one replicate at a time, to name the first one that fails
                     for r, row in zip(chunk, sim):
                         try:
-                            statistic(label_names[row], covariates)
+                            evaluate(row)
                         except Exception as exc:
                             raise DataError(f"statistic failed on replicate {r}: "
                                             f"{exc}") from exc
@@ -329,6 +343,42 @@ def yearly_proportion_of(label: str, years: Sequence[int]) -> CellShares:
     return CellShares(label, cells, [f"prop_{label}_{year}" for year in values])
 
 
+class Regression:
+    """Slopes ``beta_<name>`` and their Wald p-values ``p_<name>`` of the
+    logistic fit of whether each unit carries ``label``, or with ``groups``
+    (one id per unit) of the random-intercept fit, on a
+    :func:`~quantitize.stats.design_matrix` ``X`` with column ``names``. The
+    design is built once; each replicate only recodes the response.
+    ``bootstrap_ci`` passes it label codes through ``of_codes``."""
+
+    def __init__(self, label: str, X: np.ndarray, names: list[str], groups=None):
+        self.label, self.X, self.names, self.groups = label, X, names, groups
+
+    def of_codes(self, codes: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
+        """The outputs from ``codes[..., n]``, indices into ``labels``."""
+        return self._fit(codes == list(labels).index(self.label))
+
+    def __call__(self, labels, covariates):
+        return self._fit(labels == self.label)
+
+    def _fit(self, hit):
+        """The outputs of the fits of each row of the 0/1 ``hit[..., n]``."""
+        X, names = self.X, self.names
+        Y = hit.astype(float).reshape(-1, len(X))
+        if self.groups is not None:
+            fits = [fit_random_intercept(X, y, names, self.groups) for y in Y]
+            beta = np.array([theta[:-1] for theta, *_ in fits])  # log sigma is last
+            cov = np.array([c[:-1, :-1] for _, c, *_ in fits])
+        else:
+            beta, cov, _, _ = fit_logistic_stack(X, Y, names)
+        p = wald_tests(beta, cov)[2]
+        out, shape = {}, hit.shape[:-1]
+        for i, name in enumerate(names[1:], 1):  # the slopes, not the intercept
+            out[f"beta_{name}"] = beta[:, i].reshape(shape)
+            out[f"p_{name}"] = p[:, i].reshape(shape)
+        return out
+
+
 # --- statistic specs --------------------------------------------------------
 
 
@@ -407,22 +457,6 @@ def parse_statistic(spec: str, labels: Sequence[str], corpus, rows: Sequence[int
     if mixed:
         needed[formula.group] = _group
     columns = _covariate_columns(corpus, rows, needed)
-    # the design is built once; each replicate only recodes the response
     X, names = design_matrix({c: columns[c] for c in formula.covariates}, len(rows))
+    return Regression(label, X, names, columns[formula.group] if mixed else None), columns
 
-    def plugin(labels, covariates):
-        Y = (labels == label).astype(float).reshape(-1, len(X))
-        if mixed:
-            fits = [fit_random_intercept(X, y, names, columns[formula.group]) for y in Y]
-            beta = np.array([theta[:-1] for theta, *_ in fits])  # log sigma is last
-            cov = np.array([c[:-1, :-1] for _, c, *_ in fits])
-        else:
-            beta, cov, _, _ = fit_logistic_stack(X, Y, names)
-        p = wald_tests(beta, cov)[2]
-        out, shape = {}, labels.shape[:-1]
-        for i, name in enumerate(names[1:], 1):  # the slopes, not the intercept
-            out[f"beta_{name}"] = beta[:, i].reshape(shape)
-            out[f"p_{name}"] = p[:, i].reshape(shape)
-        return out
-
-    return plugin, columns

@@ -114,13 +114,16 @@ def design_matrix(columns: Mapping[str, Sequence[float]], n: int):
     return X, names
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # math.erfc on each element, as objects
+
+
 def wald_tests(beta, cov):
     """Standard errors, z and two-sided normal p-values of ``beta[..., p]``
     with covariances ``cov[..., p, p]``, for a stack of fits too."""
     se = np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, math.inf * np.sign(beta))
-    p = np.vectorize(math.erfc, otypes=[float])(np.abs(z) / math.sqrt(2))
+    p = _erfc(np.abs(z) / math.sqrt(2)).astype(float)
     return se, z, np.where(np.isfinite(z), p, 0.0)
 
 
@@ -147,7 +150,8 @@ def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
         every = len(active) == len(Y)  # then no row is copied out or back
         b, y, e, ll_old = ((beta, Y, eta, ll) if every else
                            (beta[active], Y[active], eta[active], ll[active]))
-        mu = expit(e)
+        # at beta = 0 every mu is 1/2, so one information matrix serves all rows
+        mu = expit(e) if it > 1 else np.full((1, len(X)), 0.5)
         info = _information(X, XT, mu)
         try:
             step = np.linalg.solve(info, np.matmul(X.T, (y - mu)[..., None]))[..., 0]
@@ -182,7 +186,10 @@ def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
     else:
         raise DataError(f"IRLS did not converge in {IRLS_MAX_ITER} iterations")
     mu = expit(eta)
-    cov = np.linalg.inv(_information(X, XT, mu))
+    try:
+        cov = np.linalg.inv(_information(X, XT, mu))
+    except np.linalg.LinAlgError:
+        raise DataError("singular information matrix during IRLS")
     # a separated fit stops when its log-likelihood stops changing, while one
     # more Newton step would still move its logits by about 1, not by ~0
     if (np.abs(X @ (cov @ (X.T @ (Y - mu)[..., None]))) > MAX_FINAL_STEP).any():

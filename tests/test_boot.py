@@ -1,4 +1,6 @@
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -573,3 +575,79 @@ class TestChunks:
         with pytest.raises(DataError, match="replicates 0-4 but on none alone"):
             bootstrap_ci(["A", "B"] * 10, {}, em, first,
                          BootstrapConfig(n_replicates=5))
+
+
+class TestLabelCodes:
+    """The stock regression plugins read replicates as label codes
+    (``of_codes``); custom plugins read label strings."""
+
+    THREE = ErrorModel(("A", "B", "C"), np.array([[0.8, 0.15, 0.05],
+                                                  [0.1, 0.75, 0.15],
+                                                  [0.2, 0.3, 0.5]]))
+    TWO = ErrorModel(("yes", "no"), np.array([[0.85, 0.15], [0.1, 0.9]]))
+
+    def logistic_case(self):
+        """``logistic:B ~ age``: the response is the middle label of three."""
+        rng = np.random.default_rng(21)
+        units = [Unit(f"u{i}", "text", meta={"age": float(rng.normal(40, 9))})
+                 for i in range(80)]
+        labels = rng.choice(self.THREE.labels, len(units), p=[0.3, 0.45, 0.25])
+        return "logistic:B ~ age", self.THREE, units, labels.tolist()
+
+    def mixed_case(self):
+        """``mixed:yes ~ age + (1|school)`` on two labels, "yes" first."""
+        obs = gen_simpson(1)
+        units = [Unit(f"u{i}", "text", groups={"school": o.group},
+                      meta={"age": o.covariates["age"]}) for i, o in enumerate(obs)]
+        labels = ["yes" if o.response else "no" for o in obs]
+        return "mixed:yes ~ age + (1|school)", self.TWO, units, labels
+
+    # sha256 of boot.json then replicates.csv, taken while the plugins still
+    # compared label strings: how a label maps to its code moves no byte
+    @pytest.mark.parametrize("case, replicates, digest", [
+        ("logistic_case", 40,
+         "6c544dcc797d0b7fcb88e98250fa1fca7e27168040cda46178fabacb546282b7"),
+        ("mixed_case", 12,
+         "5ef09a4a634c5c742801544cf6d2dd19d9c39e154fec47361b4b27ad66a07ec2"),
+    ])
+    def test_bootstrap_bytes_are_pinned(self, case, replicates, digest, tmp_path):
+        spec, em, units, labels = getattr(self, case)()
+        plugin, columns = parse_over(spec, em.labels, units)
+        result = bootstrap_ci(labels, columns, em, plugin,
+                              BootstrapConfig(n_replicates=replicates, seed=6),
+                              keep_replicates=True)
+        result.to_json(tmp_path / "boot.json")
+        result.replicates_to_csv(tmp_path / "replicates.csv")
+        written = ((tmp_path / "boot.json").read_bytes()
+                   + (tmp_path / "replicates.csv").read_bytes())
+        assert hashlib.sha256(written).hexdigest() == digest
+
+    @pytest.mark.parametrize("case", ["logistic_case", "mixed_case"])
+    def test_codes_give_the_outputs_of_label_rows(self, case):
+        spec, em, units, labels = getattr(self, case)()
+        plugin, columns = parse_over(spec, em.labels, units)
+        codes = np.array([em.labels.index(l) for l in labels])
+        sim = simulate_replicate(codes, em, np.random.default_rng(3), 4)
+        for rows in (sim[0], sim):  # a point estimate's row, then a chunk
+            want = plugin(np.array(em.labels)[rows], columns)
+            got = plugin.of_codes(rows, em.labels)
+            assert list(got) == list(want)
+            for name, column in want.items():
+                assert got[name].shape == column.shape == rows.shape[:-1]
+                assert got[name].tobytes() == column.tobytes(), name
+
+    def test_separating_replicate_is_named_on_the_code_path(self):
+        # as test_separating_replicate_is_named_exactly, with a plugin that
+        # has of_codes alone, so bootstrap_ci cannot take the label path
+        obs = gen_confound(0)[::8]
+        units = [Unit(f"u{i}", "text", meta=dict(o.covariates))
+                 for i, o in enumerate(obs)]
+        em = ErrorModel(("yes", "no"), np.array([[0.8, 0.2], [0.2, 0.8]]))
+        plugin, columns = parse_over("logistic:yes ~ campus + age", em.labels, units)
+        codes_only = SimpleNamespace(of_codes=plugin.of_codes)
+        with pytest.raises(DataError) as exc:
+            bootstrap_ci(["yes" if o.response else "no" for o in obs], columns,
+                         em, codes_only, BootstrapConfig(n_replicates=2000, seed=0))
+        assert str(exc.value) == (
+            "statistic failed on replicate 358: logistic fit did not converge "
+            "(quasi-separation): ['(Intercept)']")

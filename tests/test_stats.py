@@ -314,6 +314,26 @@ class TestLogisticStack:
         with pytest.raises(DataError, match=singular):
             fit_logistic_arrays(X, balanced, names)
 
+    def test_a_row_singular_only_at_the_covariance_fails_the_same_way(self,
+                                                                      monkeypatch):
+        # rows 1 and 2 converge at beta = 0 on the first step and row 0 takes
+        # more; row 1's means saturate only on the one call over all three
+        # rows once row 0 has moved, the covariance's, not in any IRLS solve
+        x = np.tile([0.0, 1.0], 20)
+        X, names = design_matrix({"x": x}, len(x))
+        balanced = np.tile([0.0, 1.0, 1.0, 0.0], 10)
+        slow = np.tile([0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0], 5)
+
+        def saturating_expit(eta):
+            mu = expit(eta)
+            if len(eta) == 3 and eta.any():
+                mu[1] = 1.0
+            return mu
+
+        monkeypatch.setattr(stats, "expit", saturating_expit)
+        with pytest.raises(DataError, match="^singular information matrix during IRLS$"):
+            fit_logistic_stack(X, np.array([slow, balanced, balanced]), names)
+
 
 class TestLog1pExp:
     def test_agrees_with_logaddexp_within_4_ulp(self):
