@@ -4,12 +4,13 @@ The error model holds one probability distribution per label (row-normalized
 confusion counts). Each replicate redraws every unit's label from the
 distribution belonging to its observed label, recomputes the statistic of
 interest, and the spread of replicate values yields the confidence interval.
-A statistic that reads labels only as counts per cell (``CellShares``) is
-recomputed from multinomial draws of those counts instead. ``bootstrap_ci``
-hands a statistic its replicates in one of three forms: counts per cell to
-``of_counts`` (the proportions), label codes to ``of_codes`` (the stock
-``logistic:`` and ``mixed:`` plugins, ``Regression``), and label strings to
-the plugin itself (any custom plugin).
+``bootstrap_ci`` hands a statistic its replicates in one of three forms,
+picked once: counts per cell to ``of_counts`` (``CellShares``, the
+proportions, drawn as multinomial counts), label codes to ``of_codes``
+(``Regression``, the stock ``logistic:`` and ``mixed:`` plugins), and label
+strings to the plugin itself (any custom plugin). One chunk loop draws and
+evaluates every form, names the first replicate that fails, and keeps
+every replicate's values.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import NormalDist
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .agreement import ConfusionMatrix
+from .corpus import as_text
 from .errors import ConfigError, DataError
 from .jsonio import write_csv, write_json
 from .stats import (design_matrix, fit_logistic_stack, fit_random_intercept, parse_formula,
@@ -33,11 +35,13 @@ log = logging.getLogger(__name__)
 
 # statistic plugin: (labels, covariates) -> named outputs, each of the shape
 # ``labels.shape[:-1]``. ``labels[..., n]`` holds label strings, 1-D for the
-# point estimate and one row per replicate for a chunk (label codes, for a
-# plugin's optional ``of_codes(codes, labels)``); ``covariates`` maps
+# point estimate and one row per replicate for a chunk; ``covariates`` maps
 # each covariate name to a column aligned with the last axis, for custom
-# plugins: the stock ones bind their columns when built. Outputs named
-# ``p_*`` or ``prop_*`` are probabilities: their normal CI is clipped to [0, 1].
+# plugins: the stock ones bind their columns when built. A plugin may take
+# its replicates in another form instead: label codes through
+# ``of_codes(codes, labels)``, or counts per cell of the units' ``cells``
+# through ``of_counts(counts, labels)``. Outputs named ``p_*`` or ``prop_*``
+# are probabilities: their normal CI is clipped to [0, 1].
 StatisticPlugin = Callable[[np.ndarray, Mapping[str, np.ndarray]], dict[str, np.ndarray]]
 
 CHUNK_CELLS = 2**14  # labels, or counts, drawn per chunk: more costs memory, no time
@@ -158,7 +162,7 @@ class StatisticSummary:
 class BootstrapResult:
     statistics: dict[str, StatisticSummary]
     config: BootstrapConfig
-    replicates: Optional[np.ndarray] = field(default=None, repr=False)
+    replicates: np.ndarray = field(repr=False)
     replicate_names: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -171,8 +175,6 @@ class BootstrapResult:
         write_json(path, self.to_dict())
 
     def replicates_to_csv(self, path: Union[str, Path]) -> None:
-        if self.replicates is None:
-            raise ConfigError("replicates were not retained")
         write_csv(path, ["replicate", *self.replicate_names],
                   ([i, *(repr(float(v)) for v in row)]
                    for i, row in enumerate(self.replicates)))
@@ -184,21 +186,21 @@ def bootstrap_ci(
     em: ErrorModel,
     statistic: StatisticPlugin,
     config: BootstrapConfig = BootstrapConfig(),
-    keep_replicates: bool = False,
 ) -> BootstrapResult:
     """Run the simulate-and-recompute loop and summarize the spread.
 
     Every column in ``covariates`` must have one value per label. Replicates
     are drawn in order from one ``default_rng(seed)``, so chunking changes
-    nothing. A statistic with ``of_counts`` (``CellShares``) takes the count
-    path: multinomial draws of the counts per (cell, observed label). Any
-    other takes the label path: replicate r redraws the n labels from draws
-    r*n to (r+1)*n - 1. On it a statistic with ``of_codes`` (``Regression``)
-    gets the label codes, indices into ``em.labels``, and any other the
-    label strings. For one seed the count and label paths draw other replicates
-    from the same distribution. The normal CI is centered on the
-    observed-label point estimate with half-width z * sigma; the percentile
-    CI uses empirical replicate quantiles.
+    nothing. The statistic's form is picked once: one with ``of_counts``
+    (``CellShares``) gets multinomial draws of the counts per (cell, observed
+    label); any other gets replicate r's labels redrawn from draws r*n to
+    (r+1)*n - 1, as codes (indices into ``em.labels``) through ``of_codes``
+    (``Regression``) or else as strings. For one seed the two draws give
+    other replicates from the same distribution. A chunk that fails is
+    re-run one replicate at a time to name the first that fails. The normal
+    CI is centered on the observed-label point estimate with half-width
+    z * sigma; the percentile CI uses empirical replicate quantiles. The
+    result holds every replicate's values.
     """
     index = {l: i for i, l in enumerate(em.labels)}
     try:
@@ -209,30 +211,29 @@ def bootstrap_ci(
         if len(column) != len(codes):
             raise DataError(f"covariate {name!r} has {len(column)} values "
                             f"for {len(codes)} labels")
-    label_names = np.array(em.labels)
-    of_counts = getattr(statistic, "of_counts", None)
-    of_codes = getattr(statistic, "of_codes", None)
-
-    def evaluate(sim):  # the statistic on label codes, one row or a chunk
-        if of_codes:
-            return of_codes(sim, em.labels)
-        return statistic(label_names[sim], covariates)
-
-    if of_counts:
+    rng = np.random.default_rng(config.seed)
+    if hasattr(statistic, "of_counts"):
         cells = np.broadcast_to(statistic.cells, codes.shape)
         observed = np.zeros((cells.max(initial=0) + 1, len(em.labels)), dtype=np.intp)
         np.add.at(observed, (cells, codes), 1)  # observed[cell, label]
-        point = of_counts(observed, em.labels)
-        size = max(1, CHUNK_CELLS // (observed.size * len(em.labels)))
         # numpy's multinomial wants rows that sum to 1 within 1e-12
         dists = em.dists / em.dists.sum(axis=1, keepdims=True)
+        size = max(1, CHUNK_CELLS // (observed.size * len(em.labels)))
+        form = statistic.of_counts
+
+        def draw(rows):
+            return rng.multinomial(observed, dists, size=(rows, *observed.shape)).sum(-2)
     else:
-        point = evaluate(codes)
-        size = max(1, CHUNK_CELLS // max(len(codes), 1))
+        observed, size = codes, max(1, CHUNK_CELLS // max(len(codes), 1))
+        form = getattr(statistic, "of_codes", None) or (
+            lambda sim, labels: statistic(np.array(labels)[sim], covariates))
+
+        def draw(rows):
+            return simulate_replicate(codes, em, rng, rows)
+    point = form(observed, em.labels)
     names = list(point)
     point_row = np.array([point[n] for n in names])
     values = np.empty((config.n_replicates, len(names)))
-    rng = np.random.default_rng(config.seed)
     if em.is_identity:
         # every replicate redraws the observed labels verbatim, so the
         # statistic is constant across replicates by construction
@@ -240,24 +241,19 @@ def bootstrap_ci(
     else:
         for start in range(0, config.n_replicates, size):
             chunk = range(start, min(start + size, config.n_replicates))
-            if of_counts:
-                drawn = rng.multinomial(observed, dists,
-                                        size=(len(chunk), *observed.shape))
-                stat = of_counts(drawn.sum(axis=-2), em.labels)
-            else:
-                sim = simulate_replicate(codes, em, rng, len(chunk))
-                try:
-                    stat = evaluate(sim)
-                except Exception as err:
-                    # one replicate at a time, to name the first one that fails
-                    for r, row in zip(chunk, sim):
-                        try:
-                            evaluate(row)
-                        except Exception as exc:
-                            raise DataError(f"statistic failed on replicate {r}: "
-                                            f"{exc}") from exc
-                    raise DataError(f"statistic failed on replicates {chunk.start}-"
-                                    f"{chunk.stop - 1} but on none alone: {err}") from err
+            sim = draw(len(chunk))
+            try:
+                stat = form(sim, em.labels)
+            except Exception as err:
+                # one replicate at a time, to name the first one that fails
+                for r, row in zip(chunk, sim):
+                    try:
+                        form(row, em.labels)
+                    except Exception as exc:
+                        raise DataError(f"statistic failed on replicate {r}: "
+                                        f"{exc}") from exc
+                raise DataError(f"statistic failed on replicates {chunk.start}-"
+                                f"{chunk.stop - 1} but on none alone: {err}") from err
             for j, name in enumerate(names):
                 column = np.asarray(stat[name])
                 if column.shape != (len(chunk),):
@@ -295,7 +291,7 @@ def bootstrap_ci(
     return BootstrapResult(
         statistics=summaries,
         config=config,
-        replicates=values if keep_replicates else None,
+        replicates=values,
         replicate_names=tuple(names),
     )
 
@@ -305,9 +301,9 @@ def bootstrap_ci(
 
 class CellShares:
     """Share of ``label`` among the units of each cell, named ``names[c]``
-    for cell c; ``cells`` holds each unit's cell (0: one cell for all). On
-    label rows it is a plugin like any other; ``bootstrap_ci`` draws its
-    replicates as counts per cell and calls ``of_counts`` on them."""
+    for cell c; ``cells`` holds each unit's cell (0: one cell for all).
+    ``of_counts`` is its one formula: ``bootstrap_ci`` draws its replicates
+    as counts per cell, and label rows are counted per cell first."""
 
     def __init__(self, label: str, cells, names: Sequence[str]):
         self.label = label
@@ -327,8 +323,9 @@ class CellShares:
         # each row's cells numbered apart, so one count covers the chunk
         index = cells + m * np.arange(math.prod(hit.shape[:-1]))[:, None]
         hits = np.bincount(index.ravel(), hit.ravel(), len(index) * m)
-        hits = hits.reshape(hit.shape[:-1] + (m,)) / np.bincount(cells, minlength=m)
-        return dict(zip(self.names, np.moveaxis(hits, -1, 0)))
+        hits = hits.reshape(hit.shape[:-1] + (m,))
+        counts = np.stack([hits, np.bincount(cells, minlength=m) - hits], axis=-1)
+        return self.of_counts(counts, (self.label, None))  # None: any other label
 
 
 def proportion_of(label: str) -> CellShares:
@@ -348,8 +345,9 @@ class Regression:
     logistic fit of whether each unit carries ``label``, or with ``groups``
     (one id per unit) of the random-intercept fit, on a
     :func:`~quantitize.stats.design_matrix` ``X`` with column ``names``. The
-    design is built once; each replicate only recodes the response.
-    ``bootstrap_ci`` passes it label codes through ``of_codes``."""
+    design is built once, and each chunk of replicates is one engine call on
+    the stack of its responses, so a mixed fit sorts it by group once a
+    chunk. ``bootstrap_ci`` passes it label codes through ``of_codes``."""
 
     def __init__(self, label: str, X: np.ndarray, names: list[str], groups=None):
         self.label, self.X, self.names, self.groups = label, X, names, groups
@@ -365,12 +363,8 @@ class Regression:
         """The outputs of the fits of each row of the 0/1 ``hit[..., n]``."""
         X, names = self.X, self.names
         Y = hit.astype(float).reshape(-1, len(X))
-        if self.groups is not None:
-            fits = [fit_random_intercept(X, y, names, self.groups) for y in Y]
-            beta = np.array([theta[:-1] for theta, *_ in fits])  # log sigma is last
-            cov = np.array([c[:-1, :-1] for _, c, *_ in fits])
-        else:
-            beta, cov, _, _ = fit_logistic_stack(X, Y, names)
+        beta, cov, *_ = (fit_logistic_stack(X, Y, names) if self.groups is None
+                         else fit_random_intercept(X, Y, names, self.groups))
         p = wald_tests(beta, cov)[2]
         out, shape = {}, hit.shape[:-1]
         for i, name in enumerate(names[1:], 1):  # the slopes, not the intercept
@@ -389,14 +383,6 @@ def _whole(value) -> int:
     if isinstance(value, bool) or whole != float(value):
         raise ValueError(value)
     return whole
-
-
-def _group(value) -> str:
-    """``value`` as a group name: a string, or a number written as one,
-    but not null or a bool."""
-    if value is None or isinstance(value, bool):
-        raise ValueError(value)
-    return str(value)
 
 
 def _covariate_columns(corpus, rows: Sequence[int], needed: dict) -> dict:
@@ -455,7 +441,7 @@ def parse_statistic(spec: str, labels: Sequence[str], corpus, rows: Sequence[int
         raise ConfigError("a mixed statistic needs a (1|group) term")
     needed = dict.fromkeys(formula.covariates, float)
     if mixed:
-        needed[formula.group] = _group
+        needed[formula.group] = as_text
     columns = _covariate_columns(corpus, rows, needed)
     X, names = design_matrix({c: columns[c] for c in formula.covariates}, len(rows))
     return Regression(label, X, names, columns[formula.group] if mixed else None), columns

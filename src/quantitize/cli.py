@@ -243,8 +243,7 @@ def cmd_bootstrap(args) -> int:
         ci_method=args.ci_method,
         level=args.level,
     )
-    result = bootstrap_ci([annset.labels[i] for i in ok], columns, em, statistic,
-                          config, keep_replicates=args.replicates_csv is not None)
+    result = bootstrap_ci([annset.labels[i] for i in ok], columns, em, statistic, config)
     out = Path(args.out)
     result.to_json(out)
     if args.replicates_csv:

@@ -10,6 +10,7 @@ against it at ingestion time.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import re
 import string
@@ -304,10 +305,25 @@ def _synth_id(i: int) -> str:
     return f"u{i + 1:06d}"
 
 
-def _str_dict(obj: dict, key: str, refuse=()) -> dict:
-    """The JSON object ``obj[key]`` with every value a string: the parsed
-    dict itself when they all are already. A value of a type in ``refuse``
-    is a DataError."""
+def as_text(value) -> str:
+    """``value`` as text: a string, or a number written as one. Anything
+    else, null, a bool, a list or an object, is a ValueError saying so."""
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise ValueError(f"must be a string or a number, got {json.dumps(value)}")
+
+
+def _field_text(name: str, value) -> str:
+    """:func:`as_text` of the corpus value ``name``, a DataError naming it."""
+    try:
+        return as_text(value)
+    except ValueError as exc:
+        raise DataError(f"{name} {exc}") from None
+
+
+def _str_dict(obj: dict, key: str) -> dict:
+    """The JSON object ``obj[key]`` with every value :func:`as_text`: the
+    parsed dict itself when they all are strings already."""
     d = obj[key]
     if type(d) is not dict:
         raise DataError(f"{key} must be a JSON object")
@@ -316,24 +332,23 @@ def _str_dict(obj: dict, key: str, refuse=()) -> dict:
             break
     else:
         return d
-    for k, v in d.items():
-        if type(v) in refuse:
-            raise DataError(f"{key} value {k!r} must be a string or a number, "
-                            f"got {'null' if v is None else str(v).lower()}")
-    return {k: str(v) for k, v in d.items()}
+    return {k: _field_text(f"{key} value {k!r}", v) for k, v in d.items()}
 
 
 def _read_jsonl_columns(path) -> tuple[list, ...]:
     """The id, text, groups, meta and gold columns of a JSONL corpus, one
     unit object per line, decoded straight into them: an id (synthesized
-    when missing, a string otherwise), a non-blank text, groups of strings
-    or numbers, a meta object and an optional gold object."""
+    when missing, a string otherwise), a non-blank text, groups, a meta
+    object and an optional gold object. Text, group and gold values are
+    each :func:`as_text`."""
     texts, groups, metas, golds = [], [], [], []
 
     def build(obj, i):
         uid = obj["id"] if "id" in obj else _synth_id(i)
-        text = str(obj["text"])
-        group = _str_dict(obj, "groups", (type(None), bool)) if "groups" in obj else {}
+        text = obj["text"]
+        if type(text) is not str:
+            text = _field_text("text", text)
+        group = _str_dict(obj, "groups") if "groups" in obj else {}
         meta = obj.get("meta", {})
         if type(meta) is not dict:
             raise DataError("meta must be a JSON object")
@@ -351,6 +366,15 @@ def _read_jsonl_columns(path) -> tuple[list, ...]:
     return read_jsonl(path, build), texts, groups, metas, golds
 
 
+def _finite_float(cell: str) -> float:
+    """A CSV cell as a float; nan and infinities are a ValueError, since a
+    JSON corpus cannot hold them."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
 @dataclass(frozen=True)
 class CsvMapping:
     """Column-to-field mapping for CSV ingestion.
@@ -364,7 +388,7 @@ class CsvMapping:
     group_columns: dict[str, str] = field(default_factory=dict)  # role -> column
     meta_columns: dict[str, str] = field(default_factory=dict)  # column -> type
     gold_columns: dict[str, str] = field(default_factory=dict)  # variable -> column
-    _TYPES = {"int": int, "float": float, "str": str,  # not a field: no annotation
+    _TYPES = {"int": int, "float": _finite_float, "str": str,  # not a field: no annotation
               "bool": lambda value: value.strip().lower() in ("1", "true", "yes")}
 
     def __post_init__(self):

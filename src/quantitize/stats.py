@@ -1,8 +1,8 @@
 """Regression engine for quantified annotations.
 
-Two engines take a :func:`design_matrix` and return arrays: logistic
-regression by iteratively reweighted least squares, for a stack of
-responses at once (:func:`fit_logistic_stack`), and a random-intercept
+Two engines take a :func:`design_matrix` and a stack of 0/1 responses and
+return arrays, one fit per row: logistic regression by iteratively
+reweighted least squares (:func:`fit_logistic_stack`), and a random-intercept
 extension whose marginal likelihood is integrated per group with adaptive
 Gauss-Hermite quadrature (:func:`fit_random_intercept`). :func:`fit_formula`,
 on a formula and one column per name, is the one place that builds a
@@ -13,8 +13,8 @@ projected Newton steps on that Hessian, log sigma kept in its box, and
 scores each point it tries by one such pass; it reports whether the
 intercept SD ended on its bound. Inference is Wald: standard errors from
 the inverse observed information, two-sided normal p-values. Both engines
-sum log(1 + e^t) by :func:`log1p_exp`, and each IRLS fit in a stack keeps
-the bits of a fit on its own.
+sum log(1 + e^t) by :func:`log1p_exp`, and each fit in a stack keeps the
+bits of a fit on its own.
 """
 
 from __future__ import annotations
@@ -268,13 +268,17 @@ class _MarginalLikelihood:
         if not 1 <= n_quad <= MAX_QUAD:
             raise ConfigError(f"need 1 to {MAX_QUAD} quadrature nodes, got {n_quad}")
         _, group_index = np.unique(np.asarray(groups), return_inverse=True)
-        order = np.argsort(group_index, kind="stable")
-        self.X = X[order]
+        self.order = np.argsort(group_index, kind="stable")
+        self.X = X[self.order]
         self.XX = self.X[:, :, None] * self.X[:, None, :]  # each row's x x'
-        self.y = y[order]
-        self.group = group_index[order]
+        self.group = group_index[self.order]
         self.starts = np.flatnonzero(np.r_[True, np.diff(self.group) != 0])
         self.nodes, self.log_w = _gauss_hermite(n_quad)
+        self.respond(y)
+
+    def respond(self, y):
+        """Fit the 0/1 ``y``, in the caller's row order; modes start at zeros."""
+        self.y = y[self.order]
         self.u_start = self.u_hat = np.zeros(len(self.starts))
 
     def _sum(self, a):
@@ -460,55 +464,57 @@ def _line_search(model, theta, nll, grad, step, bound):
     return None
 
 
-def fit_random_intercept(X, y, names, groups, n_quad=N_QUAD):
+def fit_random_intercept(X, Y, names, groups, n_quad=N_QUAD):
     """Mixed logistic regression with one normal random intercept per group,
-    on a :func:`design_matrix` ``X`` with column ``names``, a 0/1 response
-    and one group id per row: theta = (beta, log sigma), its covariance (the
-    inverse observed information), the log-likelihood and the Newton steps.
+    for each 0/1 row of ``Y`` (R x n) on a :func:`design_matrix` ``X`` with
+    column ``names`` and one group id per column: beta, its block of the
+    inverse observed information in (beta, log sigma), the log-likelihood,
+    the Newton steps and log sigma, one of each per row, all from one
+    :class:`_MarginalLikelihood`. A row that fails raises its DataError.
 
-    Projected Newton over theta on the exact Hessian, at most
-    ``NEWTON_MAX_ITER`` steps, starts at the fixed-effects fit beta0; the
-    covariance inverts that Hessian at the returned point. If the
-    zero-variance score at beta0 is negative, a step lowering log sigma
-    first tries (beta0, lower bound).
-    Mode searches start at the last accepted point's modes. The fit is
+    Projected Newton over theta = (beta, log sigma) on the exact Hessian, at
+    most ``NEWTON_MAX_ITER`` steps, starts at the fixed-effects fit beta0,
+    mode searches at zeros. If the zero-variance score at beta0 is negative,
+    a step lowering log sigma first tries (beta0, lower bound). A fit is
     accepted only when the predicted decrease at the returned point is below
-    ``CONVERGENCE_TOL``; otherwise it raises :class:`DataError`.
+    ``CONVERGENCE_TOL``.
     """
-    model = _MarginalLikelihood(X, y, groups, n_quad)
+    model = _MarginalLikelihood(X, Y[0], groups, n_quad)
     if len(model.starts) < 2:
         raise DataError("random-intercept variance needs at least 2 groups")
-
-    # warm start from the fixed fit (sigma = 0); zeros, and no bound, on separation
-    try:
-        beta0 = fit_logistic_stack(X, y[None], names)[0][0]
-    except DataError:
-        beta0, bound = np.zeros(X.shape[1]), None
-    else:
-        bound = (np.append(beta0, LOG_SIGMA_BOUNDS[0])
-                 if model.zero_variance_score(beta0) < 0 else None)
-    theta = np.append(beta0, math.log(0.5))
-
-    nll, grad, hess = model.nll_grad_hess(theta)
-    for n_iter in range(NEWTON_MAX_ITER + 1):  # n_iter: the steps taken so far
-        model.u_start = model.u_hat  # theta's modes: theta led the last call
-        step, decrement = _newton_step(grad, hess, theta[-1])
-        if not -0.5 * float(grad @ step) > NEWTON_TOL or n_iter == NEWTON_MAX_ITER:
-            break
-        moved = _line_search(model, theta, nll, grad, step, bound)
-        if moved is None:
-            break
-        theta, nll, grad, hess = moved
-    if not decrement <= CONVERGENCE_TOL:
-        raise DataError(
-            f"mixed fit did not converge in {n_iter} Newton iterations: predicted "
-            f"decrease {decrement:.3g} at the returned point")
-    try:
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        raise DataError("mixed fit: the observed information is singular, so "
-                        "there are no Wald standard errors") from None
-    return theta, cov, -nll, n_iter
+    fits = []
+    for y in Y:
+        model.respond(y)
+        # warm start from the fixed fit (sigma = 0); zeros, and no bound, on separation
+        try:
+            beta0 = fit_logistic_stack(X, y[None], names)[0][0]
+        except DataError:
+            beta0, bound = np.zeros(X.shape[1]), None
+        else:
+            bound = (np.append(beta0, LOG_SIGMA_BOUNDS[0])
+                     if model.zero_variance_score(beta0) < 0 else None)
+        theta = np.append(beta0, math.log(0.5))
+        nll, grad, hess = model.nll_grad_hess(theta)
+        for n_iter in range(NEWTON_MAX_ITER + 1):  # n_iter: the steps taken so far
+            model.u_start = model.u_hat  # theta's modes: theta led the last call
+            step, decrement = _newton_step(grad, hess, theta[-1])
+            if not -0.5 * float(grad @ step) > NEWTON_TOL or n_iter == NEWTON_MAX_ITER:
+                break
+            moved = _line_search(model, theta, nll, grad, step, bound)
+            if moved is None:
+                break
+            theta, nll, grad, hess = moved
+        if not decrement <= CONVERGENCE_TOL:
+            raise DataError(
+                f"mixed fit did not converge in {n_iter} Newton iterations: predicted "
+                f"decrease {decrement:.3g} at the returned point")
+        try:
+            cov = np.linalg.inv(hess)
+        except np.linalg.LinAlgError:
+            raise DataError("mixed fit: the observed information is singular, so "
+                            "there are no Wald standard errors") from None
+        fits.append((theta[:-1], cov[:-1, :-1], -nll, n_iter, theta[-1]))
+    return tuple(map(np.array, zip(*fits)))
 
 
 # --- formulas --------------------------------------------------------------
@@ -567,15 +573,13 @@ def fit_formula(formula: Formula, columns: Mapping[str, Sequence],
     if not np.isin(y, (0.0, 1.0)).all():
         raise DataError(f"response {formula.response!r} must be 0 or 1")
     X, names = design_matrix({c: columns[c] for c in formula.covariates}, len(y))
-    mixed = {}
     if formula.mixed:
-        theta, cov, ll, n_iter = fit_random_intercept(X, y, names, columns[formula.group],
-                                                      n_quad)
-        beta, cov, log_sigma = theta[:-1], cov[:-1, :-1], theta[-1]
-        mixed = dict(sigma_u=math.exp(log_sigma), n_quad=n_quad,
-                     boundary=not LOG_SIGMA_BOUNDS[0] < log_sigma < LOG_SIGMA_BOUNDS[1])
+        fit = fit_random_intercept(X, y[None], names, columns[formula.group], n_quad)
+        mixed = dict(sigma_u=math.exp(fit[4][0]), n_quad=n_quad,
+                     boundary=not LOG_SIGMA_BOUNDS[0] < fit[4][0] < LOG_SIGMA_BOUNDS[1])
     else:
-        beta, cov, ll, n_iter = (a[0] for a in fit_logistic_stack(X, y[None], names))
+        fit, mixed = fit_logistic_stack(X, y[None], names), {}
+    beta, cov, ll, n_iter = (a[0] for a in fit[:4])
     wald = zip(beta, *wald_tests(beta, cov))  # estimate, standard error, z, p
     return FitResult({name: Coefficient(*map(float, w)) for name, w in zip(names, wald)},
                      log_likelihood=float(ll), converged=True, n_iter=int(n_iter),

@@ -283,6 +283,15 @@ class TestParseStatistic:
             parse_over("mixed:A ~ age + (1|school)", ("A", "B"), units)
         assert str(exc.value) == "unit 'b' has no usable value for covariate 'school'"
 
+    @pytest.mark.parametrize("school", [["g"], {"g": 1}])
+    def test_group_that_is_a_list_or_an_object_is_a_data_error(self, school):
+        # read as the corpus reads a group: a string, or a number written as one
+        units = [Unit("a", "text", meta={"age": 30.0, "school": "g"}),
+                 Unit("b", "text", meta={"age": 40.0, "school": school})]
+        with pytest.raises(DataError) as exc:
+            parse_over("mixed:A ~ age + (1|school)", ("A", "B"), units)
+        assert str(exc.value) == "unit 'b' has no usable value for covariate 'school'"
+
 
 class TestBootstrapCi:
     def test_identity_model_gives_zero_width(self):
@@ -368,7 +377,6 @@ class TestBootstrapCi:
         result = bootstrap_ci(
             labels, {}, em, proportion_of("A"),
             BootstrapConfig(n_replicates=2000, seed=2, ci_method="percentile"),
-            keep_replicates=True,
         )
         s = result.statistics["prop_A"]
         inside = ((result.replicates[:, 0] >= s.ci_low)
@@ -387,6 +395,28 @@ class TestBootstrapCi:
         with pytest.raises(DataError, match="replicate 0"):
             bootstrap_ci(["A", "B"], {}, em, fragile,
                          BootstrapConfig(n_replicates=5, seed=0))
+
+    def test_count_statistic_failure_names_replicate(self):
+        # a count-form plugin's failing replicate is named as a label
+        # plugin's is: the first replicate with the fewest A, of one chunk
+        em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
+        labels, config = ["A"] * 50 + ["B"] * 50, BootstrapConfig(n_replicates=300)
+        shares = bootstrap_ci(labels, {}, em, proportion_of("A"), config).replicates
+        counts_of_a = np.round(shares[:, 0] * 100)
+        fewest = counts_of_a.min()
+        failing = int(np.flatnonzero(counts_of_a == fewest)[0])
+
+        class Fragile:
+            cells = 0
+
+            def of_counts(self, counts, labels):
+                if (counts[..., 0, 0] == fewest).any():
+                    raise ValueError("boom")
+                return {"n_A": counts[..., 0, 0]}
+
+        with pytest.raises(DataError) as exc:
+            bootstrap_ci(labels, {}, em, Fragile(), config)
+        assert str(exc.value) == f"statistic failed on replicate {failing}: boom"
 
     def test_covariate_length_must_match_labels(self):
         with pytest.raises(DataError, match="'age' has 3 values for 4 labels"):
@@ -515,8 +545,7 @@ class TestChunks:
             monkeypatch.setattr(boot, "CHUNK_CELLS", rows * n)
             plugin, columns = parse_over(spec, em.labels, units)
             result = bootstrap_ci(labels, columns, em, plugin,
-                                  BootstrapConfig(n_replicates=30, seed=2),
-                                  keep_replicates=True)
+                                  BootstrapConfig(n_replicates=30, seed=2))
             result.to_json(tmp_path / "boot.json")
             result.replicates_to_csv(tmp_path / "replicates.csv")
             written.add((tmp_path / "boot.json").read_bytes()
@@ -614,8 +643,7 @@ class TestLabelCodes:
         spec, em, units, labels = getattr(self, case)()
         plugin, columns = parse_over(spec, em.labels, units)
         result = bootstrap_ci(labels, columns, em, plugin,
-                              BootstrapConfig(n_replicates=replicates, seed=6),
-                              keep_replicates=True)
+                              BootstrapConfig(n_replicates=replicates, seed=6))
         result.to_json(tmp_path / "boot.json")
         result.replicates_to_csv(tmp_path / "replicates.csv")
         written = ((tmp_path / "boot.json").read_bytes()

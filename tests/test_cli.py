@@ -543,6 +543,42 @@ class TestExitCodes:
                     "--out", tmp_path / "out.jsonl"]) == 3
         assert f"c.jsonl, {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "b", "text": null}',
+         "line 2: text must be a string or a number, got null"),
+        ('{"id": "b", "text": false}',
+         "line 2: text must be a string or a number, got false"),
+        ('{"id": "b", "text": ["x"]}',
+         'line 2: text must be a string or a number, got ["x"]'),
+        ('{"id": "b", "text": "x", "gold": {"t": null}}',
+         "line 2: gold value 't' must be a string or a number, got null"),
+        ('{"id": "b", "text": "x", "groups": {"school": {"n": 1}}}',
+         "line 2: groups value 'school' must be a string or a number, "
+         'got {"n": 1}'),
+    ], ids=["text-null", "text-bool", "text-list", "gold-null", "group-object"])
+    def test_corpus_value_that_is_no_string_or_number_is_3(self, tmp_path, capsys,
+                                                           line, message):
+        (tmp_path / "c.jsonl").write_text(f'{{"id": "a", "text": "x"}}\n{line}\n',
+                                          encoding="utf-8")
+        assert run(["ingest", "--input", tmp_path / "c.jsonl", "--format", "jsonl",
+                    "--out", tmp_path / "out.jsonl"]) == 3
+        assert f"c.jsonl, {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_float_meta_cell_is_3(self, tmp_path, capsys, cell):
+        # JSON has no NaN or Infinity, so the corpus cannot hold them
+        (tmp_path / "c.csv").write_text(f"id,text,age\nr1,hello,{cell}\n",
+                                        encoding="utf-8")
+        (tmp_path / "map.yaml").write_text(yaml.safe_dump({
+            "id_column": "id", "meta_columns": {"age": "float"},
+        }), encoding="utf-8")
+        assert run(["ingest", "--input", tmp_path / "c.csv", "--format", "csv",
+                    "--mapping", tmp_path / "map.yaml",
+                    "--out", tmp_path / "corpus.jsonl"]) == 3
+        assert (f"c.csv, line 2: column 'age' is not float: {cell!r}"
+                in capsys.readouterr().err)
+
     def test_transport_failure_is_its_own_status(self, workspace, monkeypatch,
                                                  capsys):
         # a request that fails in transport is not the model's answer: it is

@@ -543,6 +543,39 @@ class TestMixedModel:
         fit_logistic_random_intercept(gen_interview_margins(0))
         assert fit_logistic_random_intercept(gen_simpson(0)).to_dict() == first
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_a_stack_fits_each_row_as_it_fits_alone(self, reverse, monkeypatch):
+        # interview seed 1 redrawn through a 10% flip: rows 3 and 4 end on
+        # the sigma bound, the others inside it. One model serves the stack,
+        # and each row's outputs are those of a stack of that row alone
+        obs = gen_interview_margins(1)
+        X, names = design_matrix({k: [o.covariates[k] for o in obs]
+                                  for k in ("campus", "age")}, len(obs))
+        groups = [o.group for o in obs]
+        em = quantitize.ErrorModel(("0", "1"), np.array([[0.9, 0.1], [0.1, 0.9]]))
+        Y = quantitize.simulate_replicate(np.array([o.response for o in obs]), em,
+                                          np.random.default_rng(0), 5).astype(float)
+        if reverse:
+            Y = Y[::-1]
+        built = []
+        init = _MarginalLikelihood.__init__
+
+        def counted(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(_MarginalLikelihood, "__init__", counted)
+        stack = stats.fit_random_intercept(X, Y, names, groups)
+        assert len(built) == 1
+        on_bound = stack[4] == stats.LOG_SIGMA_BOUNDS[0]
+        assert on_bound.tolist() == ([True, True, False, False, False] if reverse
+                                     else [False, False, False, True, True])
+        for r in range(len(Y)):
+            alone = stats.fit_random_intercept(X, Y[r:r + 1], names, groups)
+            for got, want in zip(stack, alone):
+                assert got[r].tobytes() == want[0].tobytes(), r
+        assert len(built) == 1 + len(Y)
+
     def test_simpson_fit_regression_guard(self):
         fit = fit_logistic_random_intercept(gen_simpson(0))
         assert fit.log_likelihood == pytest.approx(-62.13186060, abs=1e-7)
