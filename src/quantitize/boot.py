@@ -4,13 +4,12 @@ The error model holds one probability distribution per label (row-normalized
 confusion counts). Each replicate redraws every unit's label from the
 distribution belonging to its observed label, recomputes the statistic of
 interest, and the spread of replicate values yields the confidence interval.
-``bootstrap_ci`` hands a statistic its replicates in one of three forms,
+``bootstrap_ci`` hands a statistic its replicates in one of two forms,
 picked once: counts per cell to ``of_counts`` (``CellShares``, the
-proportions, drawn as multinomial counts), label codes to ``of_codes``
-(``Regression``, the stock ``logistic:`` and ``mixed:`` plugins), and label
-strings to the plugin itself (any custom plugin). One chunk loop draws and
-evaluates every form, names the first replicate that fails, and keeps
-every replicate's values.
+proportions, drawn as multinomial counts), or label codes to the plugin
+itself (``Regression``, the stock ``logistic:`` and ``mixed:`` plugins, and
+any custom plugin). One chunk loop draws and evaluates both forms, names
+the first replicate that fails, and keeps every replicate's values.
 """
 
 from __future__ import annotations
@@ -33,16 +32,14 @@ from .stats import (design_matrix, fit_logistic_stack, fit_random_intercept, par
 
 log = logging.getLogger(__name__)
 
-# statistic plugin: (labels, covariates) -> named outputs, each of the shape
-# ``labels.shape[:-1]``. ``labels[..., n]`` holds label strings, 1-D for the
-# point estimate and one row per replicate for a chunk; ``covariates`` maps
-# each covariate name to a column aligned with the last axis, for custom
-# plugins: the stock ones bind their columns when built. A plugin may take
-# its replicates in another form instead: label codes through
-# ``of_codes(codes, labels)``, or counts per cell of the units' ``cells``
-# through ``of_counts(counts, labels)``. Outputs named ``p_*`` or ``prop_*``
-# are probabilities: their normal CI is clipped to [0, 1].
-StatisticPlugin = Callable[[np.ndarray, Mapping[str, np.ndarray]], dict[str, np.ndarray]]
+# statistic plugin: (codes, labels) -> named outputs, each of the shape
+# ``codes.shape[:-1]``. ``codes[..., n]`` are ``intp`` indices into
+# ``labels``, the error model's label tuple: 1-D for the point estimate and
+# one row per replicate for a chunk. A plugin with ``cells`` and
+# ``of_counts(counts, labels)`` takes its replicates as counts per cell of
+# the units' ``cells`` instead. Outputs named ``p_*`` or ``prop_*`` are
+# probabilities: their normal CI is clipped to [0, 1].
+StatisticPlugin = Callable[[np.ndarray, Sequence[str]], dict[str, np.ndarray]]
 
 CHUNK_CELLS = 2**14  # labels, or counts, drawn per chunk: more costs memory, no time
 
@@ -189,14 +186,15 @@ def bootstrap_ci(
 ) -> BootstrapResult:
     """Run the simulate-and-recompute loop and summarize the spread.
 
-    Every column in ``covariates`` must have one value per label. Replicates
-    are drawn in order from one ``default_rng(seed)``, so chunking changes
-    nothing. The statistic's form is picked once: one with ``of_counts``
-    (``CellShares``) gets multinomial draws of the counts per (cell, observed
-    label); any other gets replicate r's labels redrawn from draws r*n to
-    (r+1)*n - 1, as codes (indices into ``em.labels``) through ``of_codes``
-    (``Regression``) or else as strings. For one seed the two draws give
-    other replicates from the same distribution. A chunk that fails is
+    Every column in ``covariates`` must have one value per label; no plugin
+    reads them, since a plugin binds the columns it reads when it is built,
+    as the stock ones do. Replicates are drawn in order from one
+    ``default_rng(seed)``, so chunking changes nothing. The statistic's form
+    is picked once: one with ``of_counts`` (``CellShares``) gets multinomial
+    draws of the counts per (cell, observed label); any other is called on
+    replicate r's label codes (indices into ``em.labels``), redrawn from
+    draws r*n to (r+1)*n - 1. For one seed the two draws give other
+    replicates from the same distribution. A chunk that fails is
     re-run one replicate at a time to name the first that fails. The normal
     CI is centered on the observed-label point estimate with half-width
     z * sigma; the percentile CI uses empirical replicate quantiles. The
@@ -225,8 +223,7 @@ def bootstrap_ci(
             return rng.multinomial(observed, dists, size=(rows, *observed.shape)).sum(-2)
     else:
         observed, size = codes, max(1, CHUNK_CELLS // max(len(codes), 1))
-        form = getattr(statistic, "of_codes", None) or (
-            lambda sim, labels: statistic(np.array(labels)[sim], covariates))
+        form = statistic
 
         def draw(rows):
             return simulate_replicate(codes, em, rng, rows)
@@ -303,7 +300,7 @@ class CellShares:
     """Share of ``label`` among the units of each cell, named ``names[c]``
     for cell c; ``cells`` holds each unit's cell (0: one cell for all).
     ``of_counts`` is its one formula: ``bootstrap_ci`` draws its replicates
-    as counts per cell, and label rows are counted per cell first."""
+    as counts per cell, and label codes are counted per cell first."""
 
     def __init__(self, label: str, cells, names: Sequence[str]):
         self.label = label
@@ -317,15 +314,15 @@ class CellShares:
                 else np.zeros(counts.shape[:-1]))
         return dict(zip(self.names, np.moveaxis(hits / counts.sum(axis=-1), -1, 0)))
 
-    def __call__(self, labels, covariates):
-        hit, m = labels == self.label, len(self.names)
-        cells = np.broadcast_to(self.cells, hit.shape[-1:])
-        # each row's cells numbered apart, so one count covers the chunk
-        index = cells + m * np.arange(math.prod(hit.shape[:-1]))[:, None]
-        hits = np.bincount(index.ravel(), hit.ravel(), len(index) * m)
-        hits = hits.reshape(hit.shape[:-1] + (m,))
-        counts = np.stack([hits, np.bincount(cells, minlength=m) - hits], axis=-1)
-        return self.of_counts(counts, (self.label, None))  # None: any other label
+    def __call__(self, codes: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
+        """The outputs from ``codes[..., n]``, indices into ``labels``,
+        counted per (row, cell, label) in one ``bincount``."""
+        shape, m, k = codes.shape[:-1], len(self.names), len(labels)
+        rows = math.prod(shape)
+        cells = np.broadcast_to(self.cells, codes.shape[-1:])
+        index = (np.arange(rows)[:, None] * m + cells) * k + codes.reshape(rows, -1)
+        counts = np.bincount(index.ravel(), minlength=rows * m * k)
+        return self.of_counts(counts.reshape(shape + (m, k)), labels)
 
 
 def proportion_of(label: str) -> CellShares:
@@ -347,26 +344,20 @@ class Regression:
     :func:`~quantitize.stats.design_matrix` ``X`` with column ``names``. The
     design is built once, and each chunk of replicates is one engine call on
     the stack of its responses, so a mixed fit sorts it by group once a
-    chunk. ``bootstrap_ci`` passes it label codes through ``of_codes``."""
+    chunk."""
 
     def __init__(self, label: str, X: np.ndarray, names: list[str], groups=None):
         self.label, self.X, self.names, self.groups = label, X, names, groups
 
-    def of_codes(self, codes: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
-        """The outputs from ``codes[..., n]``, indices into ``labels``."""
-        return self._fit(codes == list(labels).index(self.label))
-
-    def __call__(self, labels, covariates):
-        return self._fit(labels == self.label)
-
-    def _fit(self, hit):
-        """The outputs of the fits of each row of the 0/1 ``hit[..., n]``."""
+    def __call__(self, codes: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
+        """The outputs of the fits of each row of ``codes[..., n]``, indices
+        into ``labels``."""
         X, names = self.X, self.names
-        Y = hit.astype(float).reshape(-1, len(X))
+        Y = (codes == list(labels).index(self.label)).astype(float).reshape(-1, len(X))
         beta, cov, *_ = (fit_logistic_stack(X, Y, names) if self.groups is None
                          else fit_random_intercept(X, Y, names, self.groups))
         p = wald_tests(beta, cov)[2]
-        out, shape = {}, hit.shape[:-1]
+        out, shape = {}, codes.shape[:-1]
         for i, name in enumerate(names[1:], 1):  # the slopes, not the intercept
             out[f"beta_{name}"] = beta[:, i].reshape(shape)
             out[f"p_{name}"] = p[:, i].reshape(shape)

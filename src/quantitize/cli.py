@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import typing
@@ -65,8 +66,7 @@ EXIT_TRANSPORT = 4
 
 def _write_manifest(out_dir: Path, args) -> None:
     """The command's parsed arguments, enough to run it again."""
-    manifest = {key: value for key, value in vars(args).items() if key != "func"}
-    write_json(out_dir / "manifest.json", {"version": __version__, **manifest})
+    write_json(out_dir / "manifest.json", {"version": __version__, **vars(args)})
 
 
 def cmd_ingest(args) -> int:
@@ -376,6 +376,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: building it costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quantitize",
@@ -392,11 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mapping", help="YAML column mapping for csv input")
     p.add_argument("--strategy", help="unitizing for text input, e.g. window:100:10")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("annotate", help="annotate a corpus per a run config")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("evaluate", help="score annotations against gold labels")
     p.add_argument("--corpus", required=True, help="gold corpus JSONL")
@@ -404,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True)
     p.add_argument("--variable", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bootstrap", help="confidence intervals via the "
                                          "confusion-matrix bootstrap")
@@ -423,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["row", "column_conditional"])
     p.add_argument("--out", required=True)
     p.add_argument("--replicates-csv")
-    p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("fit", help="fit a (mixed) logistic model to a CSV")
     p.add_argument("--data", required=True, help="CSV with response/covariates")
@@ -431,26 +428,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help='e.g. "online ~ campus + age + (1|id)"')
     p.add_argument("--quad-nodes", type=int, default=N_QUAD)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("demo", help="run a built-in statistics demo")
     p.add_argument("kind", choices=list(_DEMOS))
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("report", help="bundle result JSONs into one summary")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up when called, so a command patched on this module runs
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

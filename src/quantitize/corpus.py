@@ -339,8 +339,8 @@ def _read_jsonl_columns(path) -> tuple[list, ...]:
     """The id, text, groups, meta and gold columns of a JSONL corpus, one
     unit object per line, decoded straight into them: an id (synthesized
     when missing, a string otherwise), a non-blank text, groups, a meta
-    object and an optional gold object. Text, group and gold values are
-    each :func:`as_text`."""
+    object without NaN or infinite values and an optional gold object.
+    Text, group and gold values are each :func:`as_text`."""
     texts, groups, metas, golds = [], [], [], []
 
     def build(obj, i):
@@ -352,6 +352,9 @@ def _read_jsonl_columns(path) -> tuple[list, ...]:
         meta = obj.get("meta", {})
         if type(meta) is not dict:
             raise DataError("meta must be a JSON object")
+        for key, value in meta.items():  # json.loads takes NaN and Infinity
+            if type(value) is float and not math.isfinite(value):
+                raise DataError(f"meta value {key!r} is not finite: {json.dumps(value)}")
         if type(uid) is not str:
             uid = str(uid)
         gold = _str_dict(obj, "gold") if obj.get("gold") is not None else None

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,10 +167,11 @@ class TestYearlyProportionOf:
     @staticmethod
     def table(labels, years):
         """Every label's per-year fraction, as {year: {label: fraction}}."""
-        labels, covariates = np.array(labels), {"year": np.array(years)}
+        names = tuple(sorted(set(labels)))
+        codes = np.array([names.index(l) for l in labels], dtype=np.intp)
         out = {}
-        for label in sorted(set(labels.tolist())):
-            stats = yearly_proportion_of(label, years)(labels, covariates)
+        for label in names:
+            stats = yearly_proportion_of(label, years)(codes, names)
             for year in sorted(set(years)):
                 out.setdefault(year, {})[label] = stats[f"prop_{label}_{year}"]
         return out
@@ -204,12 +204,12 @@ class TestYearlyProportionOf:
     def test_shares_are_the_exact_quotients_of_the_counts(self):
         rng = np.random.default_rng(7)
         years = rng.integers(1900, 1920, 500)
-        labels = rng.choice(["A", "B", "C"], (6, 500))
-        out = yearly_proportion_of("A", years)(labels, {})
+        codes = rng.choice(3, (6, 500))  # indices into ("A", "B", "C")
+        out = yearly_proportion_of("A", years)(codes, ("A", "B", "C"))
         assert len(out) == 20
         for year in np.unique(years):
             in_year = years == year
-            want = (np.count_nonzero(labels[:, in_year] == "A", axis=1)
+            want = (np.count_nonzero(codes[:, in_year] == 0, axis=1)
                     / np.count_nonzero(in_year))
             assert out[f"prop_A_{year}"].tolist() == want.tolist()
 
@@ -240,8 +240,8 @@ class TestParseStatistic:
         assert list(columns) == list(reads)
         for name, convert in reads.items():
             assert columns[name].tolist() == [convert(u.groups[name]) for u in units]
-        labels = np.random.default_rng(5).choice(["A", "B"], len(units))
-        assert list(plugin(labels, columns)) == names
+        codes = np.random.default_rng(5).choice(2, len(units))
+        assert list(plugin(codes, ("A", "B"))) == names
 
     @pytest.mark.parametrize("spec, label", [
         ("proportion:a", "a"),
@@ -359,8 +359,8 @@ class TestBootstrapCi:
         em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
         labels = ["A"] + ["B"] * 99
 
-        def plugin(labels, covariates):
-            share = np.count_nonzero(labels == "A", axis=-1) / labels.shape[-1]
+        def plugin(codes, labels):
+            share = np.count_nonzero(codes == 0, axis=-1) / codes.shape[-1]
             return {"p_A": share, "prop_B": 1 - share, "beta_A": share}
 
         result = bootstrap_ci(labels, {}, em, plugin,
@@ -387,8 +387,8 @@ class TestBootstrapCi:
     def test_statistic_failure_names_replicate(self):
         em = ErrorModel(("A", "B"), np.array([[0.0, 1.0], [0.0, 1.0]]))
 
-        def fragile(labels, covariates):
-            if "A" not in labels:
+        def fragile(codes, labels):
+            if not (codes == labels.index("A")).any():
                 raise ValueError("boom")
             return {"stat": 0.0}
 
@@ -458,21 +458,21 @@ class TestReplicateStreams:
         labels = np.random.default_rng(8).choice(em.labels, n).tolist()
         rows = []
 
-        def plugin(labels, covariates):  # a custom plugin gets label rows
-            rows.append(labels)
-            return {"n_A": np.count_nonzero(labels == "A", axis=-1)}
+        def plugin(codes, labels):  # a custom plugin gets label code rows
+            rows.append(codes)
+            return {"n_A": np.count_nonzero(codes == 0, axis=-1)}
 
         monkeypatch.setattr(boot, "CHUNK_CELLS", 7 * n)
         bootstrap_ci(labels, {}, em, plugin, BootstrapConfig(n_replicates=30, seed=11))
         point, *chunks = rows
-        assert point.tolist() == labels
-        assert [len(c) for c in chunks] == [7, 7, 7, 7, 2]
         codes = np.array([em.labels.index(l) for l in labels])
+        assert point.tolist() == codes.tolist()
+        assert [len(c) for c in chunks] == [7, 7, 7, 7, 2]
         for r, row in enumerate(np.concatenate(chunks)):
             rng = np.random.default_rng(11)
             rng.bit_generator.advance(r * n)
             want = simulate_replicate(codes, em, rng, 1)[0]
-            assert row.tolist() == [em.labels[c] for c in want]
+            assert row.tolist() == want.tolist()
 
     def test_count_path_matches_the_analytic_moments(self):
         # cells of 1, 40 and 400 units; the 40-unit cell has no C
@@ -564,7 +564,7 @@ class TestChunks:
         plugin, columns = parse_over(f"mixed:{spec}", em.labels, units)
         codes = np.array([o.response for o in obs])
         sim = simulate_replicate(codes, em, np.random.default_rng(0), 225)[[0, 1, 224]]
-        stat = plugin(np.array(em.labels)[sim], columns)
+        stat = plugin(sim, em.labels)
         for r, row in enumerate(sim):
             c = fit_formula(parse_formula(spec), {**columns, "yes": row}).coef("age")
             assert (stat["beta_age"][r], stat["p_age"][r]) == (c.estimate, c.p_value)
@@ -587,8 +587,8 @@ class TestChunks:
     def test_scalar_output_for_a_chunk_is_rejected(self):
         em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
 
-        def pooled(labels, covariates):  # one count over every replicate
-            return {"p_A": np.count_nonzero(labels == "A") / labels.size}
+        def pooled(codes, labels):  # one count over every replicate
+            return {"p_A": np.count_nonzero(codes == 0) / codes.size}
 
         with pytest.raises(DataError,
                            match=r"'p_A' has shape \(\) for 5 replicates"):
@@ -598,8 +598,8 @@ class TestChunks:
     def test_chunk_failure_that_no_replicate_repeats_is_reported(self):
         em = ErrorModel(("A", "B"), np.array([[0.9, 0.1], [0.1, 0.9]]))
 
-        def first(labels, covariates):  # float() takes one label, not a row
-            return {"first_A": float(labels[0] == "A")}
+        def first(codes, labels):  # float() takes one label, not a row
+            return {"first_A": float(codes[0] == 0)}
 
         with pytest.raises(DataError, match="replicates 0-4 but on none alone"):
             bootstrap_ci(["A", "B"] * 10, {}, em, first,
@@ -607,8 +607,8 @@ class TestChunks:
 
 
 class TestLabelCodes:
-    """The stock regression plugins read replicates as label codes
-    (``of_codes``); custom plugins read label strings."""
+    """Every plugin but a count-form one, stock or custom, reads its
+    replicates as label codes, indices into the error model's labels."""
 
     THREE = ErrorModel(("A", "B", "C"), np.array([[0.8, 0.15, 0.05],
                                                   [0.1, 0.75, 0.15],
@@ -650,32 +650,17 @@ class TestLabelCodes:
                    + (tmp_path / "replicates.csv").read_bytes())
         assert hashlib.sha256(written).hexdigest() == digest
 
-    @pytest.mark.parametrize("case", ["logistic_case", "mixed_case"])
-    def test_codes_give_the_outputs_of_label_rows(self, case):
-        spec, em, units, labels = getattr(self, case)()
-        plugin, columns = parse_over(spec, em.labels, units)
-        codes = np.array([em.labels.index(l) for l in labels])
-        sim = simulate_replicate(codes, em, np.random.default_rng(3), 4)
-        for rows in (sim[0], sim):  # a point estimate's row, then a chunk
-            want = plugin(np.array(em.labels)[rows], columns)
-            got = plugin.of_codes(rows, em.labels)
-            assert list(got) == list(want)
-            for name, column in want.items():
-                assert got[name].shape == column.shape == rows.shape[:-1]
-                assert got[name].tobytes() == column.tobytes(), name
+    def test_a_custom_plugin_reads_codes(self, monkeypatch):
+        # the point estimate's row of codes, then one row per replicate
+        calls = []
 
-    def test_separating_replicate_is_named_on_the_code_path(self):
-        # as test_separating_replicate_is_named_exactly, with a plugin that
-        # has of_codes alone, so bootstrap_ci cannot take the label path
-        obs = gen_confound(0)[::8]
-        units = [Unit(f"u{i}", "text", meta=dict(o.covariates))
-                 for i, o in enumerate(obs)]
-        em = ErrorModel(("yes", "no"), np.array([[0.8, 0.2], [0.2, 0.8]]))
-        plugin, columns = parse_over("logistic:yes ~ campus + age", em.labels, units)
-        codes_only = SimpleNamespace(of_codes=plugin.of_codes)
-        with pytest.raises(DataError) as exc:
-            bootstrap_ci(["yes" if o.response else "no" for o in obs], columns,
-                         em, codes_only, BootstrapConfig(n_replicates=2000, seed=0))
-        assert str(exc.value) == (
-            "statistic failed on replicate 358: logistic fit did not converge "
-            "(quasi-separation): ['(Intercept)']")
+        def plugin(codes, labels):
+            calls.append((codes.dtype, codes.shape, labels))
+            return {"n_B": np.count_nonzero(codes == 1, axis=-1)}
+
+        monkeypatch.setattr(boot, "CHUNK_CELLS", 4 * 20)
+        bootstrap_ci(["A", "B", "C", "B"] * 5, {}, self.THREE, plugin,
+                     BootstrapConfig(n_replicates=10))
+        intp, labels = np.dtype(np.intp), self.THREE.labels
+        assert calls == [(intp, (20,), labels), (intp, (4, 20), labels),
+                         (intp, (4, 20), labels), (intp, (2, 20), labels)]

@@ -579,6 +579,19 @@ class TestExitCodes:
         assert (f"c.csv, line 2: column 'age' is not float: {cell!r}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_jsonl_meta_value_is_3(self, tmp_path, capsys, value):
+        # json.loads takes these, but the corpus written back would not be JSON
+        (tmp_path / "c.jsonl").write_text(
+            '{"id": "a", "text": "x", "meta": {"year": 1990}}\n'
+            f'{{"id": "b", "text": "y", "meta": {{"age": {value}}}}}\n',
+            encoding="utf-8")
+        assert run(["ingest", "--input", tmp_path / "c.jsonl", "--format", "jsonl",
+                    "--out", tmp_path / "out.jsonl"]) == 3
+        assert (f"c.jsonl, line 2: meta value 'age' is not finite: {value}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_transport_failure_is_its_own_status(self, workspace, monkeypatch,
                                                  capsys):
         # a request that fails in transport is not the model's answer: it is
@@ -807,7 +820,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'u007'" in err and "'year'" in err
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    # strings that float() reads as not finite: a corpus that holds a NaN or
+    # infinite float is refused when it is read
+    @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_statistic_covariate_is_3(self, workspace, capsys, value):
         _annotate_and_evaluate(workspace)
         code = run(_bootstrap_argv(

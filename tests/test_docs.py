@@ -1,8 +1,12 @@
 """The README's key tables, for the run config and the coding scheme,
-against the dataclasses that declare the keys."""
+against the dataclasses that declare the keys; and its Python examples,
+run as written."""
 
 import dataclasses
+import re
 from pathlib import Path
+
+import pytest
 
 from quantitize import (AnnotatePolicy, CodingScheme, CsvMapping,
                         DecodingControls, Level, Variable)
@@ -29,3 +33,26 @@ def test_config_key_table_lists_every_field():
         assert set(listed[name]) == set(required), name
         for key, default in listed[name].items():
             assert (default == "required") == required[key], (name, key)
+
+
+def _library_examples():
+    """The README's ```python blocks that import quantitize."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```",
+                        readme.read_text(encoding="utf-8"), re.S | re.M)
+    return [b for b in blocks if re.search(r"^(from|import) quantitize", b, re.M)]
+
+
+EXAMPLES = _library_examples()
+
+
+def test_readme_has_library_examples():
+    # the quick start, the formula fit and the custom plugin
+    assert len(EXAMPLES) == 3
+
+
+@pytest.mark.parametrize("block", EXAMPLES,
+                         ids=[f"example{i}" for i in range(len(EXAMPLES))])
+def test_readme_example_runs(block, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # anything an example writes lands here
+    exec(compile(block, "README.md", "exec"), {})
