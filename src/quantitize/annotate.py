@@ -55,7 +55,11 @@ class PromptTemplate:
 
     Supported placeholders: {text}, always the unit's text, and any other
     key of the unit's metadata, such as {title}. A batched prompt fills only
-    {text}, with the numbered texts of the batch.
+    {text}, with the numbered texts of the batch. A prompt is filled from a
+    unit's row of the corpus columns (:meth:`render_row`) or from the rows
+    of a batch (:meth:`render_rows`); :meth:`render` and
+    :meth:`render_batch` take :class:`Unit` objects. A fill that fails is a
+    DataError naming the unit, or the batch's ids.
     """
 
     instruction: str
@@ -75,18 +79,30 @@ class PromptTemplate:
         return names
 
     def render(self, unit: Unit) -> str:
-        return self._fill(f"unit {unit.id!r}", {**unit.meta, "text": unit.text})
+        return self.render_row(unit.id, unit.text, unit.meta)
 
     def render_batch(self, units: Sequence[Unit]) -> str:
-        numbered = "\n\n".join(f"{i + 1}. {u.text}" for i, u in enumerate(units))
-        return self._fill(f"units {[u.id for u in units]}", {"text": numbered})
+        return self.render_rows([u.id for u in units], [u.text for u in units])
 
-    def _fill(self, who: str, values: dict) -> str:
+    def render_row(self, uid: str, text: str, meta: dict) -> str:
+        """The prompt of the unit ``uid`` with this text and metadata."""
+        return self._fill({**meta, "text": text}, uid)
+
+    def render_rows(self, ids: Sequence[str], texts: Sequence[str]) -> str:
+        """The batched prompt of the units ``ids`` with these texts."""
+        numbered = "\n\n".join(f"{i}. {text}" for i, text in enumerate(texts, 1))
+        return self._fill({"text": numbered}, list(ids))
+
+    def _fill(self, values: dict, who) -> str:
+        """The instruction filled from ``values``. ``who``, a unit's id or a
+        list of a batch's ids, is written into the message only when the
+        fill fails."""
         try:
-            return self.instruction.format(**values)
-        except KeyError as exc:
-            raise DataError(f"{who}: placeholder {exc.args[0]!r} cannot be resolved")
-        except (AttributeError, IndexError, ValueError) as exc:  # {a.b}, {a[1]}, {a:d}
+            return self.instruction.format_map(values)
+        except (KeyError, AttributeError, IndexError, ValueError) as exc:  # {a.b}, {a[1]}, {a:d}
+            who = f"units {who}" if isinstance(who, list) else f"unit {who!r}"
+            if isinstance(exc, KeyError):
+                raise DataError(f"{who}: placeholder {exc.args[0]!r} cannot be resolved")
             raise DataError(f"{who}: template cannot be filled: {exc}")
 
 
@@ -448,13 +464,13 @@ class AnnotationSet:
     @classmethod
     def from_columns(cls, columns: Iterable[Sequence], manifest: dict) -> "AnnotationSet":
         """A set of records given as one column per field of
-        :data:`RECORD_FIELDS`; no columns at all is a set of no records."""
+        :data:`RECORD_FIELDS`."""
         annset = cls.__new__(cls)
         annset._fill(columns, manifest)
         return annset
 
     def _fill(self, columns, manifest: dict) -> None:
-        self._columns = tuple(columns) or ((),) * len(RECORD_FIELDS)
+        self._columns = tuple(columns)
         (self.unit_ids, self.variables, self.raws, self.labels, self.statuses,
          self.attempts) = self._columns
         self.manifest = manifest
@@ -536,18 +552,6 @@ def _call_with_retry(client, prompt, controls, unit_ids, policy, sleep=time.slee
         delay *= 2
 
 
-def _record_from_reply(unit_id, variable, reply, attempts) -> tuple:
-    """One unit's record, as a row of :data:`RECORD_FIELDS`."""
-    if reply.kind == "refusal":
-        return unit_id, variable.name, reply.content, None, "refused", attempts
-    if reply.kind == "transport_error":  # retries exhausted: no answer came
-        return unit_id, variable.name, reply.content, None, "transport_error", attempts
-    label = normalize_output(reply.content, variable)
-    if label == UNPARSEABLE:
-        return unit_id, variable.name, reply.content, None, "unparseable", attempts
-    return unit_id, variable.name, reply.content, label, "ok", attempts
-
-
 def annotate(
     corpus: Corpus,
     template: PromptTemplate,
@@ -561,8 +565,11 @@ def annotate(
     """Annotate every unit of the corpus for the template's variable.
 
     Batching packs numbered unit texts into one prompt and expects numbered
-    answers; a count mismatch falls back to per-unit calls. Results are
-    assembled in unit order, so output does not depend on completion order.
+    answers; a count mismatch falls back to per-unit calls. Prompts are
+    filled from the corpus columns ``ids``, ``texts`` and ``meta``, and each
+    record is written into its unit's row of one list per field of
+    :data:`RECORD_FIELDS`: no :class:`Unit` and no record object is built,
+    and the output does not depend on completion order.
     """
     variable = scheme.variable(template.variable)
     other = template.placeholders() - {"text"}
@@ -572,41 +579,55 @@ def annotate(
     if controls is None:
         controls = DecodingControls.for_variable(variable)
 
-    # rows, not units: a batch's units are built when it is sent
-    rows = range(len(corpus))
-    batches = [rows[i : i + policy.batch_size]
-               for i in range(0, len(rows), policy.batch_size)]
+    ids, texts, metas = corpus.ids, corpus.texts, corpus.meta
+    n, size = len(ids), policy.batch_size
+    raws, labels, statuses, attempts = [None] * n, [None] * n, [None] * n, [None] * n
 
-    def run_single(unit: Unit) -> tuple:
-        prompt = template.render(unit)
-        reply, attempts = _call_with_retry(
-            client, prompt, controls, [unit.id], policy, sleep=sleep
-        )
-        return _record_from_reply(unit.id, variable, reply, attempts)
+    def put(row: int, kind: str, raw: str, tries: int) -> None:
+        """Unit ``row``'s record of a reply of this kind and content."""
+        raws[row], attempts[row] = raw, tries
+        if kind == "refusal":
+            statuses[row] = "refused"
+        elif kind == "transport_error":  # retries exhausted: no answer came
+            statuses[row] = "transport_error"
+        elif (label := normalize_output(raw, variable)) == UNPARSEABLE:
+            statuses[row] = "unparseable"
+        else:
+            labels[row], statuses[row] = label, "ok"
 
-    def run_batch(rows: range) -> list[tuple]:
-        batch = [corpus[i] for i in rows]
-        if len(batch) == 1:
-            return [run_single(batch[0])]
-        prompt = template.render_batch(batch)
-        ids = [u.id for u in batch]
-        reply, attempts = _call_with_retry(client, prompt, controls, ids, policy,
-                                           sleep=sleep)
+    def run_single(row: int) -> None:
+        uid = ids[row]
+        prompt = template.render_row(uid, texts[row], metas[row])
+        reply, tries = _call_with_retry(client, prompt, controls, [uid], policy,
+                                        sleep=sleep)
+        put(row, reply.kind, reply.content, tries)
+
+    def run_batch(start: int) -> None:
+        stop = min(start + size, n)
+        if stop - start == 1:
+            return run_single(start)
+        batch = ids[start:stop]
+        prompt = template.render_rows(batch, texts[start:stop])
+        reply, tries = _call_with_retry(client, prompt, controls, batch, policy,
+                                        sleep=sleep)
         if reply.kind == "text":
-            answers = _parse_batch(reply.content, len(batch))
+            answers = _parse_batch(reply.content, stop - start)
             if answers is not None:
-                return [
-                    _record_from_reply(u.id, variable, ModelReply.text(a), attempts)
-                    for u, a in zip(batch, answers)
-                ]
+                for row, answer in enumerate(answers, start):
+                    put(row, "text", answer, tries)
+                return
             log.warning("batch answer count mismatch; retrying units singly")
-        return [run_single(u) for u in batch]
+        for row in range(start, stop):
+            run_single(row)
 
-    if policy.max_in_flight > 1 and len(batches) > 1:
+    starts = range(0, n, size)
+    if policy.max_in_flight > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=policy.max_in_flight) as pool:
-            results = list(pool.map(run_batch, batches))
+            for _ in pool.map(run_batch, starts):  # raises what a batch raised
+                pass
     else:
-        results = [run_batch(b) for b in batches]
+        for start in starts:
+            run_batch(start)
 
     manifest = {
         "template": template.instruction,
@@ -616,8 +637,8 @@ def annotate(
         "policy": asdict(policy),
         "seed": seed,
         "scheme_version": scheme.version,
-        "n_units": len(rows),
+        "n_units": n,
         "timestamp": run_timestamp(),
     }
-    return AnnotationSet.from_columns(zip(*(r for batch in results for r in batch)),
-                                      manifest)
+    return AnnotationSet.from_columns(
+        (list(ids), [variable.name] * n, raws, labels, statuses, attempts), manifest)

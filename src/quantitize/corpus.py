@@ -306,8 +306,11 @@ def _synth_id(i: int) -> str:
 
 
 def as_text(value) -> str:
-    """``value`` as text: a string, or a number written as one. Anything
-    else, null, a bool, a list or an object, is a ValueError saying so."""
+    """``value`` as text: a string, or a finite number written as one.
+    Anything else, null, a bool, NaN, an infinity, a list or an object, is a
+    ValueError saying so."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"is not finite: {json.dumps(value)}")
     if isinstance(value, (str, int, float)) and not isinstance(value, bool):
         return str(value)
     raise ValueError(f"must be a string or a number, got {json.dumps(value)}")
@@ -338,9 +341,9 @@ def _str_dict(obj: dict, key: str) -> dict:
 def _read_jsonl_columns(path) -> tuple[list, ...]:
     """The id, text, groups, meta and gold columns of a JSONL corpus, one
     unit object per line, decoded straight into them: an id (synthesized
-    when missing, a string otherwise), a non-blank text, groups, a meta
-    object without NaN or infinite values and an optional gold object.
-    Text, group and gold values are each :func:`as_text`."""
+    when missing), a non-blank text, groups, a meta object without NaN or
+    infinite values and an optional gold object. The id, the text and the
+    group and gold values are each :func:`as_text`."""
     texts, groups, metas, golds = [], [], [], []
 
     def build(obj, i):
@@ -356,7 +359,7 @@ def _read_jsonl_columns(path) -> tuple[list, ...]:
             if type(value) is float and not math.isfinite(value):
                 raise DataError(f"meta value {key!r} is not finite: {json.dumps(value)}")
         if type(uid) is not str:
-            uid = str(uid)
+            uid = _field_text("id", uid)
         gold = _str_dict(obj, "gold") if obj.get("gold") is not None else None
         if not text.strip():
             raise DataError(f"unit {uid!r} has empty text")
@@ -470,9 +473,19 @@ def ingest(
 
 
 def save_corpus(corpus: Corpus, path: Union[str, Path]) -> None:
-    """Write a corpus as JSONL, one unit object per line."""
-    write_jsonl(path, map(_unit_doc, corpus.ids, corpus.texts, corpus.groups,
-                          corpus.meta, corpus.gold))
+    """Write a corpus as JSONL, one unit object per line. A NaN or infinite
+    meta value, which JSON cannot hold, is a DataError naming its unit and
+    key; it is looked for only when the encoder refuses a unit."""
+    try:
+        write_jsonl(path, map(_unit_doc, corpus.ids, corpus.texts, corpus.groups,
+                              corpus.meta, corpus.gold))
+    except ValueError:
+        for uid, meta in zip(corpus.ids, corpus.meta):
+            for key, value in meta.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise DataError(f"unit {uid!r}: meta value {key!r} is not "
+                                    f"finite: {json.dumps(value)}") from None
+        raise
 
 
 # --- unitizing -------------------------------------------------------------

@@ -45,13 +45,14 @@ def write_json(path: Union[str, Path], doc) -> None:
 def write_jsonl(path: Union[str, Path], docs: Iterable) -> None:
     """``docs``, one per line. One C encoder serves the whole file, made
     with the arguments that ``JSONEncoder(ensure_ascii=False,
-    sort_keys=True).encode`` makes a new one with for each document, so
-    every line keeps its bytes; its markers dict still makes a circular
-    document a ``ValueError``."""
-    encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+    sort_keys=True, allow_nan=False).encode`` makes a new one with for each
+    document, so every line keeps its bytes; a NaN or infinite float, which
+    would make the line no JSON, and a circular document (its markers dict)
+    are each a ``ValueError``."""
+    encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False)
     encode = json.encoder.c_make_encoder(
         {}, encoder.default, json.encoder.encode_basestring, None,
-        encoder.key_separator, encoder.item_separator, True, False, True)
+        encoder.key_separator, encoder.item_separator, True, False, False)
     with _create(path) as fh:
         fh.writelines("".join(encode(d, 0)) + "\n" for d in docs)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import string
 from bisect import bisect_right
 from itertools import accumulate
@@ -572,13 +573,56 @@ class TestAnnotationSet:
             annotate(make_corpus(4), PromptTemplate(instruction, "sentiment"),
                      NoSend(), SCHEME, policy=AnnotatePolicy(batch_size=batch_size))
 
-    @pytest.mark.parametrize("instruction", [
-        "{text} {missing_field}", "{text:d}", "{title!z}", "{title.x}",
-        "{text[5]}",  # the unit's text is "hi"
+    @pytest.mark.parametrize("instruction, batch_size, who", [
+        *((instruction, 1, "unit 'u9'") for instruction in (
+            "{text} {missing_field}", "{text:d}", "{title!z}", "{title.x}",
+            "{text[5]}",  # the unit's text is "hi"
+        )),
+        ("{text} {title}", 1, "unit 'u003'"),  # the one unit without a title
+        ("{text:d}", 2, "units ['u000', 'u001']"),
+        ("{text!z}", 3, "units ['u000', 'u001', 'u002']"),
     ])
-    def test_unresolvable_placeholder_names_unit(self, instruction):
-        corpus = Corpus((Unit(id="u9", text="hi", meta={"title": "T"}),))
+    def test_unresolvable_placeholder_names_unit(self, instruction, batch_size, who):
+        ids = ["u9"] if who == "unit 'u9'" else [f"u{i:03d}" for i in range(5)]
+        corpus = Corpus(Unit(id=uid, text="hi",
+                             meta={} if uid == "u003" else {"title": "T"})
+                        for uid in ids)
         bad = PromptTemplate(instruction, "sentiment")
         mock = MockModel("rules", rules={})
-        with pytest.raises(DataError, match="u9"):
-            annotate(corpus, bad, mock, SCHEME)
+        with pytest.raises(DataError, match=re.escape(f"{who}: ")):
+            annotate(corpus, bad, mock, SCHEME,
+                     policy=AnnotatePolicy(batch_size=batch_size))
+
+    @pytest.mark.parametrize("policy", [
+        AnnotatePolicy(), AnnotatePolicy(batch_size=3),
+        AnnotatePolicy(batch_size=2, max_in_flight=3)])
+    def test_annotate_reads_the_corpus_columns(self, policy, monkeypatch):
+        # no Unit is built: each prompt is filled from the unit's row of
+        # the corpus columns, and is the prompt render or render_batch gives
+        corpus = Corpus(Unit(id=f"u{i:03d}", text=f"passage {i}",
+                             meta={"title": f"T{i}"}, gold={"sentiment": "Positive"})
+                        for i in range(7))
+        template = (PromptTemplate("{title}: {text}", "sentiment")
+                    if policy.batch_size == 1 else TEMPLATE)
+        batches = [corpus.units[i:i + policy.batch_size]
+                   for i in range(0, 7, policy.batch_size)]
+        prompts = [template.render(batch[0]) if len(batch) == 1 else
+                   template.render_batch(batch) for batch in batches]
+        mock = MockModel.from_corpus(corpus, SENTIMENT, np.eye(2), refuse_units=["u004"])
+        sent, send = [], mock.send
+        mock.send = lambda prompt, controls, unit_ids=(): (
+            sent.append(prompt) or send(prompt, controls, unit_ids))
+
+        def no_unit(self, row):
+            raise AssertionError("annotate built a Unit")
+
+        monkeypatch.setattr(Corpus, "__getitem__", no_unit)
+        result = annotate(corpus, template, mock, SCHEME, policy=policy)
+        monkeypatch.undo()
+        assert set(prompts) <= set(sent)
+        assert [r.to_dict() for r in result.records] == [
+            {"unit_id": u.id, "variable": "sentiment",
+             "raw": "mock refusal" if u.id == "u004" else "Positive",
+             "label": None if u.id == "u004" else "Positive",
+             "status": "refused" if u.id == "u004" else "ok", "attempts": 1}
+            for u in corpus]

@@ -555,7 +555,11 @@ class TestExitCodes:
         ('{"id": "b", "text": "x", "groups": {"school": {"n": 1}}}',
          "line 2: groups value 'school' must be a string or a number, "
          'got {"n": 1}'),
-    ], ids=["text-null", "text-bool", "text-list", "gold-null", "group-object"])
+        ('{"id": null, "text": "x"}', "line 2: id must be a string or a number, got null"),
+        ('{"id": false, "text": "y"}',
+         "line 2: id must be a string or a number, got false"),
+    ], ids=["text-null", "text-bool", "text-list", "gold-null", "group-object",
+            "id-null", "id-bool"])
     def test_corpus_value_that_is_no_string_or_number_is_3(self, tmp_path, capsys,
                                                            line, message):
         (tmp_path / "c.jsonl").write_text(f'{{"id": "a", "text": "x"}}\n{line}\n',
@@ -591,6 +595,32 @@ class TestExitCodes:
         assert (f"c.jsonl, line 2: meta value 'age' is not finite: {value}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "b", "text": NaN, "groups": {"g": Infinity}}', "text is not finite: NaN"),
+        ('{"id": "b", "text": "x", "groups": {"g": Infinity}}',
+         "groups value 'g' is not finite: Infinity"),
+        ('{"id": "b", "text": "x", "gold": {"t": -Infinity}}',
+         "gold value 't' is not finite: -Infinity"),
+        ('{"id": NaN, "text": "x"}', "id is not finite: NaN"),
+    ], ids=["text", "group", "gold", "id"])
+    def test_non_finite_jsonl_text_value_is_3(self, tmp_path, capsys, line, message):
+        # json.loads takes these, but "nan" and "inf" are no text of the file
+        (tmp_path / "c.jsonl").write_text(f'{{"id": "a", "text": "x"}}\n{line}\n',
+                                          encoding="utf-8")
+        assert run(["ingest", "--input", tmp_path / "c.jsonl", "--format", "jsonl",
+                    "--out", tmp_path / "out.jsonl"]) == 3
+        assert f"c.jsonl, line 2: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_numeric_jsonl_id_is_its_text(self, tmp_path):
+        (tmp_path / "c.jsonl").write_text(
+            '{"id": 7, "text": "x"}\n{"id": 1.5, "text": "y"}\n{"id": "c", "text": "z"}\n',
+            encoding="utf-8")
+        assert run(["ingest", "--input", tmp_path / "c.jsonl", "--format", "jsonl",
+                    "--out", tmp_path / "out.jsonl"]) == 0
+        assert [json.loads(line)["id"] for line in
+                (tmp_path / "out.jsonl").read_text().splitlines()] == ["7", "1.5", "c"]
 
     def test_transport_failure_is_its_own_status(self, workspace, monkeypatch,
                                                  capsys):

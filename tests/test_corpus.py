@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -83,6 +85,16 @@ class TestIngestJsonl:
         save_corpus(corpus, q)
         again = ingest(q, "jsonl")
         assert again.units == corpus.units
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_save_refuses_a_non_finite_meta_float(self, tmp_path, value):
+        # JSON has no such number, and ingest refuses the line that has one
+        corpus = Corpus([Unit("a", "x", meta={"year": 1990}),
+                         Unit("b", "y", meta={"year": 1991, "age": value})])
+        with pytest.raises(DataError, match=re.escape(
+                f"unit 'b': meta value 'age' is not finite: {json.dumps(value)}")):
+            save_corpus(corpus, tmp_path / "c.jsonl")
 
 
 class TestIngestCsv:

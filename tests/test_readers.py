@@ -213,14 +213,22 @@ def test_read_jsonl_decodes_exactly_as_json_loads(lines, last_newline):
 @given(st.lists(_values | st.dictionaries(st.text(max_size=3), _values, max_size=3),
                 max_size=4))
 def test_write_jsonl_writes_what_encode_writes(docs):
-    shared = {"é": [1.5, math.nan, -math.inf, "\u2028"], "a": None}
+    shared = {"é": [1.5, -0.0, 1e308, "\u2028"], "a": None}
     docs = docs + [{"x": shared, "y": shared}, [shared], "Schüler"]
-    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False).encode
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.jsonl"
         write_jsonl(path, docs)
         assert path.read_bytes() == "".join(
             encode(d) + "\n" for d in docs).encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_jsonl_refuses_a_non_finite_float(value):
+    # JSON has no such number: a line with one would be no JSON
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(ValueError, match="Out of range float"):
+            write_jsonl(Path(tmp) / "x.jsonl", [{"ok": 1}, {"a": [value]}])
 
 
 def test_write_jsonl_rejects_a_circular_document():
@@ -234,11 +242,21 @@ def test_write_jsonl_rejects_a_circular_document():
 # --- the column readers against one object per line -------------------------
 
 
+def _reference_text(name, value):
+    """A string, or an int or finite float written as one; the rest is a
+    DataError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise DataError(f"{name} must be a string or a number, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DataError(f"{name} is not finite: {json.dumps(value)}")
+    return str(value)
+
+
 def _reference_str_dict(obj, key):
     d = obj[key]
     if type(d) is not dict:
         raise DataError(f"{key} must be a JSON object")
-    return {k: str(v) for k, v in d.items()}
+    return {k: _reference_text(f"{key} value {k!r}", v) for k, v in d.items()}
 
 
 def reference_units(path):
@@ -251,7 +269,7 @@ def reference_units(path):
         meta = obj.get("meta", {})
         if type(meta) is not dict:
             raise DataError("meta must be a JSON object")
-        return Unit(id=uid if type(uid) is str else str(uid), text=text,
+        return Unit(id=_reference_text("id", uid), text=text,
                     groups=groups, meta=meta,
                     gold=(_reference_str_dict(obj, "gold")
                           if obj.get("gold") is not None else None))
@@ -268,7 +286,8 @@ def _mostly(valid, other):
 
 
 _ids = _mostly(st.sampled_from(["a", "b", "a b"]) | st.integers(0, 3),
-               st.none() | st.floats(0, 2) | st.just(""))
+               st.none() | st.booleans() | st.floats(0, 2)
+               | st.sampled_from([math.nan, -math.inf, ""]))
 _texts = _mostly(st.sampled_from(["x", " padded ", "line\u2028sep", "next\x85line",
                                   "cr\rinside"]),
                  st.sampled_from(["", "  ", "\u2028"]) | st.integers(0, 9))
