@@ -86,37 +86,26 @@ class ConfusionMatrix:
 
 
 def build_confusion(
-    gold: Union[Mapping[str, str], Sequence[str]],
-    predicted: Union[Mapping[str, str], Sequence[str]],
+    gold: Mapping[str, str],
+    predicted: Mapping[str, str],
     labels: Sequence[str],
 ) -> ConfusionMatrix:
-    """Count gold-vs-predicted pairs.
-
-    Accepts two mappings keyed by unit id (id sets must match) or two
-    positionally aligned sequences of equal length.
-    """
-    if isinstance(gold, Mapping) != isinstance(predicted, Mapping):
-        raise DataError("gold and predicted must both be mappings or both sequences")
-    if isinstance(gold, Mapping):
-        if set(gold) != set(predicted):
-            missing = set(gold) ^ set(predicted)
-            raise DataError(f"gold/predicted id sets differ, e.g. {sorted(missing)[:5]}")
-        keys = sorted(gold)
-        pairs = [(gold[k], predicted[k], k) for k in keys]
-    else:
-        if len(gold) != len(predicted):
-            raise DataError("gold and predicted must have equal length")
-        pairs = [(g, p, str(i)) for i, (g, p) in enumerate(zip(gold, predicted))]
-
+    """Count gold-vs-predicted pairs of two mappings keyed by unit id, whose
+    id sets must match. A label not in ``labels`` is a DataError naming the
+    first unit, in ``gold``'s order, that has one."""
+    if gold.keys() != predicted.keys():
+        missing = gold.keys() ^ predicted.keys()
+        raise DataError(f"gold/predicted id sets differ, e.g. {sorted(missing)[:5]}")
     index = {l: i for i, l in enumerate(labels)}
     k = len(labels)
-    cells = []
-    for g, p, uid in pairs:
-        if g not in index:
-            raise DataError(f"unit {uid!r}: gold label {g!r} not in label list")
-        if p not in index:
-            raise DataError(f"unit {uid!r}: predicted label {p!r} not in label list")
-        cells.append(index[g] * k + index[p])
+    try:
+        cells = [index[g] * k + index[predicted[uid]] for uid, g in gold.items()]
+    except KeyError:
+        for uid, g in gold.items():
+            for role, label in (("gold", g), ("predicted", predicted[uid])):
+                if label not in index:
+                    raise DataError(f"unit {uid!r}: {role} label {label!r} "
+                                    "not in label list") from None
     counts = np.bincount(np.array(cells, dtype=np.intp), minlength=k * k).reshape(k, k)
     return ConfusionMatrix(tuple(labels), counts)
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .boot import ErrorModel
-from .corpus import STRIP_CHARS, Corpus, CodingScheme, Unit, Variable, approx_tokens
+from .corpus import STRIP_CHARS, Corpus, CodingScheme, Variable, approx_tokens, check_lengths
 from .errors import ConfigError, DataError
 from .jsonio import append_json_line, read_json, read_jsonl, write_json, write_jsonl
 
@@ -57,9 +57,8 @@ class PromptTemplate:
     key of the unit's metadata, such as {title}. A batched prompt fills only
     {text}, with the numbered texts of the batch. A prompt is filled from a
     unit's row of the corpus columns (:meth:`render_row`) or from the rows
-    of a batch (:meth:`render_rows`); :meth:`render` and
-    :meth:`render_batch` take :class:`Unit` objects. A fill that fails is a
-    DataError naming the unit, or the batch's ids.
+    of a batch (:meth:`render_rows`). A fill that fails is a DataError
+    naming the unit, or the batch's ids.
     """
 
     instruction: str
@@ -77,12 +76,6 @@ class PromptTemplate:
             raise ConfigError("template placeholders must be named, "
                               "like {text}; {} and {0} are not")
         return names
-
-    def render(self, unit: Unit) -> str:
-        return self.render_row(unit.id, unit.text, unit.meta)
-
-    def render_batch(self, units: Sequence[Unit]) -> str:
-        return self.render_rows([u.id for u in units], [u.text for u in units])
 
     def render_row(self, uid: str, text: str, meta: dict) -> str:
         """The prompt of the unit ``uid`` with this text and metadata."""
@@ -316,16 +309,13 @@ class MockModel:
         seed: int = 0,
         refuse_units: Sequence[str] = (),
     ) -> "MockModel":
-        gold, name, levels = {}, variable.name, variable.labels
+        gold, name = {}, variable.name
         for uid, labels in zip(corpus.ids, corpus.gold):
             if labels is None or name not in labels:
                 raise ConfigError(
                     f"gold_corruption mock requires gold labels; unit {uid!r} has none"
                 )
-            gold[uid] = label = labels[name]
-            if label not in levels:
-                raise DataError(f"unit {uid!r}: gold label {label!r} is not a "
-                                f"level of {name!r}")
+            gold[uid] = labels[name]
         return cls(
             "gold_corruption",
             labels=variable.labels,
@@ -334,9 +324,6 @@ class MockModel:
             seed=seed,
             refuse_units=refuse_units,
         )
-
-    def _label_for(self, unit_id: str) -> str:
-        return self._drawn[unit_id]
 
     def send(
         self,
@@ -352,7 +339,7 @@ class MockModel:
                            if keyword.lower() in lower), "")
             answers = [answer] * max(len(unit_ids), 1)
         elif unit_ids:
-            answers = [self._label_for(uid) for uid in unit_ids]
+            answers = [self._drawn[uid] for uid in unit_ids]
         else:
             raise ConfigError("gold_corruption mock needs unit ids")
         if len(answers) == 1:
@@ -449,30 +436,19 @@ RECORD_FIELDS = tuple(f.name for f in fields(AnnotationRecord))
 
 
 class AnnotationSet:
-    """The records of one annotation run with its manifest. The records are
-    held as one column per field of :data:`RECORD_FIELDS`, all of one
-    length: ``unit_ids``, ``variables``, ``raws``, ``labels``, ``statuses``
-    and ``attempts``; the columns are read, never changed. An
+    """The records of one annotation run with its manifest, given as one
+    column per field of :data:`RECORD_FIELDS`: ``unit_ids``, ``variables``,
+    ``raws``, ``labels``, ``statuses`` and ``attempts``. Columns of unequal
+    length are a DataError; the columns are read, never changed. An
     :class:`AnnotationRecord` is built only when one is asked for: from
     :attr:`records` or by :meth:`record_for`."""
 
-    def __init__(self, records: Iterable[AnnotationRecord], manifest: dict):
-        records = tuple(records)
-        self._fill([[getattr(r, name) for r in records] for name in RECORD_FIELDS],
-                   manifest)
-
-    @classmethod
-    def from_columns(cls, columns: Iterable[Sequence], manifest: dict) -> "AnnotationSet":
-        """A set of records given as one column per field of
-        :data:`RECORD_FIELDS`."""
-        annset = cls.__new__(cls)
-        annset._fill(columns, manifest)
-        return annset
-
-    def _fill(self, columns, manifest: dict) -> None:
+    def __init__(self, columns: Iterable[Sequence], manifest: dict):
         self._columns = tuple(columns)
         (self.unit_ids, self.variables, self.raws, self.labels, self.statuses,
          self.attempts) = self._columns
+        check_lengths(unit_ids=self.unit_ids, variables=self.variables, raws=self.raws,
+                      labels=self.labels, statuses=self.statuses, attempts=self.attempts)
         self.manifest = manifest
         # pairs are built only when some unit has more than one record
         if (len(set(self.unit_ids)) != len(self.unit_ids) and
@@ -516,8 +492,8 @@ class AnnotationSet:
                 append(obj[name])
 
         read_jsonl(path, into_columns)
-        return cls.from_columns(columns, {"source": str(path)} if manifest_path is None
-                                else read_json(manifest_path))
+        return cls(columns, {"source": str(path)} if manifest_path is None
+                   else read_json(manifest_path))
 
 
 _BATCH_LINE = re.compile(r"^\s*(\d+)[.):]\s*(.*)$")
@@ -568,7 +544,7 @@ def annotate(
     answers; a count mismatch falls back to per-unit calls. Prompts are
     filled from the corpus columns ``ids``, ``texts`` and ``meta``, and each
     record is written into its unit's row of one list per field of
-    :data:`RECORD_FIELDS`: no :class:`Unit` and no record object is built,
+    :data:`RECORD_FIELDS`: no unit object and no record object is built,
     and the output does not depend on completion order.
     """
     variable = scheme.variable(template.variable)
@@ -640,5 +616,5 @@ def annotate(
         "n_units": n,
         "timestamp": run_timestamp(),
     }
-    return AnnotationSet.from_columns(
-        (list(ids), [variable.name] * n, raws, labels, statuses, attempts), manifest)
+    return AnnotationSet((list(ids), [variable.name] * n, raws, labels, statuses, attempts),
+                         manifest)

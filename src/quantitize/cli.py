@@ -163,16 +163,16 @@ def cmd_annotate(args) -> int:
     client = _build_client(cfg.client, corpus, scheme, cfg.variable, cfg.seed, audit)
     result = annotate(corpus, template, client, scheme, policy=cfg.policy,
                       controls=cfg.decoding, seed=cfg.seed)
-    result.save(out_dir / "annotations.jsonl", out_dir / "manifest.json")
     counts = result.counts_by_status()
+    # transport-fatal: nothing succeeded against an endpoint; the run is
+    # saved under names no finished run has
+    unusable = counts.get("ok", 0) == 0 and cfg.client.kind == "endpoint"
+    suffix = ".partial" if unusable else ""
+    result.save(out_dir / f"annotations.jsonl{suffix}", out_dir / f"manifest.json{suffix}")
+    if unusable:
+        raise TransportError("no unit could be annotated; endpoint unusable")
     failures = {status: counts.get(status, 0)
                 for status in ("refused", "unparseable", "transport_error")}
-    # transport-fatal: nothing succeeded against an endpoint; no file may
-    # look like the result of a finished run
-    if counts.get("ok", 0) == 0 and cfg.client.kind == "endpoint":
-        for name in ("annotations.jsonl", "manifest.json"):
-            (out_dir / name).rename(out_dir / f"{name}.partial")
-        raise TransportError("no unit could be annotated; endpoint unusable")
     print(f"annotated {len(result)} units -> {out_dir/'annotations.jsonl'}")
     if any(failures.values()):
         print("warning: " + ", ".join(f"{n} {s}" for s, n in failures.items()),

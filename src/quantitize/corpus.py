@@ -228,8 +228,8 @@ class Corpus:
     ``texts``, ``groups``, ``meta`` and ``gold`` (None for a unit without
     gold labels), all of one length, and ``index``, each id's row. The
     columns are read, never changed. A :class:`Unit` is built only when one
-    is asked for: by iterating, from :attr:`units`, by row (``corpus[i]``)
-    or by id (:meth:`unit`)."""
+    is asked for: by iterating, by row (``corpus[i]``) or by id
+    (:meth:`unit`)."""
 
     def __init__(self, units: Iterable[Unit]):
         self._fill(*_unit_columns(units))
@@ -237,12 +237,13 @@ class Corpus:
     @classmethod
     def from_columns(cls, ids, texts, groups, meta, gold) -> "Corpus":
         """A corpus of the given columns, taken as they are: each text must
-        already be non-blank."""
+        already be non-blank. Columns of unequal length are a DataError."""
         corpus = cls.__new__(cls)
         corpus._fill(ids, texts, groups, meta, gold)
         return corpus
 
     def _fill(self, ids, texts, groups, meta, gold) -> None:
+        check_lengths(ids=ids, texts=texts, groups=groups, meta=meta, gold=gold)
         self.ids, self.texts, self.groups, self.meta, self.gold = (
             ids, texts, groups, meta, gold)
         self.index = dict(zip(ids, range(len(ids))))
@@ -263,10 +264,6 @@ class Corpus:
         return Unit(self.ids[row], self.texts[row], self.groups[row], self.meta[row],
                     self.gold[row])
 
-    @property
-    def units(self) -> tuple[Unit, ...]:
-        return tuple(self)
-
     def unit(self, uid: str) -> Unit:
         return self[self.rows([uid])[0]]
 
@@ -277,6 +274,16 @@ class Corpus:
             return [index[uid] for uid in ids]
         except KeyError as exc:
             raise DataError(f"no unit with id {exc.args[0]!r}") from None
+
+
+def check_lengths(**columns) -> None:
+    """A DataError naming the first column whose length is not the first
+    column's."""
+    (first, column), *rest = columns.items()
+    for name, other in rest:
+        if len(other) != len(column):
+            raise DataError(f"column {name!r} has {len(other)} rows where "
+                            f"{first!r} has {len(column)}")
 
 
 def _unit_columns(units: Iterable[Unit]) -> tuple[list, ...]:

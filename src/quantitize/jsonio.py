@@ -14,6 +14,7 @@ import csv
 import json
 import json.encoder
 import json.scanner
+import os
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -48,13 +49,22 @@ def write_jsonl(path: Union[str, Path], docs: Iterable) -> None:
     sort_keys=True, allow_nan=False).encode`` makes a new one with for each
     document, so every line keeps its bytes; a NaN or infinite float, which
     would make the line no JSON, and a circular document (its markers dict)
-    are each a ``ValueError``."""
+    are each a ``ValueError``. The lines go to a temporary file beside
+    ``path`` that replaces it after the last line, so a refused document
+    leaves neither a partial file nor a truncated older one."""
     encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False)
     encode = json.encoder.c_make_encoder(
         {}, encoder.default, json.encoder.encode_basestring, None,
         encoder.key_separator, encoder.item_separator, True, False, False)
-    with _create(path) as fh:
-        fh.writelines("".join(encode(d, 0)) + "\n" for d in docs)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with _create(tmp) as fh:
+            fh.writelines("".join(encode(d, 0)) + "\n" for d in docs)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def append_json_line(path: Union[str, Path], doc: dict) -> None:

@@ -313,10 +313,6 @@ class _MarginalLikelihood:
                 break
         return u
 
-    def nll_grad(self, theta):
-        """The negative log-likelihood and gradient of :meth:`nll_grad_hess`."""
-        return self.nll_grad_hess(theta)[:2]
-
     def nll_grad_hess(self, theta):
         """Negative log-likelihood, gradient and Hessian at ``theta`` = (beta,
         log sigma), from one pass over the rows. Each group's log likelihood

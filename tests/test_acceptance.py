@@ -146,7 +146,7 @@ def _calibration_trial(seed):
     mock = MockModel.from_corpus(
         corpus, SENTIMENT, np.array([[0.9, 0.1], [0.1, 0.9]]), seed=seed
     )
-    predicted = {u.id: mock._label_for(u.id) for u in units}
+    predicted = {u.id: mock._drawn[u.id] for u in units}
     gold = {u.id: u.gold["sentiment"] for u in units}
     perm = np.random.default_rng(seed).permutation(n)
     ids = [u.id for u in units]

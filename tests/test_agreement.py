@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +18,12 @@ from quantitize.agreement import _average_ranks
 
 class TestBuildConfusion:
     def test_direct_count(self):
-        cm = build_confusion(["A", "A", "B"], ["A", "B", "B"], ["A", "B"])
+        cm = build_confusion({"u1": "A", "u2": "A", "u3": "B"},
+                             {"u1": "A", "u2": "B", "u3": "B"}, ["A", "B"])
         assert cm.counts.tolist() == [[1, 1], [0, 1]]
 
     def test_perfect_agreement_is_diagonal(self):
-        gold = ["A", "B", "B", "A", "A"]
+        gold = dict(enumerate(["A", "B", "B", "A", "A"]))
         cm = build_confusion(gold, gold, ["A", "B"])
         assert np.trace(cm.counts) == 5
         assert cm.counts.sum() == 5
@@ -36,6 +39,28 @@ class TestBuildConfusion:
     def test_mapping_alignment_by_id(self):
         cm = build_confusion({"b": "B", "a": "A"}, {"a": "A", "b": "A"}, ["A", "B"])
         assert cm.counts.tolist() == [[1, 0], [1, 0]]
+
+    def test_counts_do_not_depend_on_key_order(self):
+        ids = [f"u{i}" for i in range(12)]
+        gold = {uid: "AB"[i % 2] for i, uid in enumerate(ids)}
+        predicted = {uid: "AB"[i % 3 == 0] for i, uid in enumerate(ids)}
+        shuffled = ids[5:] + ids[4::-1]
+        for gold_order, predicted_order in ((ids, ids), (ids[::-1], ids),
+                                            (ids, shuffled), (shuffled, ids[::-1])):
+            cm = build_confusion({k: gold[k] for k in gold_order},
+                                 {k: predicted[k] for k in predicted_order}, ["A", "B"])
+            assert cm.counts.tolist() == [[4, 2], [4, 2]]
+
+    @pytest.mark.parametrize("gold, predicted, message", [
+        ({"u3": "A", "u2": "C", "u1": "C"}, {"u1": "A", "u2": "A", "u3": "A"},
+         "unit 'u2': gold label 'C' not in label list"),
+        ({"u3": "A", "u2": "A", "u1": "A"}, {"u1": "C", "u2": "C", "u3": "A"},
+         "unit 'u2': predicted label 'C' not in label list"),
+    ])
+    def test_a_bad_label_names_the_first_bad_unit_in_gold_order(
+            self, gold, predicted, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build_confusion(gold, predicted, ["A", "B"])
 
 
 class TestConfusionMatrix:
@@ -133,7 +158,8 @@ class TestPerClassMetrics:
 class TestAgreementReport:
     def test_error_column_excluded_from_kappa(self):
         cm = build_confusion(
-            ["A", "A", "B", "B"], ["A", "ERROR", "B", "ERROR"], ["A", "B", "ERROR"]
+            dict(enumerate(["A", "A", "B", "B"])),
+            dict(enumerate(["A", "ERROR", "B", "ERROR"])), ["A", "B", "ERROR"]
         )
         report = agreement_report(cm)
         assert "ERROR" not in report.labels

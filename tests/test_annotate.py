@@ -3,6 +3,7 @@ import json
 import math
 import re
 import string
+from dataclasses import astuple
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -299,7 +300,7 @@ class TestMockModel:
                 u = (int.from_bytes(digest[8:16], "big") >> 11) * 2.0**-53
                 cum = list(accumulate(matrix[labels.index(gold[uid])].tolist()))
                 want = labels[bisect_right([c / cum[-1] for c in cum], u)]
-                assert mock._label_for(uid) == want
+                assert mock._drawn[uid] == want
 
     def test_label_shares_match_the_matrix(self):
         # over 10^4 units each row's label shares lie within 5 binomial SDs
@@ -311,7 +312,7 @@ class TestMockModel:
         mock = MockModel("gold_corruption", labels=labels, matrix=matrix,
                          gold=gold, seed=3)
         for g, row in zip(labels, matrix):
-            drawn = [mock._label_for(uid) for uid, lab in gold.items() if lab == g]
+            drawn = [mock._drawn[uid] for uid, lab in gold.items() if lab == g]
             n = len(drawn)
             for label, p in zip(labels, row):
                 count = drawn.count(label)
@@ -333,18 +334,19 @@ class TestMockModel:
 
     def test_gold_outside_labels_rejected_at_construction(self):
         corpus = Corpus((Unit(id="a", text="x", gold={"sentiment": "Foo"}),))
-        with pytest.raises(DataError, match="unit 'a': gold label 'Foo' is not "
-                                            "a level of 'sentiment'"):
+        with pytest.raises(DataError, match=re.escape(
+                "unit 'a': gold label 'Foo' is not one of the labels "
+                "['Positive', 'Negative']")):
             MockModel.from_corpus(corpus, SENTIMENT, np.eye(2))
 
     def test_labels_do_not_depend_on_unit_order(self):
         corpus = make_corpus(1500, seed=4)
         matrix = np.array([[0.7, 0.3], [0.2, 0.8]])
         forward = MockModel.from_corpus(corpus, SENTIMENT, matrix, seed=9)
-        backward = MockModel.from_corpus(Corpus(corpus.units[::-1]), SENTIMENT,
+        backward = MockModel.from_corpus(Corpus(tuple(corpus)[::-1]), SENTIMENT,
                                          matrix, seed=9)
-        assert {u.id: forward._label_for(u.id) for u in corpus} == \
-            {u.id: backward._label_for(u.id) for u in corpus}
+        assert {u.id: forward._drawn[u.id] for u in corpus} == \
+            {u.id: backward._drawn[u.id] for u in corpus}
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -538,26 +540,38 @@ class TestAnnotationSet:
         assert again.records == result.records
         assert again.manifest == result.manifest
 
+    @pytest.mark.parametrize("short", ["variables", "raws", "labels", "statuses",
+                                       "attempts"])
+    def test_columns_of_unequal_length_are_refused(self, short):
+        # a short column made the set save fewer records than its len
+        columns = {"unit_ids": ["u1", "u2"], "variables": ["sentiment"] * 2,
+                   "raws": ["Positive", "x"], "labels": ["Positive", None],
+                   "statuses": ["ok", "unparseable"], "attempts": [1, 1]}
+        columns[short] = columns[short][:1]
+        with pytest.raises(DataError, match=f"^column {short!r} has 1 rows where "
+                                            "'unit_ids' has 2$"):
+            AnnotationSet(columns.values(), {"x": 1})
+
     def test_duplicate_records_rejected(self):
         from quantitize import AnnotationRecord
         r = AnnotationRecord("u1", "sentiment", "Positive", "Positive", "ok", 1)
         with pytest.raises(DataError):
-            AnnotationSet((r, r), {"x": 1})
+            AnnotationSet(zip(*map(astuple, (r, r))), {"x": 1})
 
     def test_record_for_takes_a_units_first_record(self):
         from quantitize import AnnotationRecord
         first = AnnotationRecord("u1", "sentiment", "Positive", "Positive", "ok", 1)
         second = AnnotationRecord("u1", "stance", "x", None, "unparseable", 1)
         other = AnnotationRecord("u2", "sentiment", "", None, "refused", 1)
-        records = AnnotationSet((first, second, other), {"x": 1})
+        records = AnnotationSet(zip(*map(astuple, (first, second, other))), {"x": 1})
         assert records.record_for("u1") == first  # built on demand
         assert records.record_for("u2") == other
         with pytest.raises(DataError, match="no record for unit 'u3'"):
             records.record_for("u3")
 
     def test_meta_text_key_does_not_replace_unit_text(self):
-        unit = Unit(id="u1", text="the passage", meta={"text": "META", "title": "T"})
-        rendered = PromptTemplate("Label {title}: {text}", "sentiment").render(unit)
+        rendered = PromptTemplate("Label {title}: {text}", "sentiment").render_row(
+            "u1", "the passage", {"text": "META", "title": "T"})
         assert rendered == "Label T: the passage"
 
     @pytest.mark.parametrize("instruction", ["{} {text}", "{0}", "{text} {0.x}",
@@ -598,16 +612,16 @@ class TestAnnotationSet:
         AnnotatePolicy(batch_size=2, max_in_flight=3)])
     def test_annotate_reads_the_corpus_columns(self, policy, monkeypatch):
         # no Unit is built: each prompt is filled from the unit's row of
-        # the corpus columns, and is the prompt render or render_batch gives
+        # the corpus columns, and is the prompt render_row or render_rows gives
         corpus = Corpus(Unit(id=f"u{i:03d}", text=f"passage {i}",
                              meta={"title": f"T{i}"}, gold={"sentiment": "Positive"})
                         for i in range(7))
         template = (PromptTemplate("{title}: {text}", "sentiment")
                     if policy.batch_size == 1 else TEMPLATE)
-        batches = [corpus.units[i:i + policy.batch_size]
-                   for i in range(0, 7, policy.batch_size)]
-        prompts = [template.render(batch[0]) if len(batch) == 1 else
-                   template.render_batch(batch) for batch in batches]
+        batches = [slice(i, i + policy.batch_size) for i in range(0, 7, policy.batch_size)]
+        prompts = [template.render_row(corpus.ids[b][0], corpus.texts[b][0], corpus.meta[b][0])
+                   if len(corpus.ids[b]) == 1 else
+                   template.render_rows(corpus.ids[b], corpus.texts[b]) for b in batches]
         mock = MockModel.from_corpus(corpus, SENTIMENT, np.eye(2), refuse_units=["u004"])
         sent, send = [], mock.send
         mock.send = lambda prompt, controls, unit_ids=(): (

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from quantitize import AnnotationRecord, AnnotationSet, ConfusionMatrix
+from quantitize import AnnotationSet, ConfusionMatrix
 from quantitize.cli import main
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -21,10 +21,10 @@ def load_tracer():
 
 
 def test_traced_bootstrap_records_the_boot_spans(tmp_path):
-    records = tuple(
-        AnnotationRecord(f"u{i:02d}", "sentiment", label, label, "ok", 1)
-        for i, label in enumerate(["A", "B", "A"] * 4))
-    AnnotationSet(records, {"source": "test"}).save(tmp_path / "ann.jsonl")
+    labels = ["A", "B", "A"] * 4
+    columns = ([f"u{i:02d}" for i in range(12)], ["sentiment"] * 12, labels, labels,
+               ["ok"] * 12, [1] * 12)
+    AnnotationSet(columns, {"source": "test"}).save(tmp_path / "ann.jsonl")
     ConfusionMatrix(("A", "B"), np.array([[8, 2], [1, 9]])).to_csv(
         tmp_path / "confusion.csv")
     with load_tracer()() as tracer:

@@ -785,8 +785,8 @@ class TestExitCodes:
         (workspace / "corpus.jsonl").write_text(
             text.replace('"Negative"', '"Foo"', 1), encoding="utf-8")
         assert run(["annotate", "--config", workspace / "run.yaml"]) == 3
-        assert ("unit 'u001': gold label 'Foo' is not a level of 'sentiment'"
-                in capsys.readouterr().err)
+        assert ("unit 'u001': gold label 'Foo' is not one of the labels "
+                "['Positive', 'Negative']" in capsys.readouterr().err)
 
     def test_unfillable_batched_template_is_3(self, workspace, capsys):
         (workspace / "spec.txt").write_text("Label these:\n\n{text:d}\n",

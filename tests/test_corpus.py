@@ -84,7 +84,7 @@ class TestIngestJsonl:
         q = tmp_path / "copy.jsonl"
         save_corpus(corpus, q)
         again = ingest(q, "jsonl")
-        assert again.units == corpus.units
+        assert tuple(again) == tuple(corpus)
 
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -95,6 +95,13 @@ class TestIngestJsonl:
         with pytest.raises(DataError, match=re.escape(
                 f"unit 'b': meta value 'age' is not finite: {json.dumps(value)}")):
             save_corpus(corpus, tmp_path / "c.jsonl")
+        # nothing is left: no partial file, and an older file keeps its bytes
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "c.jsonl").write_bytes(b"older\n")
+        with pytest.raises(DataError):
+            save_corpus(corpus, tmp_path / "c.jsonl")
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.jsonl"]
+        assert (tmp_path / "c.jsonl").read_bytes() == b"older\n"
 
 
 class TestIngestCsv:
@@ -104,15 +111,15 @@ class TestIngestCsv:
         mapping = CsvMapping(id_column="id", text_column="text",
                              meta_columns={"year": "int"})
         corpus = ingest(p, "csv", csv_mapping=mapping)
-        assert corpus.units[0].meta["year"] == 1954
-        assert isinstance(corpus.units[1].meta["year"], int)
+        assert tuple(corpus)[0].meta["year"] == 1954
+        assert isinstance(tuple(corpus)[1].meta["year"], int)
 
     def test_unmapped_columns_kept_as_string_meta(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("id,text,title\nr1,hello,Some Title\n")
         mapping = CsvMapping(id_column="id", text_column="text")
         corpus = ingest(p, "csv", csv_mapping=mapping)
-        assert corpus.units[0].meta["title"] == "Some Title"
+        assert tuple(corpus)[0].meta["title"] == "Some Title"
 
     def test_empty_gold_cell_is_no_gold(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -138,6 +145,17 @@ class TestUnit:
         u = Unit(id="a", text="x")
         with pytest.raises(DataError):
             Corpus((u, Unit(id="a", text="y")))
+
+    @pytest.mark.parametrize("short", ["texts", "groups", "meta", "gold"])
+    def test_columns_of_unequal_length_are_refused(self, short, tmp_path):
+        # a short column made the corpus iterate and save fewer units than
+        # its len
+        columns = {"ids": ["a", "b"], "texts": ["x", "y"], "groups": [{}, {}],
+                   "meta": [{}, {}], "gold": [None, None]}
+        columns[short] = columns[short][:1]
+        with pytest.raises(DataError, match=f"^column {short!r} has 1 rows where "
+                                            "'ids' has 2$"):
+            Corpus.from_columns(**columns)
 
     def test_corpus_unit_lookup(self):
         units = tuple(Unit(id=f"u{i}", text=f"t{i}") for i in range(5))

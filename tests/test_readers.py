@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import quantitize
 from quantitize import AnnotationRecord, AnnotationSet, Corpus, DataError, Unit, ingest
+from quantitize.annotate import RECORD_FIELDS
 from quantitize.jsonio import read_jsonl, read_lines, write_jsonl
 
 PARSERS = {"json.load", "json.loads", "json.JSONDecoder", "json.decoder.JSONDecoder",
@@ -227,8 +228,16 @@ def test_write_jsonl_writes_what_encode_writes(docs):
 def test_write_jsonl_refuses_a_non_finite_float(value):
     # JSON has no such number: a line with one would be no JSON
     with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.jsonl"
         with pytest.raises(ValueError, match="Out of range float"):
-            write_jsonl(Path(tmp) / "x.jsonl", [{"ok": 1}, {"a": [value]}])
+            write_jsonl(path, [{"ok": 1}, {"a": [value]}])
+        # nothing is left: no partial file, and an older file keeps its bytes
+        assert list(Path(tmp).iterdir()) == []
+        path.write_bytes(b"older\n")
+        with pytest.raises(ValueError, match="Out of range float"):
+            write_jsonl(path, [{"ok": 1}, {"a": [value]}])
+        assert list(Path(tmp).iterdir()) == [path]
+        assert path.read_bytes() == b"older\n"
 
 
 def test_write_jsonl_rejects_a_circular_document():
@@ -366,7 +375,8 @@ def test_annotation_load_reads_the_records_one_object_per_line_would(
         docs, endings, last_newline):
     def reference(path):
         records = reference_read_jsonl(path, lambda d, _: AnnotationRecord(**d))
-        return AnnotationSet(records, {"source": str(path)}).records
+        columns = [[getattr(r, name) for r in records] for name in RECORD_FIELDS]
+        return AnnotationSet(columns, {"source": str(path)}).records
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.jsonl"

@@ -620,7 +620,7 @@ class TestMixedModel:
                               math.log(fit.sigma_u))
             steps = 1e-3 * np.eye(len(theta))
             probes = theta + np.concatenate([steps, -steps])
-            nll = [model.nll_grad(probe)[0]
+            nll = [model.nll_grad_hess(probe)[0]
                    for probe in probes[(low <= probes[:, -1]) & (probes[:, -1] <= high)]]
             assert np.max(-np.array(nll)) <= fit.log_likelihood, seed
         assert bound == on_bound
@@ -670,7 +670,7 @@ class TestMarginalLikelihood:
         # objective was off by hundreds to thousands of log-units
         model, X, y, groups = _likelihood(gen_simpson(1))
         theta = np.array(theta)
-        nll, _ = model.nll_grad(theta)
+        nll, _ = model.nll_grad_hess(theta)[:2]
         assert -nll == pytest.approx(_grid_loglik(X, y, groups, theta), abs=1e-6)
 
     @pytest.mark.parametrize("data", ["simpson", "interview"])
@@ -680,10 +680,10 @@ class TestMarginalLikelihood:
         model, X, _, _ = _likelihood(obs)
         rng = np.random.default_rng(2)
         theta = np.append(rng.normal(scale=0.3, size=X.shape[1]), log_sigma)
-        _, grad = model.nll_grad(theta)
+        _, grad = model.nll_grad_hess(theta)[:2]
 
         def nll(t):
-            return model.nll_grad(t)[0]
+            return model.nll_grad_hess(t)[0]
 
         # five-point central differences; log sigma takes a wider step, since
         # at the bound its derivative is ~1e-3 and rounding would swamp it
@@ -707,8 +707,8 @@ class TestMarginalLikelihood:
             for j in range(n):
                 step = np.zeros(n)
                 step[j] = 1e-5 * max(1.0, abs(theta[j]))
-                hess[:, j] = (model.nll_grad(theta + step)[1]
-                              - model.nll_grad(theta - step)[1]) / (2 * step[j])
+                hess[:, j] = (model.nll_grad_hess(theta + step)[1]
+                              - model.nll_grad_hess(theta - step)[1]) / (2 * step[j])
             hess = 0.5 * (hess + hess.T)
             exact = model.nll_grad_hess(theta)[2]
             assert np.max(np.abs(exact - hess)) <= 1e-6 * max(1.0, np.max(np.abs(exact)))
@@ -755,7 +755,7 @@ class TestZeroVarianceScore:
         model, X, y, _ = _likelihood(gen(seed))
         beta0 = fit_logistic_stack(X, y[None], ["x"] * X.shape[1])[0][0]
         score = model.zero_variance_score(beta0)
-        _, grad = model.nll_grad(np.append(beta0, log_sigma))
+        _, grad = model.nll_grad_hess(np.append(beta0, log_sigma))[:2]
         assert grad[-1] == pytest.approx(-math.exp(2 * log_sigma) * score, rel=1e-3)
 
 
