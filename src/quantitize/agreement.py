@@ -13,10 +13,9 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from .corpus import ERROR_LABEL
 from .errors import DataError
 from .jsonio import read_csv_table, write_csv, write_json
-
-ERROR_LABEL = "ERROR"
 
 
 @dataclass(frozen=True)
@@ -28,6 +27,8 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         k = len(self.labels)
+        if len(set(self.labels)) != k:
+            raise DataError(f"confusion matrix repeats a label: {list(self.labels)}")
         try:
             counts = np.asarray(self.counts, dtype=float)
         except (TypeError, ValueError) as exc:  # ragged rows, or a cell that is no number

@@ -107,8 +107,8 @@ class DecodingControls:
     stop: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ConfigError("temperature must be non-negative")
+        if not 0 <= self.temperature < float("inf"):  # NaN too
+            raise ConfigError("temperature must be finite and >= 0")
         if self.max_output_tokens is not None and self.max_output_tokens < 1:
             raise ConfigError("max_output_tokens must be >= 1")
 
@@ -548,6 +548,9 @@ def annotate(
     and the output does not depend on completion order.
     """
     variable = scheme.variable(template.variable)
+    if variable.kind not in ("categorical", "ordinal"):
+        raise ConfigError(f"variable {variable.name!r} is {variable.kind}; annotate "
+                          "labels a categorical or ordinal one")
     other = template.placeholders() - {"text"}
     if policy.batch_size > 1 and other:
         raise ConfigError("a batched prompt fills only {text}; the "

@@ -29,6 +29,8 @@ from .jsonio import read_csv_table, read_jsonl, read_text, write_jsonl, write_te
 Scalar = Union[str, int, float, bool]
 
 VARIABLE_KINDS = ("categorical", "ordinal", "numeric", "open")
+# the prediction evaluate counts a refused or unparseable record as; no level may take it
+ERROR_LABEL = "ERROR"
 STRIP_CHARS = string.whitespace + string.punctuation + "‘’“”"
 
 
@@ -64,6 +66,9 @@ class Variable:
             labels = self.labels
             if len(set(labels)) != len(labels):
                 raise ConfigError(f"duplicate level labels in variable {self.name!r}")
+            if ERROR_LABEL in labels:
+                raise ConfigError(f"variable {self.name!r}: the level label "
+                                  f"{ERROR_LABEL!r} is reserved")
             if self.catch_all is not None and self.catch_all not in labels:
                 raise ConfigError(
                     f"catch_all {self.catch_all!r} is not a level of {self.name!r}"

@@ -23,9 +23,9 @@ from .errors import DataError
 JSON_SPACE = " \t\n\r"  # the whitespace JSON allows between tokens
 
 
-def format_json(doc) -> str:
+def format_json(doc, allow_nan: bool = True) -> str:
     """A document as text, without the final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=allow_nan)
 
 
 def _create(path: Union[str, Path], mode: str = "w", newline=None):
@@ -40,7 +40,13 @@ def write_text(path: Union[str, Path], text: str) -> None:
 
 
 def write_json(path: Union[str, Path], doc) -> None:
-    write_text(path, format_json(doc) + "\n")
+    """``doc`` as :func:`format_json` writes it; a NaN or infinity, which
+    JSON lacks, is a DataError naming ``path``, and nothing is written."""
+    try:
+        text = format_json(doc, allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    write_text(path, text + "\n")
 
 
 def write_jsonl(path: Union[str, Path], docs: Iterable) -> None:

@@ -74,6 +74,11 @@ class TestConfusionMatrix:
         with pytest.raises(DataError, match=message):
             ConfusionMatrix(("A", "B"), counts)
 
+    def test_repeated_labels_are_refused(self):
+        # without_label would drop both names but one row and one column
+        with pytest.raises(DataError, match=r"^confusion matrix repeats a label: \['A', 'B', 'A'\]$"):
+            ConfusionMatrix(("A", "B", "A"), np.eye(3))
+
     def test_integral_floats_are_counts(self):
         cm = ConfusionMatrix(("A", "B"), [[2.0, 0.0], [1.0, 3.0]])
         assert cm.counts.dtype == np.int64

@@ -146,9 +146,22 @@ class TestDecodingControls:
         assert c.max_output_tokens == math.ceil(len("Positive") / 4)
         assert dict(c.label_bias) == {"Positive": 100, "Negative": 100}
 
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(ConfigError):
-            DecodingControls(temperature=-0.5)
+    @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+    def test_temperature_that_is_negative_or_not_finite_rejected(self, value):
+        # a NaN passed ``temperature < 0`` and reached the manifest as no JSON
+        with pytest.raises(ConfigError, match="temperature must be finite and >= 0"):
+            DecodingControls(temperature=value)
+
+    @pytest.mark.parametrize("kind", ["open", "numeric"])
+    def test_a_variable_without_levels_is_refused_before_any_send(self, kind):
+        class NoSend:
+            def send(self, *args, **kwargs):
+                raise AssertionError("no request may be sent")
+
+        scheme = CodingScheme((Variable("note", kind),))
+        with pytest.raises(ConfigError, match=f"^variable 'note' is {kind}; annotate "
+                                              "labels a categorical or ordinal one$"):
+            annotate(make_corpus(3), PromptTemplate("{text}", "note"), NoSend(), scheme)
 
 
 class TestMockModel:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,11 @@ from quantitize import (
     save_scheme,
 )
 from quantitize.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the packages of pyproject.toml's test extra, which the package runs without
+TEST_EXTRA = ("hypothesis", "pytest", "scipy")
 
 
 @pytest.fixture
@@ -94,12 +100,13 @@ def _bootstrap_argv(workspace, statistic, meta, replicates=10, out="boot"):
 
 
 def _child_stdout(code, *args):
-    """Standard output of ``code`` run in a fresh interpreter on this package."""
+    """Standard output of ``code`` run in a fresh interpreter on this
+    package, where a numeric warning is an error, as it is in the tests."""
     import quantitize
     env = {**os.environ,
            "PYTHONPATH": str(Path(quantitize.__file__).resolve().parents[1])}
     return subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *map(str, args)],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
 
@@ -114,13 +121,30 @@ def test_import_leaves_heavy_modules_unloaded():
     assert loaded.strip() == "[]"
 
 
+def test_runtime_dependencies_leave_out_the_test_extra():
+    # so an install without extras lacks every package the child below blocks
+    tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+    def names(requirements):
+        return {re.match(r"[\w.-]+", r).group().lower() for r in requirements}
+
+    assert names(project["optional-dependencies"]["test"]) == set(TEST_EXTRA)
+    assert names(project["dependencies"]).isdisjoint(TEST_EXTRA)
+
+
 def test_commands_run_without_scipy(workspace):
-    # scipy is a dependency of the tests only: with it unimportable, a fixed
-    # and a mixed fit, a demo, a bootstrap whose level needs a normal
-    # quantile and a mixed bootstrap all succeed
+    # the test extra's packages are dependencies of the tests only: with
+    # each one unimportable and a numeric warning an error, every demo
+    # script, the built-in demos, a fixed, a mixed and a one-node (Laplace)
+    # fit, a bootstrap whose level needs a normal quantile and a mixed
+    # bootstrap all succeed
     rows = ["g,x,y"] + [f"g{i % 5},{(i % 7) / 3!r},{(i * i + i // 5) % 3 % 2}"
                         for i in range(100)]
     (workspace / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rows = ["yes,age,school"] + [f"{o.response},{o.covariates['age']!r},{o.group}"
+                                 for o in gen_simpson(0)]
+    (workspace / "simpson.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     _annotate_and_evaluate(workspace)
 
     def meta(i):
@@ -131,22 +155,31 @@ def test_commands_run_without_scipy(workspace):
          "--out", workspace / out]
         for formula, out in (("y ~ x", "fixed.json"), ("y ~ x + (1|g)", "mixed.json"))
     ] + [
+        ["fit", "--data", workspace / "simpson.csv", "--formula",
+         "yes ~ age + (1|school)", "--quad-nodes", 1, "--out", workspace / "laplace.json"],
         ["demo", "simpson", "--seed", 0],
+        ["demo", "confound", "--seed", 0],
         _bootstrap_argv(workspace, "logistic:Positive ~ age", meta) + ["--level", 0.9],
         _bootstrap_argv(workspace, "mixed:Positive ~ age + (1|school)", meta,
                         out="boot_mixed"),
     ]
+    assert DEMOS
     out = _child_stdout(
-        "import json, sys; sys.modules['scipy'] = None; "
-        "from quantitize.cli import main; "
+        "import json, runpy, sys\n"
+        f"for name in {TEST_EXTRA!r}: sys.modules[name] = None\n"
+        "for script in json.loads(sys.argv[2]): runpy.run_path(script, run_name='__main__')\n"
+        "from quantitize.cli import main\n"
         "print([main(argv) for argv in json.loads(sys.argv[1])])",
-        json.dumps([list(map(str, argv)) for argv in commands]))
-    assert out.splitlines()[-1] == "[0, 0, 0, 0, 0]"
+        json.dumps([list(map(str, argv)) for argv in commands]),
+        json.dumps(list(map(str, DEMOS))))
+    assert out.splitlines()[-1] == str([0] * len(commands))
     assert json.loads((workspace / "mixed.json").read_text())["converged"] is True
     boot = json.loads((workspace / "boot" / "boot.json").read_text())
     assert boot["config"]["level"] == 0.9
     mixed = json.loads((workspace / "boot_mixed" / "boot.json").read_text())
     assert list(mixed["statistics"]) == ["beta_age", "p_age"]
+    replicates = (workspace / "boot_mixed" / "replicates.csv").read_text().splitlines()
+    assert len(replicates) == 10 + 1  # a header and one row per replicate
 
 
 class TestPipeline:
@@ -219,12 +252,15 @@ class TestPipeline:
         second = (workspace / "out" / "annotations.jsonl").read_bytes()
         assert first == second
 
-    def test_batch_size_does_not_change_labels(self, workspace):
+    @pytest.mark.parametrize("policy", [{"batch_size": 4},
+                                        {"batch_size": 4, "max_in_flight": 3}],
+                             ids=["batches", "batches-in-flight"])
+    def test_batch_size_does_not_change_labels(self, workspace, policy):
         run(["annotate", "--config", workspace / "run.yaml"])
         base = (workspace / "out" / "annotations.jsonl").read_bytes()
 
         cfg = yaml.safe_load((workspace / "run.yaml").read_text())
-        cfg["policy"] = {"batch_size": 4}
+        cfg["policy"] = policy
         cfg["output_dir"] = "out_batched"
         (workspace / "run4.yaml").write_text(yaml.safe_dump(cfg),
                                              encoding="utf-8")
@@ -400,19 +436,23 @@ class TestExitCodes:
     def test_retry_policy_or_timeout_out_of_range_is_2(self, workspace, monkeypatch,
                                                       capsys):
         # each used to be accepted, and a negative backoff or a timeout of 0
-        # ended the run with a traceback at its first send
+        # ended the run with a traceback at its first send; a NaN temperature
+        # ended in a manifest that held the token NaN, which is no JSON
         monkeypatch.setenv("QUANTITIZE_API_TOKEN", "tok")
         endpoint = {"kind": "endpoint", "endpoint": "http://127.0.0.1:9", "model": "m1"}
         for section, value, named in (
                 ("policy", {"backoff": -1}, "backoff must be >= 0"),
                 ("policy", {"max_retries": -3}, "max_retries must be >= 0"),
                 ("client", {**endpoint, "timeout": 0}, "timeout must be positive"),
-                ("client", {**endpoint, "timeout": -1}, "timeout must be positive")):
+                ("client", {**endpoint, "timeout": -1}, "timeout must be positive"),
+                ("decoding", {"temperature": float("nan")},
+                 "temperature must be finite and >= 0")):
             cfg = yaml.safe_load((workspace / "run.yaml").read_text())
             cfg[section] = value
             (workspace / "bad.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
             assert run(["annotate", "--config", workspace / "bad.yaml"]) == 2, value
             assert named in capsys.readouterr().err, value
+        assert not (workspace / "out").exists()
 
     def test_unknown_client_key_is_2(self, workspace, capsys):
         # concurrency is policy.max_in_flight; the client section has none
@@ -787,6 +827,26 @@ class TestExitCodes:
         assert run(["annotate", "--config", workspace / "run.yaml"]) == 3
         assert ("unit 'u001': gold label 'Foo' is not one of the labels "
                 "['Positive', 'Negative']" in capsys.readouterr().err)
+
+    def test_scheme_level_named_error_is_2(self, workspace, capsys):
+        # evaluate adds an ERROR column for refused and unparseable records;
+        # a level of that name made it exit 3 on a 1x1 matrix
+        assert run(["annotate", "--config", workspace / "run.yaml"]) == 0
+        (workspace / "scheme.yaml").write_text(yaml.safe_dump({"variables": [{
+            "name": "sentiment", "kind": "categorical",
+            "levels": [{"label": "Positive"}, {"label": "ERROR"}]}]}), encoding="utf-8")
+        for argv in (
+                ["ingest", "--input", workspace / "corpus.jsonl", "--format", "jsonl",
+                 "--scheme", workspace / "scheme.yaml", "--out", workspace / "c.jsonl"],
+                ["annotate", "--config", workspace / "run.yaml"],
+                ["evaluate", "--corpus", workspace / "corpus.jsonl",
+                 "--annotations", workspace / "out" / "annotations.jsonl",
+                 "--scheme", workspace / "scheme.yaml", "--variable", "sentiment",
+                 "--out-dir", workspace / "eval"]):
+            assert run(argv) == 2, argv[0]
+            assert ("variable 'sentiment': the level label 'ERROR' is reserved"
+                    in capsys.readouterr().err), argv[0]
+        assert not (workspace / "eval").exists()
 
     def test_unfillable_batched_template_is_3(self, workspace, capsys):
         (workspace / "spec.txt").write_text("Label these:\n\n{text:d}\n",

@@ -276,6 +276,13 @@ class TestScheme:
             Variable("topic", "categorical",
                      (Level("A"), Level("B")), catch_all="Misc")
 
+    @pytest.mark.parametrize("kind", ["categorical", "ordinal"])
+    def test_error_is_no_level_label(self, kind):
+        # evaluate counts refused and unparseable records under that name
+        with pytest.raises(ConfigError, match="^variable 'status': the level label "
+                                              "'ERROR' is reserved"):
+            Variable("status", kind, (Level("OK"), Level("ERROR")))
+
     def test_ordinal_order_is_declaration_order(self):
         v = Variable("rel", "ordinal",
                      (Level("Distinct"), Level("Linked"),

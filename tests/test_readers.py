@@ -10,6 +10,7 @@ it is checked against ``JSONEncoder.encode``."""
 import ast
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import quantitize
 from quantitize import AnnotationRecord, AnnotationSet, Corpus, DataError, Unit, ingest
 from quantitize.annotate import RECORD_FIELDS
-from quantitize.jsonio import read_jsonl, read_lines, write_jsonl
+from quantitize.jsonio import read_jsonl, read_lines, write_json, write_jsonl
 
 PARSERS = {"json.load", "json.loads", "json.JSONDecoder", "json.decoder.JSONDecoder",
            "yaml.load", "yaml.safe_load", "yaml.full_load", "yaml.unsafe_load",
@@ -238,6 +239,16 @@ def test_write_jsonl_refuses_a_non_finite_float(value):
             write_jsonl(path, [{"ok": 1}, {"a": [value]}])
         assert list(Path(tmp).iterdir()) == [path]
         assert path.read_bytes() == b"older\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_a_non_finite_float(value):
+    # as for write_jsonl: a document with one would be no JSON
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.json"
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: Out of range float"):
+            write_json(path, {"ok": 1, "a": [value]})
+        assert list(Path(tmp).iterdir()) == []
 
 
 def test_write_jsonl_rejects_a_circular_document():
