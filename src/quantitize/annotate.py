@@ -547,10 +547,7 @@ def annotate(
     :data:`RECORD_FIELDS`: no unit object and no record object is built,
     and the output does not depend on completion order.
     """
-    variable = scheme.variable(template.variable)
-    if variable.kind not in ("categorical", "ordinal"):
-        raise ConfigError(f"variable {variable.name!r} is {variable.kind}; annotate "
-                          "labels a categorical or ordinal one")
+    variable = scheme.labelled(template.variable, "annotate labels")
     other = template.placeholders() - {"text"}
     if policy.batch_size > 1 and other:
         raise ConfigError("a batched prompt fills only {text}; the "

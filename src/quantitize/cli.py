@@ -126,7 +126,7 @@ def _refuse_unread(cfg: ClientConfig, client: str, *reads: str) -> None:
         raise ConfigError(f"{client} does not read client keys {unread}")
 
 
-def _build_client(cfg: ClientConfig, corpus, scheme, variable, seed: int, audit):
+def _build_client(cfg: ClientConfig, corpus, variable, seed: int, audit):
     if cfg.kind == "endpoint":
         _refuse_unread(cfg, "an endpoint client", "endpoint", "model", "auth_env",
                        "timeout")
@@ -144,9 +144,8 @@ def _build_client(cfg: ClientConfig, corpus, scheme, variable, seed: int, audit)
             return mock
         _refuse_unread(cfg, "a mock client in gold_corruption mode", "mode",
                        "refuse_units", "matrix")
-        var = scheme.variable(variable)
-        matrix = np.eye(len(var.labels)) if cfg.matrix is None else cfg.matrix
-        return MockModel.from_corpus(corpus, var, matrix, seed=seed,
+        matrix = np.eye(len(variable.labels)) if cfg.matrix is None else cfg.matrix
+        return MockModel.from_corpus(corpus, variable, matrix, seed=seed,
                                      refuse_units=cfg.refuse_units)
     raise ConfigError(f"unknown client kind {cfg.kind!r}")
 
@@ -157,10 +156,11 @@ def cmd_annotate(args) -> int:
     out_dir = path.parent / cfg.output_dir
     corpus = ingest(path.parent / cfg.corpus, "jsonl")
     scheme = load_scheme(path.parent / cfg.scheme)
+    variable = scheme.labelled(cfg.variable, "annotate labels")
     instruction = read_text(path.parent / cfg.template, ConfigError)
     template = PromptTemplate(instruction=instruction, variable=cfg.variable)
     audit = AuditLog(out_dir / "audit.jsonl")
-    client = _build_client(cfg.client, corpus, scheme, cfg.variable, cfg.seed, audit)
+    client = _build_client(cfg.client, corpus, variable, cfg.seed, audit)
     result = annotate(corpus, template, client, scheme, policy=cfg.policy,
                       controls=cfg.decoding, seed=cfg.seed)
     counts = result.counts_by_status()
@@ -207,9 +207,8 @@ def _gold_and_predicted(corpus: Corpus, annset: AnnotationSet, variable: str):
 
 def cmd_evaluate(args) -> int:
     corpus = ingest(args.corpus, "jsonl")
+    var = load_scheme(args.scheme).labelled(args.variable, "evaluate scores")
     annset = AnnotationSet.load(args.annotations)
-    scheme = load_scheme(args.scheme)
-    var = scheme.variable(args.variable)
     gold, predicted = _gold_and_predicted(corpus, annset, args.variable)
     labels = list(var.labels)
     if ERROR_LABEL in predicted.values():

@@ -18,7 +18,7 @@ import typing
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 import yaml
@@ -99,6 +99,15 @@ class CodingScheme:
             if v.name == name:
                 return v
         raise ConfigError(f"variable {name!r} not in scheme")
+
+    def labelled(self, name: str, use: str) -> Variable:
+        """The variable ``name``, which must be categorical or ordinal: else a
+        ConfigError, ``use`` (e.g. "annotate labels") naming what needs levels."""
+        var = self.variable(name)
+        if var.kind not in ("categorical", "ordinal"):
+            raise ConfigError(f"variable {name!r} is {var.kind}; {use} a categorical "
+                              "or ordinal one")
+        return var
 
     def to_dict(self) -> dict:
         return {
@@ -237,7 +246,8 @@ class Corpus:
     (:meth:`unit`)."""
 
     def __init__(self, units: Iterable[Unit]):
-        self._fill(*_unit_columns(units))
+        units = tuple(units)
+        self._fill(*([getattr(u, f.name) for u in units] for f in dataclasses.fields(Unit)))
 
     @classmethod
     def from_columns(cls, ids, texts, groups, meta, gold) -> "Corpus":
@@ -291,32 +301,6 @@ def check_lengths(**columns) -> None:
                             f"{first!r} has {len(column)}")
 
 
-def _unit_columns(units: Iterable[Unit]) -> tuple[list, ...]:
-    """The id, text, groups, meta and gold columns of ``units``."""
-    units = tuple(units)
-    return ([u.id for u in units], [u.text for u in units], [u.groups for u in units],
-            [u.meta for u in units], [u.gold for u in units])
-
-
-def _validate_gold(ids, golds, scheme: CodingScheme) -> None:
-    """Each gold label of a categorical or ordinal variable must be one of
-    its levels; a gold variable the scheme lacks is a ConfigError."""
-    levels = {v.name: v.labels for v in scheme.variables
-              if v.kind in ("categorical", "ordinal")}
-    for uid, gold in zip(ids, golds):
-        for var_name, label in (gold or {}).items():
-            if var_name not in levels:
-                scheme.variable(var_name)  # a ConfigError when it is not there
-            elif label not in levels[var_name]:
-                raise DataError(
-                    f"unit {uid!r}: gold label {label!r} is not a level of {var_name!r}"
-                )
-
-
-def _synth_id(i: int) -> str:
-    return f"u{i + 1:06d}"
-
-
 def as_text(value) -> str:
     """``value`` as text: a string, or a finite number written as one.
     Anything else, null, a bool, NaN, an infinity, a list or an object, is a
@@ -350,16 +334,21 @@ def _str_dict(obj: dict, key: str) -> dict:
     return {k: _field_text(f"{key} value {k!r}", v) for k, v in d.items()}
 
 
-def _read_jsonl_columns(path) -> tuple[list, ...]:
-    """The id, text, groups, meta and gold columns of a JSONL corpus, one
-    unit object per line, decoded straight into them: an id (synthesized
-    when missing), a non-blank text, groups, a meta object without NaN or
-    infinite values and an optional gold object. The id, the text and the
-    group and gold values are each :func:`as_text`."""
-    texts, groups, metas, golds = [], [], [], []
+def _unit_rows(scheme: Optional[CodingScheme] = None):
+    """The one check of a unit row, for every corpus format: ``add(obj, i)``
+    appends the row ``obj``, as its JSONL object and the ``i``-th of its
+    file, to the id, text, groups, meta and gold columns, also returned.
+    A row has an id (synthesized when missing), a non-blank text, groups, a
+    meta object without NaN or infinite values and an optional gold object;
+    the id, text and group and gold values are each :func:`as_text`. With a
+    ``scheme``, a gold label of a categorical or ordinal variable must be
+    one of its levels, and a gold variable the scheme lacks is a ConfigError."""
+    ids, texts, groups, metas, golds = columns = [], [], [], [], []
+    levels = None if scheme is None else {
+        v.name: v.labels for v in scheme.variables if v.kind in ("categorical", "ordinal")}
 
-    def build(obj, i):
-        uid = obj["id"] if "id" in obj else _synth_id(i)
+    def add(obj, i):
+        uid = obj["id"] if "id" in obj else f"u{i + 1:06d}"
         text = obj["text"]
         if type(text) is not str:
             text = _field_text("text", text)
@@ -375,13 +364,20 @@ def _read_jsonl_columns(path) -> tuple[list, ...]:
         gold = _str_dict(obj, "gold") if obj.get("gold") is not None else None
         if not text.strip():
             raise DataError(f"unit {uid!r} has empty text")
+        if levels is not None and gold:
+            for var_name, label in gold.items():
+                if var_name not in levels:
+                    scheme.variable(var_name)  # a ConfigError when it is not there
+                elif label not in levels[var_name]:
+                    raise DataError(f"unit {uid!r}: gold label {label!r} is not a "
+                                    f"level of {var_name!r}")
+        ids.append(uid)
         texts.append(text)
         groups.append(group)
         metas.append(meta)
         golds.append(gold)
-        return uid
 
-    return read_jsonl(path, build), texts, groups, metas, golds
+    return add, columns
 
 
 def _finite_float(cell: str) -> float:
@@ -415,8 +411,29 @@ class CsvMapping:
                 raise ConfigError(f"meta column {column!r} has type tag {kind!r}; "
                                   "the tags are int, float, str and bool")
 
-    def coerce(self, column: str, value: str) -> Scalar:
-        return self._TYPES[self.meta_columns.get(column, "str")](value)
+    @cached_property
+    def mapped(self) -> set[str]:
+        """The columns that are no meta column."""
+        return {self.id_column, self.text_column, *self.group_columns.values(),
+                *self.gold_columns.values()} - {None}
+
+    def unit_object(self, row: dict[str, str]) -> dict:
+        """A CSV row as its unit's JSONL object: an id only when there is an
+        id column, the text, groups, the meta cells each of its type, and
+        the gold labels of the gold cells that are not empty, or none."""
+        obj = {"id": row[self.id_column]} if self.id_column else {}
+        obj["text"] = row[self.text_column]
+        obj["groups"] = {r: row[c] for r, c in self.group_columns.items()}
+        obj["meta"] = meta = {}
+        for column, value in row.items():
+            if column not in self.mapped:
+                try:
+                    meta[column] = self._TYPES[self.meta_columns.get(column, "str")](value)
+                except ValueError:
+                    raise DataError(f"column {column!r} is not "
+                                    f"{self.meta_columns[column]}: {value!r}") from None
+        obj["gold"] = {v: row[c] for v, c in self.gold_columns.items() if row[c]} or None
+        return obj
 
 
 def ingest(
@@ -431,56 +448,33 @@ def ingest(
     Supported formats: ``jsonl`` (one object per line with id, text, groups,
     meta, gold), ``csv`` (header row plus a :class:`CsvMapping`) and ``text``
     (UTF-8 plain text, split by ``unitize_strategy``). Ids missing from the
-    input are synthesized as ``u000001...`` in file order.
+    input are synthesized as ``u000001...`` in file order. Every row goes
+    through :func:`_unit_rows`, and a faulty line is a DataError naming it.
     """
+    add, columns = _unit_rows(scheme)
     if format == "jsonl":
-        columns = _read_jsonl_columns(path)
+        read_jsonl(path, add)
     elif format == "csv":
         if csv_mapping is None:
             raise ConfigError("csv ingestion requires a column mapping")
-        m = csv_mapping
         header, rows = read_csv_table(path)
-        mapped = {m.id_column, m.text_column}
-        mapped |= set(m.group_columns.values())
-        mapped |= set(m.gold_columns.values())
-        missing = sorted(mapped - set(header) - {None})
+        missing = sorted(csv_mapping.mapped - set(header))
         if missing:
             raise ConfigError(f"csv has no column {', '.join(map(repr, missing))}")
-        units = []
         for i, (line, row) in enumerate(rows):
-            uid = row[m.id_column] if m.id_column else _synth_id(i)
-            meta: dict[str, Scalar] = {}
-            for col, val in row.items():
-                if col in mapped:
-                    continue
-                try:
-                    meta[col] = m.coerce(col, val)
-                except ValueError:
-                    raise DataError(f"{path}, line {line}: column {col!r} "
-                                    f"is not {m.meta_columns[col]}: {val!r}") from None
-            gold = {v: row[c] for v, c in m.gold_columns.items() if row[c]}
-            units.append(
-                Unit(
-                    id=str(uid),
-                    text=row[m.text_column],
-                    groups={r: row[c] for r, c in m.group_columns.items()},
-                    meta=meta,
-                    gold=gold or None,
-                )
-            )
-        columns = _unit_columns(units)
+            try:
+                add(csv_mapping.unit_object(row), i)
+            except DataError as exc:
+                raise DataError(f"{path}, line {line}: {exc}") from None
     elif format == "text":
         if unitize_strategy is None:
             raise ConfigError("text ingestion requires a unitizing strategy")
-        columns = _unit_columns(unitize(read_text(path), unitize_strategy))
+        for i, segment in enumerate(unitize(read_text(path), unitize_strategy)):
+            add({"text": segment}, i)
     else:
         raise ConfigError(f"unknown ingestion format {format!r}")
-
-    ids, *_, golds = columns
-    if not ids:
+    if not columns[0]:
         raise DataError(f"input file {path} yielded an empty corpus")
-    if scheme is not None:
-        _validate_gold(ids, golds, scheme)
     return Corpus.from_columns(*columns)
 
 
@@ -627,29 +621,28 @@ def _window_chunks(text: str, max_chars: int) -> list[str]:
     return chunks
 
 
-def unitize(text: str, strategy: UnitizeStrategy) -> list[Unit]:
-    """Units ``u000001...`` of the segments of ``strategy.split`` that are not
-    blank, each under ``strategy.merge_below`` tokens merged into the next;
-    joined, they restore the input up to the whitespace of splits and blanks."""
-    segments = [s for s in strategy.split(text) if s.strip()]
-    return [Unit(id=_synth_id(i), text=seg)
-            for i, seg in enumerate(_merge_short(segments, strategy.merge_below))]
+def unitize(text: str, strategy: UnitizeStrategy) -> list[str]:
+    """The segments of ``strategy.split`` that are not blank, each under
+    ``strategy.merge_below`` tokens merged into the next; joined, they
+    restore the input up to the whitespace of splits and blanks. Ingestion
+    numbers them ``u000001...``."""
+    return _merge_short([s for s in strategy.split(text) if s.strip()],
+                        strategy.merge_below)
 
 
 def sample_units(
-    corpus: Union[Corpus, Sequence[Unit]],
+    corpus: Corpus,
     n: int,
     seed: int,
     with_replacement: bool = False,
 ) -> list[Unit]:
-    """Uniform seeded sample of units; reproducible for equal arguments."""
-    units = list(corpus)
+    """Uniform seeded sample of units; reproducible for equal arguments.
+    Only the sampled units are built."""
     if n < 1:
         raise DataError("sample size must be >= 1")
-    if not with_replacement and n > len(units):
+    if not with_replacement and n > len(corpus):
         raise DataError(
-            f"cannot sample {n} units from {len(units)} without replacement"
+            f"cannot sample {n} units from {len(corpus)} without replacement"
         )
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(units), size=n, replace=with_replacement)
-    return [units[i] for i in idx]
+    return [corpus[i] for i in rng.choice(len(corpus), size=n, replace=with_replacement)]

@@ -87,10 +87,11 @@ def write_csv(path: Union[str, Path], header: Sequence, rows: Iterable[Sequence]
 
 
 def read_lines(path: Union[str, Path], error=DataError, newline=None) -> Iterator[str]:
-    """The lines of the UTF-8 text file ``path``, read as they are consumed
-    (``newline`` as for :func:`open`); a file that cannot be read is ``error``."""
+    """The lines of the UTF-8 text file ``path``, less a leading byte-order
+    mark, read as they are consumed (``newline`` as for :func:`open`); a
+    file that cannot be read is ``error``."""
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
             yield from fh
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise error(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from None

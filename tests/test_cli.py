@@ -793,6 +793,36 @@ class TestExitCodes:
             capsys.readouterr().err
         assert not (tmp_path / "corpus.jsonl").exists()
 
+    @pytest.mark.parametrize("fault, message", [
+        ("blank", "unit 'b' has empty text"),
+        ("gold", "unit 'b': gold label 'Nope' is not a level of 'sentiment'"),
+    ])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_bad_row_is_3_and_named_by_file_and_line(self, workspace, capsys, fmt,
+                                                     fault, message):
+        # one check serves every format: a CSV row's blank text and either
+        # format's gold label were reported without their file and line
+        text, label = ("  ", "Positive") if fault == "blank" else ("y", "Nope")
+        path = workspace / f"rows.{fmt}"
+        if fmt == "jsonl":
+            path.write_text(
+                '{"id": "a", "text": "x", "gold": {"sentiment": "Positive"}}\n'
+                + json.dumps({"id": "b", "text": text, "gold": {"sentiment": label}})
+                + "\n", encoding="utf-8")
+            line, mapping = 2, []
+        else:
+            path.write_text(f"id,text,label\na,x,Positive\nb,{text},{label}\n",
+                            encoding="utf-8")
+            (workspace / "map.yaml").write_text(yaml.safe_dump(
+                {"id_column": "id", "gold_columns": {"sentiment": "label"}}),
+                encoding="utf-8")
+            line, mapping = 3, ["--mapping", workspace / "map.yaml"]
+        assert run(["ingest", "--input", path, "--format", fmt, *mapping,
+                    "--scheme", workspace / "scheme.yaml",
+                    "--out", workspace / "ingested" / "corpus.jsonl"]) == 3
+        assert capsys.readouterr().err == f"data error: {path}, line {line}: {message}\n"
+        assert not (workspace / "ingested").exists()
+
     @pytest.mark.parametrize("mapping, column", [
         ({"id_column": "ident"}, "ident"),
         ({"group_columns": {"school": "sch"}}, "sch"),
@@ -1070,6 +1100,63 @@ class TestExitCodes:
         cfg["client"].update(timeout=60.0, rules={}, auth_env="QUANTITIZE_API_TOKEN")
         (workspace / "ok.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
         assert run(["annotate", "--config", workspace / "ok.yaml"]) == 0
+
+
+class TestLabelledVariable:
+    """annotate and evaluate need a categorical or ordinal variable, and say
+    so before they build a client or read annotations."""
+
+    VARIABLES = {"numeric": "score", "open": "note"}
+
+    @pytest.fixture
+    def scored(self, workspace):
+        """The workspace, whose scheme also has a numeric and an open
+        variable, with gold values for both on every unit."""
+        save_scheme(CodingScheme((
+            Variable("sentiment", "categorical", (Level("Positive"), Level("Negative"))),
+            Variable("score", "numeric"), Variable("note", "open"))),
+            workspace / "scheme.yaml")
+        path = workspace / "corpus.jsonl"
+        docs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        path.write_text("".join(
+            json.dumps({**d, "gold": {**d["gold"], "score": "3", "note": "hi"}}) + "\n"
+            for d in docs), encoding="utf-8")
+        return workspace
+
+    @pytest.mark.parametrize("kind", ["numeric", "open"])
+    def test_annotate_is_2(self, scored, capsys, kind):
+        # the default gold_corruption mock was built from the variable's
+        # empty label list first, and refused every gold value: exit 3
+        cfg = yaml.safe_load((scored / "run.yaml").read_text())
+        cfg["variable"] = self.VARIABLES[kind]
+        del cfg["client"]["matrix"]
+        (scored / "run.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert run(["annotate", "--config", scored / "run.yaml"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: variable {cfg['variable']!r} is {kind}; "
+            "annotate labels a categorical or ordinal one\n")
+        assert not (scored / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["numeric", "open"])
+    def test_evaluate_is_2(self, scored, capsys, kind):
+        # the gold values were looked up in an empty label list: exit 3
+        assert run(["annotate", "--config", scored / "run.yaml"]) == 0
+        assert run(["evaluate", "--corpus", scored / "corpus.jsonl",
+                    "--annotations", scored / "out" / "annotations.jsonl",
+                    "--scheme", scored / "scheme.yaml",
+                    "--variable", self.VARIABLES[kind],
+                    "--out-dir", scored / "eval"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: variable {self.VARIABLES[kind]!r} is {kind}; "
+            "evaluate scores a categorical or ordinal one\n")
+        assert not (scored / "eval").exists()
+
+    def test_evaluate_checks_before_reading_annotations(self, scored, capsys):
+        assert run(["evaluate", "--corpus", scored / "corpus.jsonl",
+                    "--annotations", scored / "missing.jsonl",
+                    "--scheme", scored / "scheme.yaml", "--variable", "score",
+                    "--out-dir", scored / "eval"]) == 2
+        assert "variable 'score' is numeric" in capsys.readouterr().err
 
 
 class TestManifests:

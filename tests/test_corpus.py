@@ -1,7 +1,10 @@
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -136,6 +139,74 @@ class TestIngestCsv:
             ingest(p, "csv")
 
 
+class TestOneRowCheck:
+    """JSONL, CSV and text ingestion check each unit row with one check."""
+
+    def test_the_same_units_as_jsonl_and_as_csv_save_the_same_bytes(self, tmp_path,
+                                                                     scheme):
+        write_jsonl(tmp_path / "c.jsonl", [
+            {"id": "r1", "text": "hello", "groups": {"school": "s1"},
+             "meta": {"year": 1954, "weight": 2.5, "flag": True, "title": "A"},
+             "gold": {"sentiment": "Positive"}},
+            {"id": "r2", "text": "world", "groups": {"school": "s2"},
+             "meta": {"year": 1955, "weight": 0.5, "flag": False, "title": "B"}},
+        ])
+        (tmp_path / "c.csv").write_text(
+            "id,text,school,year,weight,flag,title,label\n"
+            "r1,hello,s1,1954,2.5,yes,A,Positive\nr2,world,s2,1955,0.5,no,B,\n",
+            encoding="utf-8")
+        mapping = CsvMapping(id_column="id", group_columns={"school": "school"},
+                             meta_columns={"year": "int", "weight": "float",
+                                           "flag": "bool"},
+                             gold_columns={"sentiment": "label"})
+        save_corpus(ingest(tmp_path / "c.jsonl", "jsonl", scheme=scheme),
+                    tmp_path / "from_jsonl.jsonl")
+        save_corpus(ingest(tmp_path / "c.csv", "csv", scheme=scheme, csv_mapping=mapping),
+                    tmp_path / "from_csv.jsonl")
+        assert ((tmp_path / "from_csv.jsonl").read_bytes()
+                == (tmp_path / "from_jsonl.jsonl").read_bytes())
+
+    def test_text_units_are_numbered_in_file_order(self, tmp_path):
+        p = tmp_path / "doc.txt"
+        p.write_text("First para.\n\nSecond para.\n", encoding="utf-8")
+        corpus = ingest(p, "text", unitize_strategy=Paragraph())
+        assert corpus.ids == ["u000001", "u000002"]
+        assert corpus.texts == ["First para.", "Second para.\n"]
+
+    def test_a_bad_gold_label_is_named_before_a_later_malformed_line(self, tmp_path,
+                                                                     scheme):
+        # gold labels were checked after the whole file was read, so the
+        # malformed line 2 was reported and the bad label of line 1 was not
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"id": "a", "text": "x", "gold": {"sentiment": "Nope"}}\n{"id": \n',
+                     encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}, line 1: unit 'a': "
+                                            "gold label 'Nope' is not a level of "
+                                            "'sentiment'$"):
+            ingest(p, "jsonl", scheme=scheme)
+
+
+class TestByteOrderMark:
+    # spreadsheets' "CSV UTF-8" exports, and some editors, start a file with
+    # U+FEFF; it is no part of the first cell, line or unit text
+    def test_csv(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("\ufeffid,text\nr1,hello\n", encoding="utf-8")
+        corpus = ingest(p, "csv", csv_mapping=CsvMapping(id_column="id"))
+        assert (corpus.ids, corpus.texts, corpus.meta) == (["r1"], ["hello"], [{}])
+
+    def test_jsonl(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('\ufeff{"id": "a", "text": "x"}\n', encoding="utf-8")
+        assert ingest(p, "jsonl").ids == ["a"]
+
+    def test_text(self, tmp_path):
+        p = tmp_path / "doc.txt"
+        p.write_text("\ufeffFirst para.\n\nSecond para.", encoding="utf-8")
+        corpus = ingest(p, "text", unitize_strategy=Paragraph())
+        assert corpus.texts == ["First para.", "Second para."]
+
+
 class TestUnit:
     def test_empty_text_rejected(self):
         with pytest.raises(DataError):
@@ -167,28 +238,28 @@ class TestUnit:
 
 class TestUnitize:
     def test_two_paragraphs(self):
-        units = unitize("First para.\n\nSecond para.", Paragraph())
-        assert len(units) == 2
-        assert units[0].text.strip() == "First para."
+        segments = unitize("First para.\n\nSecond para.", Paragraph())
+        assert len(segments) == 2
+        assert segments[0].strip() == "First para."
 
     def test_window_100_chars_size_10(self):
         text = "x" * 100
-        units = unitize(text, Window(size=10))
-        assert len(units) == 3
-        assert all(len(u.text) <= 40 for u in units)
-        assert "".join(u.text for u in units) == text
+        segments = unitize(text, Window(size=10))
+        assert len(segments) == 3
+        assert all(len(s) <= 40 for s in segments)
+        assert "".join(segments) == text
 
     def test_window_preserves_text(self):
         text = "the quick brown fox jumps over the lazy dog " * 10
-        units = unitize(text, Window(size=5))
-        assert "".join(u.text for u in units) == text
+        segments = unitize(text, Window(size=5))
+        assert "".join(segments) == text
 
     def test_scene_short_merged_forward(self):
         text = "INT. A long scene " + "with plenty of words " * 10 + \
                "\nEXT. tiny\nINT. Another long scene " + "more words here " * 10
-        units = unitize(text, Scene(marker=r"INT\.|EXT\.", merge_below=20))
-        assert len(units) == 2
-        assert "EXT. tiny" in units[1].text
+        segments = unitize(text, Scene(marker=r"INT\.|EXT\.", merge_below=20))
+        assert len(segments) == 2
+        assert "EXT. tiny" in segments[1]
 
     @pytest.mark.parametrize("strategy, message", [
         (lambda: Scene(marker=""), "scene strategy needs a marker"),
@@ -207,8 +278,7 @@ class TestUnitize:
             strategy()
 
     def test_sentences(self):
-        units = unitize("One. Two! Three?", SentenceSplit())
-        assert [u.text for u in units] == ["One.", "Two!", "Three?"]
+        assert unitize("One. Two! Three?", SentenceSplit()) == ["One.", "Two!", "Three?"]
 
     def test_empty_text_gives_empty_list(self):
         assert unitize("   ", Paragraph()) == []
@@ -225,18 +295,24 @@ class TestUnitize:
                                merge_below=st.integers(0, 6))))
     @example("INT. ", Window(1, 0))
     def test_units_are_numbered_and_keep_every_visible_character(self, text, strategy):
-        units = unitize(text, strategy)
-        assert all(u.text.strip() for u in units)
-        assert [u.id for u in units] == [f"u{i:06d}" for i in range(1, len(units) + 1)]
-        assert "".join("".join(u.text.split()) for u in units) == "".join(text.split())
+        segments = unitize(text, strategy)
+        assert all(s.strip() for s in segments)
+        assert "".join("".join(s.split()) for s in segments) == "".join(text.split())
+        if segments:  # ingest numbers them, in order
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "doc.txt"
+                path.write_text(text, encoding="utf-8", newline="")
+                corpus = ingest(path, "text", unitize_strategy=strategy)
+            assert corpus.ids == [f"u{i:06d}" for i in range(1, len(segments) + 1)]
+            assert corpus.texts == segments
 
     @given(st.lists(st.text(alphabet="abc ", min_size=1).filter(str.strip),
                     min_size=1, max_size=6))
     def test_paragraph_count_and_reconstruction(self, paras):
         text = "\n\n".join(paras)
-        units = unitize(text, Paragraph())
-        assert len(units) <= len(paras)
-        assert "".join(u.text.replace("\n", "").replace(" ", "") for u in units) \
+        segments = unitize(text, Paragraph())
+        assert len(segments) <= len(paras)
+        assert "".join(s.replace("\n", "").replace(" ", "") for s in segments) \
             == text.replace("\n", "").replace(" ", "")
 
 
@@ -257,6 +333,13 @@ class TestSampleUnits:
     def test_with_replacement_allows_oversampling(self, corpus):
         sample = sample_units(corpus, 30, seed=1, with_replacement=True)
         assert len(sample) == 30
+
+    @pytest.mark.parametrize("with_replacement", [False, True])
+    def test_the_sample_is_the_rows_the_seeded_generator_draws(self, corpus,
+                                                              with_replacement):
+        rows = np.random.default_rng(5).choice(12, size=7, replace=with_replacement)
+        sample = sample_units(corpus, 7, seed=5, with_replacement=with_replacement)
+        assert sample == [corpus[int(row)] for row in rows]
 
     def test_oversampling_without_replacement_fails(self, corpus):
         with pytest.raises(DataError):
