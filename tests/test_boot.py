@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from quantitize import (
 )
 from quantitize import boot
 from quantitize.boot import parse_statistic, yearly_proportion_of
+from quantitize.stats import design_matrix, fit_logistic_stack
 
 
 def parse_over(spec, labels, units):
@@ -604,6 +610,70 @@ class TestChunks:
         with pytest.raises(DataError, match="replicates 0-4 but on none alone"):
             bootstrap_ci(["A", "B"] * 10, {}, em, first,
                          BootstrapConfig(n_replicates=5))
+
+
+class TestRegressionBuffer:
+    """A ``logistic:`` plugin writes its IRLS weighted copies of X' into one
+    buffer that it keeps across calls."""
+
+    def test_one_buffer_serves_every_stack_size(self, monkeypatch):
+        # boot_logistic's fits, as in test_stats: row 0 of the eight converges
+        # an iteration after the others, so the 8- and 4-row stacks also fit
+        # their still-active rows in a slice of the buffer
+        obs = gen_confound(0, n=2000)
+        X, names = design_matrix({k: [o.covariates[k] for o in obs]
+                                  for k in ("age", "campus")}, len(obs))
+        y = np.array([o.response for o in obs])
+        codes = y ^ (np.random.default_rng(8).random((8, len(y))) < 0.1)
+        plugin = boot.Regression("yes", X, names)
+        fits, buffers = [], []
+
+        def recording(X, Y, names, work):
+            buffers.append(work)
+            fits.append((Y, fit_logistic_stack(X, Y, names, work)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(boot, "fit_logistic_stack", recording)
+        for stack in (codes[1], codes, codes[:4], codes[0]):
+            plugin(stack, ("no", "yes"))
+        assert [len(work) for work in buffers] == [1, 8, 8, 8]
+        assert buffers[1] is buffers[2] is buffers[3]
+        assert len(set(fits[1][1][3])) > 1  # the iteration counts differ
+        for Y, fit in fits:
+            for got, alone in zip(fit, fit_logistic_stack(X, Y, names)):
+                assert got.tobytes() == alone.tobytes()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason=(
+        "not glibc: the count rests on glibc malloc's mmap and trim thresholds"))
+    def test_a_warm_logistic_bootstrap_faults_in_few_pages(self):
+        # a chunk's weighted copies of X' (8 x 3 x 2000 floats, 384 kB) are
+        # above glibc's mmap threshold; made and freed per IRLS iteration,
+        # the heap gave their pages back and faulted them in again, about
+        # ten thousand times a bootstrap. The second of two bootstraps in
+        # one process, each with its own plugin as a CLI command builds it,
+        # counts the minor faults
+        code = """
+import resource
+import numpy as np
+from quantitize import BootstrapConfig, Corpus, ErrorModel, Unit, bootstrap_ci, gen_confound
+from quantitize.boot import parse_statistic
+obs = gen_confound(0, n=2000)
+corpus = Corpus([Unit(f"u{i}", "text", meta=dict(o.covariates)) for i, o in enumerate(obs)])
+labels = ["yes" if o.response else "no" for o in obs]
+em = ErrorModel(("no", "yes"), np.array([[0.9, 0.1], [0.12, 0.88]]))
+for run in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    plugin, columns = parse_statistic("logistic:yes ~ campus + age", em.labels,
+                                      corpus, range(len(obs)))
+    bootstrap_ci(labels, columns, em, plugin, BootstrapConfig(n_replicates=300, seed=1))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        import quantitize
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(quantitize.__file__).resolve().parents[1])}
+        child = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, check=True, timeout=60)
+        assert int(child.stdout) < 750
 
 
 class TestLabelCodes:

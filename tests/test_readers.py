@@ -190,10 +190,12 @@ _lines = (st.tuples(_before, _bodies, _after).map("".join)
 
 
 def _outcome(read, path):
+    built = []
     try:
-        return "ok", repr(read(path, lambda obj, i: (i, obj)))  # repr: NaN == NaN
+        count = read(path, lambda obj, i: built.append((i, obj)))
+        return "ok", count, repr(built)  # repr: NaN == NaN
     except DataError as exc:
-        return "error", str(exc)
+        return "error", str(exc), repr(built)
 
 
 @settings(max_examples=300, deadline=None)
@@ -205,7 +207,8 @@ def test_read_jsonl_decodes_exactly_as_json_loads(lines, last_newline):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
-        assert _outcome(read_jsonl, path) == _outcome(reference_read_jsonl, path)
+        assert _outcome(read_jsonl, path) == _outcome(
+            lambda p, build: len(reference_read_jsonl(p, build)), path)
 
 
 # --- write_jsonl against one encoder per line -------------------------------
